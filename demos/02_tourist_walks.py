@@ -32,7 +32,7 @@ for mu in range(0, 7):
 print("\ncomponent averages <t>(mu), <c>(mu):")
 stats = component_stats(component, 8)
 for mu in range(9):
-    t, c = stats.means[mu]
+    t, c = stats[mu]
     print(f"  mu={mu}: <t>={t:5.2f}  <c>={c:5.2f}")
 
 # ---------------------------------------------------------------------------
@@ -47,10 +47,10 @@ both = Dataset(
 lattice_graph, cloud_graph = build_training_graph(both, GraphConfig(epsilon=1.4, kappa=3))
 for name, graph in (("lattice", lattice_graph), ("cloud", cloud_graph)):
     stats = component_stats(graph, 18)
-    final = stats.means[18]
+    final = stats[18]
     onset = 18
     for mu in range(18, -1, -1):
-        if stats.means[mu] != final:
+        if stats[mu] != final:
             break
         onset = mu
     print(f"{name}: steady state from mu={onset}, final <t>={final[0]:.2f}")

@@ -78,12 +78,8 @@ from .features import (
 )
 from .tourist import (
     AllViewsEmpty,
-    Component,
-    ComponentWalkStats,
-    WalkConfig,
     WalkResult,
     component_stats,
-    insertion_variation,
     walk,
 )
 

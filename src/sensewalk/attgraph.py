@@ -4,16 +4,26 @@ Each class of a labeled dataset becomes one connected graph component.
 A training vertex links to every same-class vertex closer than epsilon
 when that ball holds more than kappa points (dense regions), and to its
 kappa nearest same-class vertices otherwise (sparse regions). Classes
-left disconnected by the local rule are repaired by repeatedly adding
-the shortest edge between components.
+left disconnected by the local rule are bridged by one Kruskal pass that
+adds the shortest inter-component edges, ties to the smallest index pair.
+
+:class:`ClassGraph` is the only graph type. It lives in index space:
+vertex ``k`` is ``ids[k]`` (ids sorted), ``positions[k]`` its feature
+vector and ``rows[k]`` its neighbors as ``(distance, index)`` pairs sorted
+ascending. Because indices follow id order, scanning a row front to back
+realizes the tourist walk's movement rule (nearest first, ties to the
+smallest id); the constructor is the one place that sorts rows.
 
 Test instances are inserted *virtually*: an :class:`InsertionView` lists
 the links a test point would make into one class component without ever
 mutating the trained graphs, so many test instances can be scored
-concurrently against the same graphs.
+concurrently against the same graphs. The walk engine
+(:class:`sensewalk.tourist.InsertionTrial`) overlays those links on the
+base rows instead of copying them.
 """
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,55 +70,69 @@ class InsertionView:
 
 
 class ClassGraph:
-    """One class's component: vertices, positions and weighted adjacency.
+    """One class's component in index space.
 
-    Treated as immutable once built; ``commit_or_discard`` returns fresh
-    objects instead of mutating. Walk caches hang off private slots and
-    never participate in ``content_hash``.
+    ``edges`` are undirected ``(id_a, id_b, distance)`` triples, the form
+    :meth:`edges` returns; a pair listed twice is kept once. ``ids`` must
+    be strictly increasing, ``positions`` holds row ``k`` for ``ids[k]``.
+
+    Immutable once built; ``commit_or_discard`` returns fresh objects
+    instead of mutating. The one mutable slot, ``_walks``, maps mu to the
+    walk detail of every start; :func:`sensewalk.tourist.walk_detail` is
+    its only reader and writer, and ``content_hash`` leaves it out.
     """
 
-    def __init__(self, class_id, ids, positions, adjacency, config, neighbor_rule=None):
+    def __init__(self, class_id, ids, positions, edges, config):
         self.class_id = class_id
-        self.ids = list(ids)  # sorted instance ids
-        self.positions = dict(positions)  # id -> feature vector
-        self.adjacency = adjacency  # id -> {neighbor id: distance}
+        self.ids = list(ids)
+        if any(b <= a for a, b in zip(self.ids, self.ids[1:])):
+            raise ValueError("ids must be strictly increasing")
+        self.positions = np.array(positions, dtype=float)
+        self.positions.flags.writeable = False
         self.config = config
-        # id -> "epsilon" | "knn": which formation rule chose its neighborhood
-        self.neighbor_rule = dict(neighbor_rule or {})
-        self._component = None  # tourist-walk view, built lazily
-        self._walk_cache = {}  # mu -> (mean_t, mean_c, per-start detail)
+        index = {v: k for k, v in enumerate(self.ids)}
+        pairs = {}
+        for a, b, d in edges:
+            i, j = index[a], index[b]
+            pairs[min(i, j), max(i, j)] = float(d)
+        self.rows = [[] for _ in self.ids]
+        for (i, j), d in pairs.items():
+            self.rows[i].append((d, j))
+            self.rows[j].append((d, i))
+        for row in self.rows:
+            row.sort()
+        self._walks = {}
 
     @property
     def vertex_count(self):
         return len(self.ids)
 
     def edges(self):
-        """Unique undirected edges as (id_a, id_b, distance), sorted."""
-        seen = []
-        for a in self.ids:
-            for b, d in self.adjacency[a].items():
-                if not (b < a):  # emit each pair once
-                    seen.append((a, b, d))
-        return sorted(seen)
+        """Unique undirected edges as (id_a, id_b, distance), id_a < id_b, sorted."""
+        return sorted(
+            (self.ids[k], self.ids[j], d)
+            for k, row in enumerate(self.rows)
+            for d, j in row
+            if j > k
+        )
 
     def is_connected(self):
         if not self.ids:
             return True
-        stack = [self.ids[0]]
-        visited = {self.ids[0]}
+        stack = [0]
+        visited = {0}
         while stack:
-            u = stack.pop()
-            for v in self.adjacency[u]:
-                if v not in visited:
-                    visited.add(v)
-                    stack.append(v)
+            for _, j in self.rows[stack.pop()]:
+                if j not in visited:
+                    visited.add(j)
+                    stack.append(j)
         return len(visited) == len(self.ids)
 
     def content_hash(self):
         h = hashlib.sha256()
-        for i in self.ids:
-            h.update(repr(i).encode())
-            h.update(np.asarray(self.positions[i], dtype=float).tobytes())
+        for v, position in zip(self.ids, self.positions):
+            h.update(repr(v).encode())
+            h.update(position.tobytes())
         for a, b, d in self.edges():
             h.update(repr((a, b)).encode())
             h.update(np.float64(d).tobytes())
@@ -137,19 +161,26 @@ def default_epsilon(dataset):
 
 
 def _neighbor_choice(D, row, epsilon, kappa):
-    """(rule name, indices) chosen by the combined rule for one vertex."""
+    """Indices the combined rule links vertex ``row`` to: its epsilon ball
+    when that holds more than kappa vertices, else its kappa nearest."""
     d = D[row].copy()
     d[row] = np.inf
     ball = np.nonzero(d < epsilon)[0]
     if len(ball) > kappa:
-        return "epsilon", ball
+        return ball
     order = np.argsort(d, kind="stable")  # ties fall back to id order
-    return "knn", order[: min(kappa, len(d) - 1)]
+    return order[: min(kappa, len(d) - 1)]
 
 
-def _repair_connectivity(ids, D, adjacency):
-    """Bridge disconnected pieces with the shortest inter-component edge."""
-    n = len(ids)
+def _bridges(D, pairs):
+    """Index pairs that join the pieces ``pairs`` leaves apart, shortest first.
+
+    One Kruskal pass over all pairs sorted by (distance, i, j). A pair is
+    added only if it is the shortest one left between two pieces, so this
+    adds the same bridges in the same order as repeatedly taking the
+    globally shortest inter-component edge.
+    """
+    n = len(D)
     parent = list(range(n))
 
     def find(x):
@@ -158,28 +189,33 @@ def _repair_connectivity(ids, D, adjacency):
             x = parent[x]
         return x
 
-    index = {v: i for i, v in enumerate(ids)}
-    for a in ids:
-        for b in adjacency[a]:
-            ra, rb = find(index[a]), find(index[b])
-            if ra != rb:
-                parent[ra] = rb
+    pieces = n
+    for i, j in pairs:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            pieces -= 1
+    added = []
+    if pieces <= 1:
+        return added
+    iu, ju = np.triu_indices(n, k=1)
+    for k in np.lexsort((ju, iu, D[iu, ju])).tolist():
+        i, j = int(iu[k]), int(ju[k])
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            added.append((i, j))
+            pieces -= 1
+            if pieces == 1:
+                break
+    return added
 
-    while True:
-        roots = {find(i) for i in range(n)}
-        if len(roots) <= 1:
-            break
-        best = None
-        for i in range(n):
-            for j in range(i + 1, n):
-                if find(i) != find(j):
-                    cand = (D[i, j], i, j)
-                    if best is None or cand < best:
-                        best = cand
-        _, i, j = best
-        adjacency[ids[i]][ids[j]] = D[i, j]
-        adjacency[ids[j]][ids[i]] = D[i, j]
-        parent[find(i)] = find(j)
+
+def _connected_graph(class_id, ids, X, D, pairs, config):
+    """ClassGraph over index ``pairs`` plus the bridges that make it one component."""
+    pairs = list(pairs)
+    pairs += _bridges(D, pairs)
+    return ClassGraph(class_id, ids, X, [(ids[i], ids[j], D[i, j]) for i, j in pairs], config)
 
 
 def build_training_graph(dataset, config=None):
@@ -205,18 +241,12 @@ def build_training_graph(dataset, config=None):
         ids = [dataset.ids[r] for r in rows]
         X = dataset.X[rows]
         D = _pairwise_distances(X)
-        adjacency = {v: {} for v in ids}
-        neighbor_rule = {}
-        for i in range(len(ids)):
-            rule, chosen = _neighbor_choice(D, i, epsilon, resolved.kappa)
-            neighbor_rule[ids[i]] = rule
-            for j in chosen:
-                j = int(j)
-                adjacency[ids[i]][ids[j]] = D[i, j]
-                adjacency[ids[j]][ids[i]] = D[i, j]
-        _repair_connectivity(ids, D, adjacency)
-        positions = {v: X[k].copy() for k, v in enumerate(ids)}
-        graphs.append(ClassGraph(class_id, ids, positions, adjacency, resolved, neighbor_rule))
+        pairs = [
+            (i, j)
+            for i in range(len(ids))
+            for j in _neighbor_choice(D, i, epsilon, resolved.kappa).tolist()
+        ]
+        graphs.append(_connected_graph(class_id, ids, X, D, pairs, resolved))
     return graphs
 
 
@@ -232,8 +262,7 @@ def insert_test(instance_features, class_graphs, config=None):
     views = []
     for graph in class_graphs:
         cfg = config or graph.config
-        P = np.stack([graph.positions[v] for v in graph.ids])
-        d = np.sqrt(((P - x) ** 2).sum(axis=1))
+        d = np.sqrt(((graph.positions - x) ** 2).sum(axis=1))
         within = np.nonzero(d < cfg.epsilon)[0]
         if len(within) > 0:
             links = tuple((graph.ids[int(i)], float(d[i])) for i in within)
@@ -251,7 +280,7 @@ def commit_or_discard(instance, predicted_label, class_graphs, mode="discard"):
 
     Incorporation links the new vertex by the training rule (epsilon ball
     if large enough, else kappa nearest), re-bridges if needed, and
-    returns a fresh ClassGraph whose walk caches start empty.
+    returns a fresh ClassGraph whose walk memo starts empty.
     """
     if mode == "discard":
         return class_graphs
@@ -265,31 +294,14 @@ def commit_or_discard(instance, predicted_label, class_graphs, mode="discard"):
             updated.append(graph)
             continue
         cfg = graph.config
-        ids = sorted(graph.ids + [instance.id])
-        positions = dict(graph.positions)
-        positions[instance.id] = x.copy()
-        adjacency = {v: dict(graph.adjacency.get(v, {})) for v in graph.ids}
-        adjacency[instance.id] = {}
-
-        others = graph.ids
-        P = np.stack([graph.positions[v] for v in others])
-        d = np.sqrt(((P - x) ** 2).sum(axis=1))
-        within = np.nonzero(d < cfg.epsilon)[0]
-        if len(within) > cfg.kappa:
-            rule, chosen = "epsilon", within
-        else:
-            rule, chosen = "knn", np.argsort(d, kind="stable")[: min(cfg.kappa, len(others))]
-        for i in chosen:
-            v = others[int(i)]
-            adjacency[instance.id][v] = float(d[i])
-            adjacency[v][instance.id] = float(d[i])
-
-        neighbor_rule = dict(graph.neighbor_rule)
-        neighbor_rule[instance.id] = rule
-        X = np.stack([positions[v] for v in ids])
+        cut = bisect_left(graph.ids, instance.id)
+        ids = graph.ids[:cut] + [instance.id] + graph.ids[cut:]
+        X = np.insert(graph.positions, cut, x, axis=0)
         D = _pairwise_distances(X)
-        _repair_connectivity(ids, D, adjacency)
-        updated.append(ClassGraph(graph.class_id, ids, positions, adjacency, cfg, neighbor_rule))
+        index = {v: k for k, v in enumerate(ids)}
+        pairs = [(index[a], index[b]) for a, b, _ in graph.edges()]
+        pairs += [(cut, j) for j in _neighbor_choice(D, cut, cfg.epsilon, cfg.kappa).tolist()]
+        updated.append(_connected_graph(graph.class_id, ids, X, D, pairs, cfg))
     return updated
 
 

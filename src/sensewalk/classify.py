@@ -12,8 +12,8 @@ tree), H scores how little the test instance perturbs each class
 component's tourist-walk statistics, and ``lam`` trades the two off.
 At ``lam == 0`` the hybrid reduces exactly to the low-level classifier.
 
-Trained models are immutable; predictions are pure reads and safe to run
-concurrently across test instances.
+Trained models are immutable; predictions write nothing but the class
+graphs' walk memos, and are safe to run concurrently across test instances.
 """
 
 import io
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tourist import InsertionTrial, component_stats
+from .tourist import InsertionTrial
 
 log = logging.getLogger(__name__)
 
@@ -369,10 +369,7 @@ def high_level_predict(test_instance, class_graphs, config, views):
     Raises :class:`sensewalk.tourist.AllViewsEmpty` when the instance
     links into no class; callers fall back to the low-level membership.
     """
-    test_id = getattr(test_instance, "id", None)
-    for graph in class_graphs:
-        component_stats(graph, config.mu_critical)  # warm the shared cache
-    trial = InsertionTrial(test_id, class_graphs, views)
+    trial = InsertionTrial(getattr(test_instance, "id", None), class_graphs, views)
     variations = {mu: trial.variations(mu) for mu in range(config.mu_critical + 1)}
     return combine_walk_variations(variations, class_priors(class_graphs), config)
 

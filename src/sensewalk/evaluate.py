@@ -327,14 +327,14 @@ def walk_curve_rows(class_graphs, mu_max):
         stats = component_stats(graph, mu_max)
         steady = mu_max
         for mu in range(mu_max, -1, -1):
-            t, c = stats.means[mu]
-            t_ref, c_ref = stats.means[steady]
+            t, c = stats[mu]
+            t_ref, c_ref = stats[steady]
             if abs(t - t_ref) <= 1e-12 and abs(c - c_ref) <= 1e-12:
                 steady = mu
             else:
                 break
         for mu in range(mu_max + 1):
-            t, c = stats.means[mu]
+            t, c = stats[mu]
             rows.append((graph.class_id, mu, t, c, steady))
     return rows
 

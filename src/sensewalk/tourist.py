@@ -1,4 +1,4 @@
-"""Deterministic tourist walks over class components.
+"""Deterministic tourist walks over class graphs.
 
 A walker sits on a vertex and repeatedly moves along graph edges to the
 nearest vertex (Euclidean distance, ties to the smallest vertex id) that
@@ -13,11 +13,24 @@ which is the walk's true Markov state; the transient is then shrunk to
 the first index where the vertex sequence itself turns periodic. A walker
 whose every neighbor is forbidden halts: cycle 0, transient = steps taken.
 
-Components are immutable snapshots, so walks from different starts,
-memory lengths, or insertion trials can all run concurrently.
+Walks run directly on :attr:`ClassGraph.rows <sensewalk.attgraph.ClassGraph>`:
+row ``k`` lists vertex ``k``'s neighbors sorted by (distance, index), and
+indices follow id order, so the first admissible entry is the step the
+movement rule takes.
+
+:func:`walk_detail` memoizes, per graph and mu, each start's transient,
+cycle and visited set. It is the memo's only writer; a race between two
+threads computing the same mu costs work but not consistency, because the
+walks are deterministic and the first stored result wins.
+
+:class:`InsertionTrial` scores a virtual insertion without copying the
+graph: the augmented rows share every base row except the touched ones,
+which get one extra ``(distance, n)`` entry for the test vertex at index
+``n``, placed so exact ties still resolve by id; the test vertex's own
+row is appended last.
 """
 
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass
 
 
@@ -30,99 +43,13 @@ class AllViewsEmpty(Exception):
 
 
 @dataclass(frozen=True)
-class WalkConfig:
-    """Memory length for a single walk and the cap used when sweeping."""
-
-    mu: int = 1
-    mu_critical: int = 10
-
-    def __post_init__(self):
-        if not (0 <= self.mu <= self.mu_critical):
-            raise ValueError("need 0 <= mu <= mu_critical")
-
-
-@dataclass(frozen=True)
 class WalkResult:
     transient: int
     cycle: int
     trajectory: tuple  # transient vertices then one cycle period (all visited on dead end)
 
 
-@dataclass(frozen=True)
-class ComponentWalkStats:
-    """Per-mu averages of transient and cycle length over all start vertices."""
-
-    means: dict  # mu -> (mean transient, mean cycle)
-
-    def mean_transient(self, mu):
-        return self.means[mu][0]
-
-    def mean_cycle(self, mu):
-        return self.means[mu][1]
-
-
-class Component:
-    """Walkable snapshot: vertices re-indexed to 0..n-1 in id order.
-
-    Adjacency rows are pre-sorted by (distance, index); because indexing
-    follows id order, scanning a row front to back realizes the
-    nearest-first, smallest-id-tie movement rule. Vertex ids must be
-    mutually comparable for this to be meaningful.
-    """
-
-    __slots__ = ("ids", "index", "adj")
-
-    def __init__(self, ids, adj_rows):
-        self.ids = list(ids)
-        self.index = {v: i for i, v in enumerate(self.ids)}
-        self.adj = adj_rows  # list of sorted [(distance, neighbor index), ...]
-
-    @classmethod
-    def from_adjacency(cls, adjacency):
-        """Build from a mapping id -> {neighbor id: distance}."""
-        ids = sorted(adjacency)
-        index = {v: i for i, v in enumerate(ids)}
-        rows = []
-        for v in ids:
-            row = sorted((float(d), index[w]) for w, d in adjacency[v].items())
-            rows.append(row)
-        return cls(ids, rows)
-
-    def with_vertex(self, new_id, links):
-        """A fresh component with one extra vertex linked as given.
-
-        ``links`` is an iterable of (existing id, distance). Existing
-        indices shift to keep id order, preserving tie determinism.
-        """
-        if new_id in self.index:
-            raise ValueError(f"vertex {new_id!r} already present")
-        cut = len([v for v in self.ids if v < new_id])
-        shift = lambda j: j + 1 if j >= cut else j  # noqa: E731
-        rows = [[(d, shift(j)) for d, j in row] for row in self.adj]
-        new_row = []
-        for vid, dist in links:
-            i = self.index[vid]
-            insort(rows[i], (float(dist), cut))
-            new_row.append((float(dist), shift(i)))
-        rows.insert(cut, sorted(new_row))
-        ids = self.ids[:cut] + [new_id] + self.ids[cut:]
-        return Component(ids, rows), cut
-
-    def __len__(self):
-        return len(self.ids)
-
-
-def _component_of(graph_or_component):
-    if isinstance(graph_or_component, Component):
-        return graph_or_component
-    cached = getattr(graph_or_component, "_component", None)
-    if cached is None:
-        cached = Component.from_adjacency(graph_or_component.adjacency)
-        graph_or_component._component = cached
-    return cached
-
-
-def _walk_indices(adj, start, mu):
+def _walk_indices(rows, start, mu):
     """Core loop in index space; returns (transient, cycle, trajectory)."""
     if mu == 0:
         return 0, 1, (start,)
@@ -132,7 +59,7 @@ def _walk_indices(adj, start, mu):
     keep = mu - 1
     while True:
         nxt = -1
-        for d, j in adj[traj[-1]]:
+        for d, j in rows[traj[-1]]:
             if j not in window:
                 nxt = j
                 break
@@ -154,56 +81,53 @@ def _walk_indices(adj, start, mu):
         seen[key] = k
 
 
-def walk(graph_or_component, start, mu):
-    """One tourist walk from ``start`` with memory length ``mu``."""
+def walk(graph, start, mu):
+    """One tourist walk from vertex id ``start`` with memory length ``mu``."""
     if mu < 0:
         raise ValueError("mu must be >= 0")
-    comp = _component_of(graph_or_component)
-    if start not in comp.index:
+    k = bisect_left(graph.ids, start)
+    if k == len(graph.ids) or graph.ids[k] != start:
         raise VertexNotInComponent(repr(start))
-    t, c, traj = _walk_indices(comp.adj, comp.index[start], mu)
-    return WalkResult(t, c, tuple(comp.ids[i] for i in traj))
+    t, c, traj = _walk_indices(graph.rows, k, mu)
+    return WalkResult(t, c, tuple(graph.ids[i] for i in traj))
 
 
-def _stats_for_mu(comp, mu):
+def _stats_for_mu(rows, mu):
     """Means plus per-start (transient, cycle, visited set) details."""
     detail = []
     total_t = 0
     total_c = 0
-    for s in range(len(comp)):
-        t, c, traj = _walk_indices(comp.adj, s, mu)
+    for s in range(len(rows)):
+        t, c, traj = _walk_indices(rows, s, mu)
         total_t += t
         total_c += c
         detail.append((t, c, frozenset(traj)))
-    n = len(comp)
-    return total_t / n, total_c / n, detail
+    n = len(rows)
+    return total_t / n, total_c / n, tuple(detail)
 
 
-def component_stats(graph_or_component, mu_critical):
-    """Averages of (transient, cycle) over walks from every vertex, for
-    each mu in [0, mu_critical]. Results are cached on ClassGraph objects."""
-    comp = _component_of(graph_or_component)
-    if len(comp) == 0:
+def walk_detail(graph, mu):
+    """(mean transient, mean cycle, per-start (t, c, visited)) at one mu,
+    computed once per graph and mu."""
+    found = graph._walks.get(mu)
+    if found is None:
+        found = graph._walks.setdefault(mu, _stats_for_mu(graph.rows, mu))
+    return found
+
+
+def component_stats(graph, mu_critical):
+    """``{mu: (mean transient, mean cycle)}`` over walks from every vertex,
+    for each mu in [0, mu_critical]."""
+    if graph.vertex_count == 0:
         raise ValueError("component is empty")
-    cache = getattr(graph_or_component, "_walk_cache", None)
-    if cache is None:
-        cache = {}
-    means = {}
-    for mu in range(mu_critical + 1):
-        if mu not in cache:
-            cache[mu] = _stats_for_mu(comp, mu)
-        mean_t, mean_c, _ = cache[mu]
-        means[mu] = (mean_t, mean_c)
-    if hasattr(graph_or_component, "_walk_cache"):
-        graph_or_component._walk_cache = cache
-    return ComponentWalkStats(means)
+    return {mu: walk_detail(graph, mu)[:2] for mu in range(mu_critical + 1)}
 
 
 class InsertionTrial:
     """Walk bookkeeping for one test instance virtually joining the components.
 
-    Builds each linked class's augmented component once; per-mu averages
-    reuse the cached base walk of any start whose trajectory never meets a
+    Builds each linked class's augmented rows once; per-mu averages reuse
+    the memoized base walk of any start whose trajectory never meets a
     linked vertex, since such walks cannot be deflected by the insertion.
     """
 
@@ -218,30 +142,36 @@ class InsertionTrial:
             view = self.views[graph.class_id]
             if not view.linked:
                 continue
-            base = _component_of(graph)
-            aug, test_idx = base.with_vertex(test_id, view.links)
-            touched = frozenset(base.index[vid] for vid, _ in view.links)
-            self._aug[graph.class_id] = (graph, base, aug, test_idx, touched)
+            n = graph.vertex_count
+            cut = bisect_left(graph.ids, test_id)  # ids below the test id
+            if cut < n and graph.ids[cut] == test_id:
+                raise ValueError(f"vertex {test_id!r} already present")
+            rows = list(graph.rows)
+            own = []
+            for vid, dist in view.links:
+                i = bisect_left(graph.ids, vid)
+                row = list(rows[i])
+                row.insert(bisect_left(row, (dist, cut - 0.5)), (dist, n))
+                rows[i] = row
+                own.append((dist, i))
+            rows.append(sorted(own))
+            touched = frozenset(i for _, i in own)
+            self._aug[graph.class_id] = (graph, rows, touched)
 
     def augmented_means(self, class_id, mu):
-        graph, base, aug, test_idx, touched = self._aug[class_id]
-        cache = graph._walk_cache
-        if mu not in cache:
-            cache[mu] = _stats_for_mu(base, mu)
-        _, _, detail = cache[mu]
-        cut = test_idx
+        graph, rows, touched = self._aug[class_id]
+        _, _, detail = walk_detail(graph, mu)
         total_t = 0
         total_c = 0
         for s, (t, c, visited) in enumerate(detail):
             if visited & touched:
-                s_aug = s + 1 if s >= cut else s
-                t, c, _ = _walk_indices(aug.adj, s_aug, mu)
+                t, c, _ = _walk_indices(rows, s, mu)
             total_t += t
             total_c += c
-        t, c, _ = _walk_indices(aug.adj, test_idx, mu)
+        t, c, _ = _walk_indices(rows, len(detail), mu)
         total_t += t
         total_c += c
-        n = len(aug)
+        n = len(rows)
         return total_t / n, total_c / n
 
     def variations(self, mu):
@@ -256,8 +186,7 @@ class InsertionTrial:
         for graph in self.class_graphs:
             class_id = graph.class_id
             if class_id in self._aug:
-                stats = component_stats(graph, mu)
-                base_t, base_c = stats.means[mu]
+                base_t, base_c, _ = walk_detail(graph, mu)
                 new_t, new_c = self.augmented_means(class_id, mu)
                 raw_t[class_id] = abs(new_t - base_t)
                 raw_c[class_id] = abs(new_c - base_c)
@@ -277,15 +206,3 @@ def _normalize(raw):
     if total == 0:
         return {k: 1.0 / len(raw) for k in raw}
     return {k: v / total for k, v in raw.items()}
-
-
-def insertion_variation(test_instance, class_graphs, views, mu, trial=None):
-    """Per-class (delta_t, delta_c) for one memory length.
-
-    ``trial`` may carry a prebuilt :class:`InsertionTrial` to share the
-    augmented components across many mu values.
-    """
-    if trial is None:
-        test_id = getattr(test_instance, "id", test_instance)
-        trial = InsertionTrial(test_id, class_graphs, views)
-    return trial.variations(mu)

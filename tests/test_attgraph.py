@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from sensewalk.attgraph import (
+    ClassGraph,
     ClassTooSmall,
     GraphConfig,
+    _bridges,
+    _neighbor_choice,
+    _pairwise_distances,
     build_training_graph,
     commit_or_discard,
     default_epsilon,
@@ -11,6 +15,7 @@ from sensewalk.attgraph import (
     write_class_graphs,
 )
 from sensewalk.features import Dataset, Instance
+from sensewalk.tourist import component_stats, walk_detail
 
 
 def make_dataset(points, labels, ids=None):
@@ -20,6 +25,11 @@ def make_dataset(points, labels, ids=None):
     return Dataset(ids, X, list(labels), names)
 
 
+def neighbors(graph, v):
+    """Ids adjacent to vertex id ``v``."""
+    return {graph.ids[j] for _, j in graph.rows[graph.ids.index(v)]}
+
+
 class TestBuildRule:
     def test_dense_regime_epsilon_clique(self):
         # 5 coincident points: every epsilon ball holds the other 4 > kappa=3
@@ -27,8 +37,8 @@ class TestBuildRule:
         graphs = build_training_graph(ds, GraphConfig(epsilon=0.1, kappa=3))
         g = graphs[0]
         assert g.vertex_count == 5
-        for v in g.ids:
-            assert len(g.adjacency[v]) == 4  # clique
+        for row in g.rows:
+            assert len(row) == 4  # clique
 
     def test_sparse_regime_knn_links(self):
         # an isolated point far from its class gets exactly kappa links
@@ -36,8 +46,8 @@ class TestBuildRule:
         ds = make_dataset(pts, [1] * 5)
         graphs = build_training_graph(ds, GraphConfig(epsilon=0.5, kappa=3))
         g = graphs[0]
-        assert len(g.adjacency[4]) == 3
-        assert set(g.adjacency[4]) <= {0, 1, 2, 3}
+        assert len(neighbors(g, 4)) == 3
+        assert neighbors(g, 4) <= {0, 1, 2, 3}
 
     def test_no_interclass_edges(self):
         pts = [[0, 0], [0.1, 0], [10, 10], [10.1, 10]]
@@ -61,14 +71,13 @@ class TestBuildRule:
             d = np.sqrt(((X - X[i]) ** 2).sum(axis=1))
             ball = {g.ids[j] for j in np.nonzero(d < cfg.epsilon)[0] if j != i}
             expected_rule = "epsilon" if len(ball) > cfg.kappa else "knn"
-            assert g.neighbor_rule[v] == expected_rule
             rules_seen.add(expected_rule)
             if expected_rule == "epsilon":
-                assert ball <= set(g.adjacency[v])
+                assert ball <= neighbors(g, v)
             else:
                 order = [j for j in np.argsort(d, kind="stable") if j != i]
                 knn = {g.ids[j] for j in order[: cfg.kappa]}
-                assert knn <= set(g.adjacency[v])
+                assert knn <= neighbors(g, v)
         assert rules_seen == {"epsilon", "knn"}  # layout exercises both regimes
 
     def test_each_class_single_component(self):
@@ -189,19 +198,112 @@ class TestCommitOrDiscard:
             commit_or_discard(Instance(99, np.zeros(2), None), 1, graphs, "replace")
 
     def test_incorporate_invalidates_walk_caches(self):
-        from sensewalk.tourist import component_stats
-
         graphs = self._graphs()
-        component_stats(graphs[0], 3)
-        assert graphs[0]._walk_cache  # warmed
+        warmed = walk_detail(graphs[0], 1)
+        assert len(warmed[2]) == 3
         inst = Instance(99, np.array([0.1, 0.1]), None)
         out = commit_or_discard(inst, 1, graphs, "incorporate")
         fresh = next(g for g in out if g.class_id == 1)
-        assert fresh._walk_cache == {}
         # recomputed statistics see the incorporated vertex
-        stats = component_stats(fresh, 1)
-        assert fresh.vertex_count == 4
-        assert stats.means[0] == (0.0, 1.0)
+        assert len(walk_detail(fresh, 1)[2]) == 4
+        assert walk_detail(graphs[0], 1) is warmed
+        assert component_stats(fresh, 1)[0] == (0.0, 1.0)
+
+    def test_incorporate_keeps_edges_and_links_by_training_rule(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(12, 2))
+        ds = make_dataset(X, [1] * 12, ids=list(range(0, 24, 2)))
+        cfg = GraphConfig(epsilon=0.8, kappa=2)
+        (graph,) = build_training_graph(ds, cfg)
+        for new_id, x in ((5, [0.1, 0.0]), (25, [3.0, 3.0]), (-1, [-0.2, 0.4])):
+            (out,) = commit_or_discard(Instance(new_id, np.array(x), None), 1, [graph], "incorporate")
+            assert set(graph.edges()) <= set(out.edges())
+            d = np.sqrt(((X - np.array(x)) ** 2).sum(axis=1))
+            ball = {graph.ids[j] for j in np.nonzero(d < cfg.epsilon)[0]}
+            if len(ball) <= cfg.kappa:
+                ball = {graph.ids[j] for j in np.argsort(d, kind="stable")[: cfg.kappa]}
+            assert neighbors(out, new_id) == ball
+
+
+def _repeated_scan_bridges(D, pairs):
+    """Reference bridging: rescan every pair for the shortest edge between
+    two pieces, add it, and repeat until one piece is left."""
+    n = len(D)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in pairs:
+        parent[find(i)] = find(j)
+    added = []
+    while len({find(i) for i in range(n)}) > 1:
+        best = None
+        for i in range(n):
+            for j in range(i + 1, n):
+                if find(i) != find(j):
+                    cand = (D[i, j], i, j)
+                    if best is None or cand < best:
+                        best = cand
+        _, i, j = best
+        added.append((i, j))
+        parent[find(i)] = find(j)
+    return added
+
+
+def _multi_blob_dataset(seed, translated):
+    """Two classes of small integer-coordinate blobs on a coarse grid, far
+    enough apart that the local rule leaves each class in several pieces.
+    Translated copies of one blob make the bridges tie exactly."""
+    rng = np.random.default_rng(seed)
+    shape = rng.integers(0, 3, size=(5, 2))
+    X, labels = [], []
+    for k, center in enumerate([(0, 0), (9, 0), (0, 9), (9, 9)] * 2):
+        blob = shape if translated else rng.integers(0, 3, size=(5, 2))
+        X.append(blob + np.array(center) + np.array([27 * (k // 4), 0]))
+        labels += [1 + k // 4] * len(blob)
+    return make_dataset(np.vstack(X), labels)
+
+
+class TestBridging:
+    CONFIG = GraphConfig(epsilon=1.5, kappa=2)
+
+    def _pieces(self, ds, class_id):
+        rows = [i for i, lab in enumerate(ds.labels) if lab == class_id]
+        ids = [ds.ids[r] for r in rows]
+        D = _pairwise_distances(ds.X[rows])
+        pairs = [(i, j) for i in range(len(ids))
+                 for j in _neighbor_choice(D, i, self.CONFIG.epsilon, self.CONFIG.kappa).tolist()]
+        return ids, D, pairs
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("translated", [False, True])
+    def test_kruskal_matches_repeated_scan(self, seed, translated):
+        ds = _multi_blob_dataset(seed, translated)
+        graphs = build_training_graph(ds, self.CONFIG)
+        for g in graphs:
+            ids, D, pairs = self._pieces(ds, g.class_id)
+            want_bridges = _repeated_scan_bridges(D, pairs)
+            assert len(want_bridges) >= 2
+            assert _bridges(D, pairs) == want_bridges
+            want = {(min(i, j), max(i, j)) for i, j in pairs + want_bridges}
+            assert g.edges() == sorted((ids[i], ids[j], D[i, j]) for i, j in want)
+
+    def test_translated_blobs_force_exact_ties(self):
+        ds = _multi_blob_dataset(0, translated=True)
+        ids, D, pairs = self._pieces(ds, 1)
+        lengths = [D[i, j] for i, j in _repeated_scan_bridges(D, pairs)]
+        assert len(set(lengths)) < len(lengths)
+
+
+def test_round_trip_through_edges_keeps_content_hash():
+    ds = _multi_blob_dataset(1, translated=False)
+    for g in build_training_graph(ds, GraphConfig(epsilon=1.5, kappa=2)):
+        copy = ClassGraph(g.class_id, g.ids, g.positions, g.edges(), g.config)
+        assert copy.content_hash() == g.content_hash()
+        assert copy.rows == g.rows
 
 
 def test_graph_dump_format(tmp_path):

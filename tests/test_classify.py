@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -292,6 +294,45 @@ class TestHighLevel:
         views = insert_test(probe.features, graphs)
         with pytest.raises(AllViewsEmpty):
             high_level_predict(probe, graphs, HighLevelConfig(mu_critical=2), views)
+
+    def test_concurrent_scoring_on_cold_graphs_matches_serial(self):
+        # predictions fill the graphs' walk memos; threads racing to fill
+        # them on fresh graphs must still give the serial memberships
+        rng = np.random.default_rng(11)
+        X = np.vstack([rng.normal(0, 1.0, (20, 2)), rng.normal(1.5, 1.0, (20, 2))])
+        ds = Dataset(list(range(40)), X, [1] * 20 + [2] * 20, ["x", "y"])
+        probes = [Instance(100 + k, p, None) for k, p in enumerate(rng.normal(0.75, 1.2, (40, 2)))]
+        config = HighLevelConfig(mu_critical=6)
+
+        def score(graphs, probe):
+            views = insert_test(probe.features, graphs)
+            return high_level_predict(probe, graphs, config, views).scores
+
+        serial_graphs = build_training_graph(ds, GraphConfig(kappa=3))
+        want = [score(serial_graphs, p) for p in probes]
+        shared = build_training_graph(ds, GraphConfig(kappa=3))
+        got, errors = {}, []
+
+        def work(offset):
+            try:
+                for k in range(offset, len(probes), 4):
+                    got[k] = score(shared, probes[k])
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert [got[k] for k in range(len(probes))] == want
 
 
 class TestHybrid:

@@ -4,30 +4,37 @@ import random
 import numpy as np
 import pytest
 
-from sensewalk.attgraph import GraphConfig, build_training_graph, insert_test
+from sensewalk.attgraph import (
+    ClassGraph,
+    GraphConfig,
+    InsertionView,
+    build_training_graph,
+    insert_test,
+)
 from sensewalk.features import Dataset
 from sensewalk.tourist import (
     AllViewsEmpty,
-    Component,
     InsertionTrial,
     VertexNotInComponent,
-    WalkConfig,
     component_stats,
-    insertion_variation,
     walk,
+    walk_detail,
 )
 
 from walk_oracle import oracle_neighbors, oracle_walk, random_geometric_graph
 
 
+def graph_from_edges(positions, weighted_edges):
+    """ClassGraph over explicit coordinates and (id_a, id_b, distance) edges."""
+    ids = sorted(positions)
+    coords = np.array([positions[v] for v in ids], dtype=float)
+    return ClassGraph(0, ids, coords, weighted_edges, GraphConfig())
+
+
 def component_from_points(positions, edges):
-    """Component over explicit coordinates and an undirected edge list."""
-    adjacency = {v: {} for v in positions}
-    for a, b in edges:
-        d = math.dist(positions[a], positions[b])
-        adjacency[a][b] = d
-        adjacency[b][a] = d
-    return Component.from_adjacency(adjacency)
+    """ClassGraph over explicit coordinates and an undirected edge list."""
+    weighted = [(a, b, math.dist(positions[a], positions[b])) for a, b in edges]
+    return graph_from_edges(positions, weighted)
 
 
 class TestWalkBasics:
@@ -49,12 +56,9 @@ class TestWalkBasics:
     def test_triangle_cycle_three(self):
         # AB=1, BC=2, CA=3: from A the walk visits B, C, then A again
         positions = {"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (3.0, 0.0)}
-        adjacency = {
-            "a": {"b": 1.0, "c": 3.0},
-            "b": {"a": 1.0, "c": 2.0},
-            "c": {"b": 2.0, "a": 3.0},
-        }
-        comp = Component.from_adjacency(adjacency)
+        comp = graph_from_edges(
+            positions, [("a", "b", 1.0), ("b", "c", 2.0), ("a", "c", 3.0)]
+        )
         result = walk(comp, "a", 2)
         assert (result.transient, result.cycle) == (0, 3)
         assert result.trajectory == ("a", "b", "c")
@@ -68,28 +72,24 @@ class TestWalkBasics:
         assert result.trajectory == (0, 1, 2)
 
     def test_single_vertex(self):
-        comp = Component.from_adjacency({7: {}})
+        comp = graph_from_edges({7: (0.0,)}, [])
         assert (walk(comp, 7, 0).transient, walk(comp, 7, 0).cycle) == (0, 1)
         assert (walk(comp, 7, 3).transient, walk(comp, 7, 3).cycle) == (0, 0)
 
     def test_unknown_start(self):
-        comp = Component.from_adjacency({0: {}})
+        comp = graph_from_edges({0: (0.0,)}, [])
         with pytest.raises(VertexNotInComponent):
             walk(comp, 99, 1)
 
     def test_negative_mu(self):
-        comp = Component.from_adjacency({0: {}})
+        comp = graph_from_edges({0: (0.0,)}, [])
         with pytest.raises(ValueError):
             walk(comp, 0, -1)
 
     def test_tie_breaks_to_smallest_id(self):
         # two neighbors at exactly the same distance
-        adjacency = {
-            "m": {"a": 1.0, "b": 1.0},
-            "a": {"m": 1.0},
-            "b": {"m": 1.0},
-        }
-        comp = Component.from_adjacency(adjacency)
+        positions = {"m": (0.0,), "a": (1.0,), "b": (-1.0,)}
+        comp = graph_from_edges(positions, [("m", "a", 1.0), ("m", "b", 1.0)])
         assert walk(comp, "m", 1).trajectory[:2] == ("m", "a")
 
     def test_determinism(self):
@@ -122,12 +122,12 @@ class TestWalkBasics:
 
 def _trace(comp, start, mu, steps):
     """Raw vertex sequence of the first ``steps`` moves (engine-independent)."""
-    idx = comp.index[start]
+    idx = comp.ids.index(start)
     traj = [idx]
     window = (idx,) if mu > 0 else ()
     for _ in range(steps):
         nxt = None
-        for d, j in comp.adj[traj[-1]]:
+        for d, j in comp.rows[traj[-1]]:
             if j not in window:
                 nxt = j
                 break
@@ -160,11 +160,11 @@ class TestWalkAgainstOracle:
 
 class TestComponentStats:
     def test_single_vertex_component(self):
-        comp = Component.from_adjacency({0: {}})
+        comp = graph_from_edges({0: (0.0,)}, [])
         stats = component_stats(comp, 2)
-        assert stats.means[0] == (0.0, 1.0)
-        assert stats.means[1] == (0.0, 0.0)
-        assert stats.means[2] == (0.0, 0.0)
+        assert stats[0] == (0.0, 1.0)
+        assert stats[1] == (0.0, 0.0)
+        assert stats[2] == (0.0, 0.0)
 
     def test_vertex_transitive_rectangle(self):
         # a ring of alternating side lengths is vertex-transitive and
@@ -176,8 +176,8 @@ class TestComponentStats:
                        for s in positions]
             assert len(set(results)) == 1
             stats = component_stats(comp, mu)
-            assert stats.means[mu][0] == pytest.approx(results[0][0])
-            assert stats.means[mu][1] == pytest.approx(results[0][1])
+            assert stats[mu][0] == pytest.approx(results[0][0])
+            assert stats[mu][1] == pytest.approx(results[0][1])
 
     def test_equal_sided_square_symmetric_where_tie_free(self):
         # on an exact square the mu=1 step ties and resolves by vertex id,
@@ -197,16 +197,17 @@ class TestComponentStats:
         stats = component_stats(comp, 5)
         for mu in range(6):
             ts, cs = zip(*(oracle_walk(positions, adj, s, mu) for s in positions))
-            assert stats.means[mu][0] == pytest.approx(sum(ts) / len(ts))
-            assert stats.means[mu][1] == pytest.approx(sum(cs) / len(cs))
+            assert stats[mu][0] == pytest.approx(sum(ts) / len(ts))
+            assert stats[mu][1] == pytest.approx(sum(cs) / len(cs))
 
     def test_cache_reused_on_class_graphs(self):
         ds = _blob_dataset()
         graphs = build_training_graph(ds, GraphConfig(epsilon=1.0, kappa=2))
-        component_stats(graphs[0], 3)
-        cached = dict(graphs[0]._walk_cache)
-        component_stats(graphs[0], 3)
-        assert graphs[0]._walk_cache.keys() == cached.keys()
+        stats = component_stats(graphs[0], 3)
+        first = walk_detail(graphs[0], 3)
+        assert walk_detail(graphs[0], 3) is first
+        assert stats[3] == first[:2]
+        assert len(first[2]) == graphs[0].vertex_count
 
 
 def _blob_dataset(seed=5, per_class=8, classes=(1, 2), spread=0.5, gap=6.0):
@@ -229,7 +230,7 @@ class TestInsertionVariation:
     def test_deltas_sum_to_one(self):
         graphs, views = self._setup([0.3, 0.2])
         for mu in range(5):
-            dt, dc = insertion_variation(99, graphs, views, mu)
+            dt, dc = InsertionTrial(99, graphs, views).variations(mu)
             assert sum(dt.values()) == pytest.approx(1.0, abs=1e-9)
             assert sum(dc.values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -237,7 +238,7 @@ class TestInsertionVariation:
         graphs, views = self._setup([0.3, 0.2])  # probe near class 1 only
         unlinked = [v.class_id for v in views if not v.linked]
         assert unlinked == [2]
-        dt, dc = insertion_variation(99, graphs, views, 2)
+        dt, dc = InsertionTrial(99, graphs, views).variations(2)
         # the unlinked class carries at least the linked class's variation
         assert dt[2] >= dt[1]
         assert dc[2] >= dc[1]
@@ -264,7 +265,7 @@ class TestInsertionVariation:
         graphs, views = self._setup([0.3, 0.2])
         trial = InsertionTrial(99, graphs, views)
         for mu in range(4):
-            fresh_dt, fresh_dc = insertion_variation(99, graphs, views, mu)
+            fresh_dt, fresh_dc = InsertionTrial(99, graphs, views).variations(mu)
             dt, dc = trial.variations(mu)
             assert dt == fresh_dt
             assert dc == fresh_dc
@@ -276,13 +277,7 @@ class TestInsertionVariation:
         trial = InsertionTrial(99, graphs, views)
         view = next(v for v in views if v.linked)
         graph = next(g for g in graphs if g.class_id == view.class_id)
-        adjacency = {v: dict(graph.adjacency[v]) for v in graph.ids}
-        adjacency[99] = {}
-        for vid, dist in view.links:
-            adjacency[99][vid] = dist
-            adjacency[vid] = dict(adjacency[vid])
-            adjacency[vid][99] = dist
-        full = Component.from_adjacency(adjacency)
+        full = _rebuilt_with(graph, 99, [0.5, -0.1], view.links)
         for mu in range(5):
             want_t, want_c, _ = _means_bruteforce(full, mu)
             got_t, got_c = trial.augmented_means(view.class_id, mu)
@@ -307,11 +302,36 @@ def _means_bruteforce(comp, mu):
     return sum(ts) / len(ts), sum(cs) / len(cs), None
 
 
-class TestWalkConfig:
-    def test_bounds(self):
-        WalkConfig(mu=0, mu_critical=0)
-        WalkConfig(mu=3, mu_critical=10)
+def _rebuilt_with(graph, new_id, position, links):
+    """The augmented graph built from scratch: base edges plus the links."""
+    ids = sorted(graph.ids + [new_id])
+    positions = np.insert(graph.positions, ids.index(new_id), position, axis=0)
+    edges = graph.edges() + [(new_id, vid, dist) for vid, dist in links]
+    return ClassGraph(graph.class_id, ids, positions, edges, graph.config)
+
+
+class TestInsertionOverlay:
+    def _lattice(self):
+        # 3x3 unit lattice with even ids, so every odd test id sorts between
+        # training ids; each vertex has several neighbors at exactly 1.0
+        positions = {2 * k: (float(k % 3), float(k // 3)) for k in range(9)}
+        edges = [(a, b) for a in positions for b in positions
+                 if a < b and math.dist(positions[a], positions[b]) < 1.5]
+        return component_from_points(positions, edges)
+
+    def test_exact_tie_matches_rebuilt_graph(self):
+        graph = self._lattice()
+        link_sets = [(8,), (0, 8), (2, 8, 14), (4, 10, 16)]
+        for test_id in range(1, 18, 2):
+            for linked in link_sets:
+                links = tuple((vid, 1.0) for vid in linked)
+                trial = InsertionTrial(test_id, [graph], [InsertionView(0, links)])
+                full = _rebuilt_with(graph, test_id, (1.0, 1.0), links)
+                for mu in range(6):
+                    want = component_stats(full, mu)[mu]
+                    assert trial.augmented_means(0, mu) == want, (test_id, linked, mu)
+
+    def test_existing_id_rejected(self):
+        graph = self._lattice()
         with pytest.raises(ValueError):
-            WalkConfig(mu=5, mu_critical=3)
-        with pytest.raises(ValueError):
-            WalkConfig(mu=-1, mu_critical=3)
+            InsertionTrial(8, [graph], [InsertionView(0, ((0, 1.0),))])

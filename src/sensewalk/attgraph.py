@@ -77,9 +77,12 @@ class ClassGraph:
     be strictly increasing, ``positions`` holds row ``k`` for ``ids[k]``.
 
     Immutable once built; ``commit_or_discard`` returns fresh objects
-    instead of mutating. The one mutable slot, ``_walks``, maps mu to the
-    walk detail of every start; :func:`sensewalk.tourist.walk_detail` is
-    its only reader and writer, and ``content_hash`` leaves it out.
+    instead of mutating. The one mutable slot, ``_walks``, maps mu to a
+    :class:`sensewalk.tourist.WalkDetail`: every start's transient, cycle
+    and full state walk, and its moves indexed by the vertex they leave
+    with the row position they took, which lets an insertion resume only
+    the walks it deflects. :func:`sensewalk.tourist.walk_detail` is its
+    only reader and writer, and ``content_hash`` leaves it out.
     """
 
     def __init__(self, class_id, ids, positions, edges, config):

@@ -19,6 +19,7 @@ graphs' walk memos, and are safe to run concurrently across test instances.
 import io
 import logging
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -369,7 +370,15 @@ def high_level_predict(test_instance, class_graphs, config, views):
     Raises :class:`sensewalk.tourist.AllViewsEmpty` when the instance
     links into no class; callers fall back to the low-level membership.
     """
-    trial = InsertionTrial(getattr(test_instance, "id", None), class_graphs, views)
+    test_id = getattr(test_instance, "id", None)
+    try:
+        for graph in class_graphs:
+            bisect_left(graph.ids, test_id)
+    except TypeError:
+        raise ValueError(
+            f"the test instance needs an id comparable with the training ids, got {test_id!r}"
+        ) from None
+    trial = InsertionTrial(test_id, class_graphs, views)
     variations = {mu: trial.variations(mu) for mu in range(config.mu_critical + 1)}
     return combine_walk_variations(variations, class_priors(class_graphs), config)
 

@@ -31,7 +31,7 @@ class Dataset:
     """A fixed-order collection of feature vectors with optional labels.
 
     All rows share the feature ordering in ``feature_names``. Labels are
-    sense ids; unlabeled rows carry ``None``.
+    sense ids; unlabeled rows carry ``None``. Every feature must be finite.
     """
 
     def __init__(self, ids, X, labels, feature_names):
@@ -43,6 +43,12 @@ class Dataset:
         self.feature_names = list(feature_names)
         if len(self.ids) != len(self.labels) or len(self.ids) != self.X.shape[0]:
             raise ValueError("ids, labels and feature rows must align")
+        if not np.isfinite(self.X).all():
+            row, col = np.argwhere(~np.isfinite(self.X))[0]
+            raise ValueError(
+                f"feature row {row} (id {self.ids[row]!r}), column {col} "
+                f"is {self.X[row, col]}; features must be finite"
+            )
 
     def __len__(self):
         return len(self.ids)

@@ -16,22 +16,36 @@ whose every neighbor is forbidden halts: cycle 0, transient = steps taken.
 Walks run directly on :attr:`ClassGraph.rows <sensewalk.attgraph.ClassGraph>`:
 row ``k`` lists vertex ``k``'s neighbors sorted by (distance, index), and
 indices follow id order, so the first admissible entry is the step the
-movement rule takes.
+movement rule takes. One loop, :func:`_walk_indices`, walks on from a
+prefix of states: a fresh walk is the prefix ``(start,)``.
 
 :func:`walk_detail` memoizes, per graph and mu, each start's transient,
-cycle and visited set. It is the memo's only writer; a race between two
-threads computing the same mu costs work but not consistency, because the
-walks are deterministic and the first stored result wins.
+cycle and full state walk (every vertex up to the repeated state or the
+dead end), and indexes every move of those walks by the vertex it leaves:
+the row position the move took (``len(row)`` on a dead end), its start and
+its step, packed into one int and sorted by row position, largest first.
+It is the memo's only writer; a race between two threads computing the
+same mu costs work but not consistency, because the walks are
+deterministic and the first stored result wins.
 
 :class:`InsertionTrial` scores a virtual insertion without copying the
 graph: the augmented rows share every base row except the touched ones,
 which get one extra ``(distance, n)`` entry for the test vertex at index
 ``n``, placed so exact ties still resolve by id; the test vertex's own
-row is appended last.
+row is appended last. For fixed mu the walk is a deterministic map on
+(vertex, window) states, and the test vertex is outside every window
+until the walk first reaches it. So an augmented walk follows its base
+walk up to the first move out of a touched vertex ``u`` whose row position
+is at or behind the test vertex's entry in ``u``'s augmented row; there
+the test vertex becomes the next choice. Only those starts are walked
+again, resumed from that prefix on the augmented rows; every other start
+keeps its memoized (transient, cycle). At mu 0 no walk moves, so none is
+deflected.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class VertexNotInComponent(Exception):
@@ -49,27 +63,41 @@ class WalkResult:
     trajectory: tuple  # transient vertices then one cycle period (all visited on dead end)
 
 
-def _walk_indices(rows, start, mu):
-    """Core loop in index space; returns (transient, cycle, trajectory)."""
+def _walk_indices(rows, prefix, mu):
+    """Walk on from ``prefix``, the walk's first states as vertex indices.
+
+    Returns (transient, cycle, traj, picks): ``traj`` is the prefix plus
+    every vertex up to the first repeated (vertex, window) state or the
+    dead end, ``picks`` the row position of each move made after the
+    prefix (``len(row)`` for the dead end). A prefix must repeat no state.
+    """
+    traj = list(prefix)
     if mu == 0:
-        return 0, 1, (start,)
-    traj = [start]
-    window = (start,)
-    seen = {(start, window): 0}
+        return 0, 1, traj, []
     keep = mu - 1
-    while True:
-        nxt = -1
-        for d, j in rows[traj[-1]]:
+    window = ()
+    seen = {}
+    for k, v in enumerate(traj):
+        window = (v,) + window[:keep]
+        seen[v, window] = k
+    picks = []
+    while True:  # k, v: index and vertex of the walk's last state
+        row = rows[v]
+        p = 0
+        for _, j in row:
             if j not in window:
-                nxt = j
                 break
-        if nxt < 0:
+            p += 1
+        else:
             # dead end: every neighbor inside the memory window
-            return len(traj) - 1, 0, tuple(traj)
-        traj.append(nxt)
-        window = (nxt,) + window[:keep]
-        key = (nxt, window)
-        k = len(traj) - 1
+            picks.append(p)
+            return k, 0, traj, picks
+        picks.append(p)
+        traj.append(j)
+        v = j
+        window = (j,) + window[:keep]
+        key = (j, window)
+        k += 1
         i = seen.get(key)
         if i is not None:
             c = k - i
@@ -77,7 +105,7 @@ def _walk_indices(rows, start, mu):
             # the vertex sequence may turn periodic before the state does
             while t > 0 and traj[t - 1] == traj[t - 1 + c]:
                 t -= 1
-            return t, c, tuple(traj[: t + c])
+            return t, c, traj, picks
         seen[key] = k
 
 
@@ -88,27 +116,47 @@ def walk(graph, start, mu):
     k = bisect_left(graph.ids, start)
     if k == len(graph.ids) or graph.ids[k] != start:
         raise VertexNotInComponent(repr(start))
-    t, c, traj = _walk_indices(graph.rows, k, mu)
-    return WalkResult(t, c, tuple(graph.ids[i] for i in traj))
+    t, c, traj, _ = _walk_indices(graph.rows, (k,), mu)
+    return WalkResult(t, c, tuple(graph.ids[i] for i in traj[: t + (c or 1)]))
+
+
+class WalkDetail(NamedTuple):
+    """Base walks of one graph at one mu, as :func:`walk_detail` memoizes them."""
+
+    mean_t: float
+    mean_c: float
+    starts: tuple  # per start: (transient, cycle, full state walk)
+    moves: tuple  # per vertex: packed moves leaving it, largest row position first
+    low: int  # a move packs (row position << low) | (step * n + start)
+    total_t: int
+    total_c: int
 
 
 def _stats_for_mu(rows, mu):
-    """Means plus per-start (transient, cycle, visited set) details."""
-    detail = []
-    total_t = 0
-    total_c = 0
-    for s in range(len(rows)):
-        t, c, traj = _walk_indices(rows, s, mu)
-        total_t += t
-        total_c += c
-        detail.append((t, c, frozenset(traj)))
+    """Walk every start of ``rows`` at one mu and index the moves."""
     n = len(rows)
-    return total_t / n, total_c / n, tuple(detail)
+    walks = [_walk_indices(rows, (s,), mu) for s in range(n)]
+    low = (n * max(len(traj) for _, _, traj, _ in walks)).bit_length()
+    moves = [[] for _ in range(n)]
+    for s, (_, _, traj, picks) in enumerate(walks):
+        for k, pick in enumerate(picks):
+            moves[traj[k]].append((pick << low) | (k * n + s))
+    total_t = sum(t for t, _, _, _ in walks)
+    total_c = sum(c for _, c, _, _ in walks)
+    return WalkDetail(
+        total_t / n,
+        total_c / n,
+        tuple((t, c, tuple(traj)) for t, c, traj, _ in walks),
+        tuple(tuple(sorted(m, reverse=True)) for m in moves),
+        low,
+        total_t,
+        total_c,
+    )
 
 
 def walk_detail(graph, mu):
-    """(mean transient, mean cycle, per-start (t, c, visited)) at one mu,
-    computed once per graph and mu."""
+    """The memoized :class:`WalkDetail` of every start at one mu, computed
+    once per graph and mu."""
     found = graph._walks.get(mu)
     if found is None:
         found = graph._walks.setdefault(mu, _stats_for_mu(graph.rows, mu))
@@ -126,9 +174,11 @@ def component_stats(graph, mu_critical):
 class InsertionTrial:
     """Walk bookkeeping for one test instance virtually joining the components.
 
-    Builds each linked class's augmented rows once; per-mu averages reuse
-    the memoized base walk of any start whose trajectory never meets a
-    linked vertex, since such walks cannot be deflected by the insertion.
+    Builds each linked class's augmented rows once, with the position
+    ``p_u`` of the test vertex's entry in each touched row ``u``. Per mu, a
+    start is walked again only if its base walk moves out of some touched
+    ``u`` from row position ``p_u`` or later, and then only from the first
+    such step; the means start from the memoized base totals.
     """
 
     def __init__(self, test_id, class_graphs, views):
@@ -148,31 +198,41 @@ class InsertionTrial:
                 raise ValueError(f"vertex {test_id!r} already present")
             rows = list(graph.rows)
             own = []
+            entries = []
             for vid, dist in view.links:
                 i = bisect_left(graph.ids, vid)
                 row = list(rows[i])
-                row.insert(bisect_left(row, (dist, cut - 0.5)), (dist, n))
+                p = bisect_left(row, (dist, cut - 0.5))
+                row.insert(p, (dist, n))
                 rows[i] = row
                 own.append((dist, i))
+                entries.append((i, p))
             rows.append(sorted(own))
-            touched = frozenset(i for _, i in own)
-            self._aug[graph.class_id] = (graph, rows, touched)
+            self._aug[graph.class_id] = (graph, rows, entries)
 
     def augmented_means(self, class_id, mu):
-        graph, rows, touched = self._aug[class_id]
-        _, _, detail = walk_detail(graph, mu)
-        total_t = 0
-        total_c = 0
-        for s, (t, c, visited) in enumerate(detail):
-            if visited & touched:
-                t, c, _ = _walk_indices(rows, s, mu)
-            total_t += t
-            total_c += c
-        t, c, _ = _walk_indices(rows, len(detail), mu)
-        total_t += t
-        total_c += c
-        n = len(rows)
-        return total_t / n, total_c / n
+        graph, rows, entries = self._aug[class_id]
+        base = walk_detail(graph, mu)
+        n = len(base.starts)
+        mask = (1 << base.low) - 1
+        first = {}  # start -> first step that moves to the test vertex
+        for u, p in entries:
+            floor = p << base.low
+            for move in base.moves[u]:
+                if move < floor:
+                    break
+                k, s = divmod(move & mask, n)
+                if first.get(s, k + 1) > k:
+                    first[s] = k
+        total_t = base.total_t
+        total_c = base.total_c
+        for s, k in first.items():
+            t0, c0, traj = base.starts[s]
+            t, c, _, _ = _walk_indices(rows, traj[: k + 1], mu)
+            total_t += t - t0
+            total_c += c - c0
+        t, c, _, _ = _walk_indices(rows, (n,), mu)
+        return (total_t + t) / (n + 1), (total_c + c) / (n + 1)
 
     def variations(self, mu):
         """Normalized per-class variations (delta_t, delta_c) at one mu.
@@ -186,7 +246,7 @@ class InsertionTrial:
         for graph in self.class_graphs:
             class_id = graph.class_id
             if class_id in self._aug:
-                base_t, base_c, _ = walk_detail(graph, mu)
+                base_t, base_c = walk_detail(graph, mu)[:2]
                 new_t, new_c = self.augmented_means(class_id, mu)
                 raw_t[class_id] = abs(new_t - base_t)
                 raw_c[class_id] = abs(new_c - base_c)

@@ -295,6 +295,19 @@ class TestHighLevel:
         with pytest.raises(AllViewsEmpty):
             high_level_predict(probe, graphs, HighLevelConfig(mu_critical=2), views)
 
+    def test_bare_feature_vector_needs_an_id(self):
+        # 12 points, two classes; a bare vector carries no id to order ties
+        rng = np.random.default_rng(3)
+        X = np.vstack([rng.normal(0, 0.4, (6, 2)), rng.normal(4, 0.4, (6, 2))])
+        ds = Dataset(list(range(12)), X, [1] * 6 + [2] * 6, ["x", "y"])
+        graphs = build_training_graph(ds, GraphConfig(epsilon=1.0, kappa=3))
+        probe = np.array([0.2, 0.1])
+        views = insert_test(probe, graphs)
+        assert any(v.linked for v in views)
+        for bare in (probe, Instance("p", probe, None)):
+            with pytest.raises(ValueError, match="id comparable with the training ids"):
+                high_level_predict(bare, graphs, HighLevelConfig(mu_critical=2), views)
+
     def test_concurrent_scoring_on_cold_graphs_matches_serial(self):
         # predictions fill the graphs' walk memos; threads racing to fill
         # them on fresh graphs must still give the serial memberships

@@ -181,3 +181,17 @@ class TestDatasetCsv:
         assert sub.ids == [12, 10]
         assert sub.labels == [1, 1]
         assert np.array_equal(sub.X, ds.X[[2, 0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_named_at_the_boundary(self, bad):
+        X = np.zeros((4, 3))
+        X[2, 1] = bad
+        X[3, 0] = bad  # a later row; the first one is named
+        with pytest.raises(ValueError, match=r"row 2 \(id 12\), column 1 "):
+            Dataset([10, 11, 12, 13], X, [1, 2, 1, 2], ["a", "b", "c"])
+
+    def test_non_finite_csv_value_rejected(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("a,b,label\n1,2,1\n3,nan,2\n")
+        with pytest.raises(ValueError, match="row 1 .*column 1 "):
+            Dataset.from_csv(path)

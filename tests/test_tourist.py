@@ -280,9 +280,7 @@ class TestInsertionVariation:
         full = _rebuilt_with(graph, 99, [0.5, -0.1], view.links)
         for mu in range(5):
             want_t, want_c, _ = _means_bruteforce(full, mu)
-            got_t, got_c = trial.augmented_means(view.class_id, mu)
-            assert got_t == pytest.approx(want_t)
-            assert got_c == pytest.approx(want_c)
+            assert trial.augmented_means(view.class_id, mu) == (want_t, want_c)
 
     def test_insertion_leaves_graphs_unchanged(self):
         graphs, views = self._setup([0.3, 0.2])
@@ -335,3 +333,57 @@ class TestInsertionOverlay:
         graph = self._lattice()
         with pytest.raises(ValueError):
             InsertionTrial(8, [graph], [InsertionView(0, ((0, 1.0),))])
+
+
+def _lattice_snap(positions, step=0.25):
+    """Coordinates on a coarse binary lattice, so many distances tie exactly."""
+    return {v: tuple(round(x / step) * step for x in p) for v, p in positions.items()}
+
+
+class TestResumedWalks:
+    """Walks resumed at their deflection step equal a full re-walk, bit for bit.
+
+    Training ids are even and the test id odd, so it sorts between them;
+    odd seeds put every point on a lattice so link distances tie the
+    distances already in the touched rows.
+    """
+
+    @staticmethod
+    def _assert_matches_rebuilt(positions, edges, rng, tied):
+        ids = sorted(positions)
+        test_id = 2 * rng.randint(0, len(ids)) - 1
+        point = (rng.random(), rng.random())
+        if tied:
+            point = _lattice_snap({0: point})[0]
+        linked = rng.sample(ids, rng.randint(1, min(len(ids), 5)))
+        links = tuple((v, math.dist(point, positions[v])) for v in linked)
+        graph = component_from_points(positions, edges)
+        trial = InsertionTrial(test_id, [graph], [InsertionView(0, links)])
+        full = _rebuilt_with(graph, test_id, point, links)
+        for mu in range(9):
+            want_t, want_c, _ = _means_bruteforce(full, mu)
+            assert trial.augmented_means(0, mu) == (want_t, want_c), (test_id, linked, mu)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_geometric_graphs(self, seed):
+        rng = random.Random(seed)
+        for _ in range(3):
+            points, pairs = random_geometric_graph(rng, rng.randint(2, 14))
+            if seed % 2:
+                points = _lattice_snap(points)
+            positions = {2 * v: p for v, p in points.items()}
+            edges = [(2 * a, 2 * b) for a, b in pairs]
+            self._assert_matches_rebuilt(positions, edges, rng, tied=seed % 2)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_dead_end_paths(self, seed):
+        # on a path every walk with mu >= 2 runs into an end and halts
+        rng = random.Random(100 + seed)
+        n = rng.randint(3, 12)
+        gaps = [0.25] * n if seed % 2 else [(0.5 + rng.random()) / n for _ in range(n)]
+        positions = {2 * k: (sum(gaps[:k]), 0.5) for k in range(n)}
+        edges = [(2 * k, 2 * k + 2) for k in range(n - 1)]
+        graph = component_from_points(positions, edges)
+        assert walk(graph, 0, 2).cycle == 0
+        for _ in range(4):
+            self._assert_matches_rebuilt(positions, edges, rng, tied=seed % 2)

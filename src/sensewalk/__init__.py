@@ -24,7 +24,6 @@ from .attgraph import (
 )
 from .classify import (
     HighLevelConfig,
-    HybridConfig,
     MembershipVector,
     bayes_predict,
     bayes_train,

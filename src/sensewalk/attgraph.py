@@ -253,7 +253,7 @@ def build_training_graph(dataset, config=None):
     return graphs
 
 
-def insert_test(instance_features, class_graphs, config=None):
+def insert_test(instance_features, class_graphs):
     """Virtual insertion: one InsertionView per class, graphs untouched.
 
     Links are the component vertices strictly within epsilon of the test
@@ -264,7 +264,7 @@ def insert_test(instance_features, class_graphs, config=None):
     x = np.asarray(getattr(instance_features, "features", instance_features), dtype=float)
     views = []
     for graph in class_graphs:
-        cfg = config or graph.config
+        cfg = graph.config
         d = np.sqrt(((graph.positions - x) ** 2).sum(axis=1))
         within = np.nonzero(d < cfg.epsilon)[0]
         if len(within) > 0:

@@ -74,20 +74,6 @@ class HighLevelConfig:
             raise ValueError("mu_critical must be >= 0")
 
 
-@dataclass(frozen=True)
-class HybridConfig:
-    """Compliance weight and the low-level classifier behind the hybrid."""
-
-    lam: float = 0.5
-    low_level: str = "knn"
-
-    def __post_init__(self):
-        if not 0 <= self.lam <= 1:
-            raise ValueError("lam must lie in [0, 1]")
-        if self.low_level not in LOW_LEVEL_NAMES:
-            raise ValueError(f"low_level must be one of {LOW_LEVEL_NAMES}")
-
-
 # ---------------------------------------------------------------------------
 # k-nearest neighbors
 

@@ -2,9 +2,17 @@
 
 Subcommands mirror the pipeline stages: ``preprocess``, ``build-net``,
 ``extract``, ``evaluate``, ``sweep``, ``walk-curves`` and ``toy``. Every
-option can also be supplied through ``--config FILE`` holding
-``key = value`` lines (flag names with dashes replaced by underscores);
-explicit flags win over the file, the file wins over built-in defaults.
+option can also be supplied through ``--config FILE`` holding ``key = value``
+lines, keyed by flag name without the dashes (``mu-c`` or ``mu_c``;
+``lambda``/``lam``, ``in``/``in_dir``). The lines are read as the
+subcommand's own flags placed before the command line's: they get the same
+type, choice and required checks, explicit flags win over the file and the
+file wins over the defaults. A key that names no option of the subcommand
+is an error; a switch is set by ``1``, ``true``, ``yes`` or ``on``.
+
+Exit status: 0 on success; 2 on a usage error (unknown flag or config key,
+ill-typed or missing value); 1 on bad input, reported as one
+``sensewalk: error: ...`` line on standard error.
 """
 
 import argparse
@@ -12,22 +20,25 @@ import sys
 from pathlib import Path
 
 from . import adjacency, corpus, evaluate as ev
-from .attgraph import GraphConfig, build_training_graph, write_class_graphs
+from .attgraph import ClassTooSmall, GraphConfig, build_training_graph, write_class_graphs
 from .classify import (
-    HighLevelConfig,
-    bayes_bandwidths_csv,
-    bayes_train,
-    c45_train,
-    tree_to_text,
+    LOW_LEVEL_NAMES, HighLevelConfig, bayes_bandwidths_csv, bayes_train, c45_train, tree_to_text,
 )
-from .features import Dataset, semantic_features, standardize, topological_features
+from .features import Dataset, MissingNode, semantic_features, standardize, topological_features
 
+# failures caused by the input, reported as one line instead of a traceback
+_INPUT_ERRORS = (
+    ValueError, OSError, corpus.MissingStopwordList, corpus.MissingLemmaDictionary,
+    corpus.ParseError, corpus.PositionMismatch, MissingNode, ClassTooSmall,
+    ev.InsufficientClassSize,
+)
 
 # config keys follow the flag names; two flags have differing argparse dests
 _CONFIG_ALIASES = {"lambda": "lam", "in": "in_dir"}
 
 
 def parse_config_file(path):
+    """``{dest: text}`` for the file's ``key = value`` lines."""
     values = {}
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
@@ -41,106 +52,104 @@ def parse_config_file(path):
     return values
 
 
-class Settings:
-    """Flag > config file > default resolution for one parsed command."""
-
-    def __init__(self, args):
-        self.args = args
-        self.config = parse_config_file(args.config) if args.config else {}
-
-    def get(self, name, default=None, cast=str):
-        flag_value = getattr(self.args, name, None)
-        if flag_value is not None:
-            return flag_value
-        if name in self.config:
-            raw = self.config[name]
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
-            return cast(raw)
-        return default
+def _config_tokens(command, path):
+    """The config file's lines as option tokens of the ``command`` parser."""
+    options = {action.dest: action for action in command._actions
+               if action.option_strings and action.dest not in ("help", "config")}
+    tokens = []
+    for key, value in parse_config_file(path).items():
+        action = options.get(key)
+        if action is None:
+            command.error(f"unknown key {key!r} in config file {path}")
+        if action.nargs != 0:
+            tokens.append(f"{action.option_strings[0]}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            tokens.append(action.option_strings[0])
+    return tokens
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="key = value file supplying defaults")
+def _with_config(parser, argv):
+    """``argv`` with the ``--config`` file's tokens right after the command."""
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    at = next((k for k, token in enumerate(argv) if token in commands), None)
+    if not path or at is None:
+        return argv
+    return argv[: at + 1] + _config_tokens(commands[argv[at]], path) + argv[at + 1:]
 
 
-def _add_corpus_inputs(parser):
-    parser.add_argument("--in", dest="in_dir", help="directory of .txt documents")
-    parser.add_argument("--annotations", help="TSV of document, position, word, sense")
-    parser.add_argument("--stopwords", help="override the bundled stopword list")
-    parser.add_argument("--lemmas", help="override the bundled lemma table")
+def _names(text):
+    return tuple(name.strip() for name in text.split(","))
 
 
-def _add_graph_flags(parser):
-    parser.add_argument("--epsilon", type=float,
-                        help="link radius (default: median same-class distance)")
-    parser.add_argument("--kappa", type=int, help="nearest-neighbor count (default 3)")
-    parser.add_argument("--fallback-factor", dest="fallback_factor", type=float,
-                        help="test-insertion reach in units of epsilon (default 3)")
+def _floats(text):
+    return tuple(float(value) for value in text.split(","))
 
 
-def _load_corpus(settings):
-    stop_path = settings.get("stopwords")
-    lemma_path = settings.get("lemmas")
-    stopwords = corpus.load_stopwords(stop_path)
-    lemma_table = corpus.load_lemma_table(lemma_path)
-    in_dir = settings.get("in_dir")
-    if not in_dir:
-        raise SystemExit("--in directory is required")
-    documents = corpus.load_documents(in_dir, stopwords, lemma_table)
+def _load_corpus(args, annotated=False):
+    if not args.in_dir:
+        raise ValueError("--in directory is required")
+    stopwords = corpus.load_stopwords(args.stopwords)
+    lemma_table = corpus.load_lemma_table(args.lemmas)
+    documents = corpus.load_documents(args.in_dir, stopwords, lemma_table)
     if not documents:
-        raise SystemExit(f"no .txt documents found in {in_dir}")
+        raise ValueError(f"no .txt documents found in {args.in_dir}")
     annotations = []
-    ann_path = settings.get("annotations")
-    if ann_path:
-        annotations = corpus.load_annotations(ann_path, documents=documents)
+    if args.annotations:
+        annotations = corpus.load_annotations(args.annotations, documents=documents)
+    if annotated and not annotations:
+        raise ValueError("--annotations is required to extract features")
     streams = {doc_id: doc.content_lemmas() for doc_id, doc in documents.items()}
     return documents, streams, annotations
 
 
-def _graph_config(settings):
-    return GraphConfig(
-        epsilon=settings.get("epsilon", None, float),
-        kappa=settings.get("kappa", 3, int),
-        fallback_factor=settings.get("fallback_factor", 3.0, float),
-    )
+def _extract(args, streams, annotations):
+    """Feature vectors of every annotation under ``--paradigm``."""
+    if args.paradigm == "semantic":
+        return semantic_features(streams, annotations, args.window)
+    network = adjacency.build_network(streams, annotations)
+    return topological_features(network, annotations)
 
 
-def _pipeline_config(settings, lam=None):
-    alpha_t = settings.get("alpha_t", 0.5, float)
+def _graph_config(args):
+    return GraphConfig(epsilon=args.epsilon, kappa=args.kappa,
+                       fallback_factor=args.fallback_factor)
+
+
+def _pipeline_config(args, **hybrid):
     return ev.PipelineConfig(
-        low_level=settings.get("low_level", "knn"),
-        lam=settings.get("lam", 0.5, float) if lam is None else lam,
-        graph=_graph_config(settings),
-        high=HighLevelConfig(alpha_t=alpha_t, alpha_c=1.0 - alpha_t,
-                             mu_critical=settings.get("mu_c", 10, int)),
-        knn_k=settings.get("knn_k", 1, int),
+        graph=_graph_config(args),
+        high=HighLevelConfig(alpha_t=args.alpha_t, alpha_c=1.0 - args.alpha_t,
+                             mu_critical=args.mu_c),
+        knn_k=args.knn_k,
+        **hybrid,
     )
 
 
-def _feature_dataset(settings):
-    """Either a ready-made features CSV or a corpus run through one paradigm."""
-    features_path = settings.get("features")
-    if features_path:
-        return Dataset.from_csv(features_path), None, None
-    documents, streams, annotations = _load_corpus(settings)
-    if not annotations:
-        raise SystemExit("--annotations is required to extract features")
-    paradigm = settings.get("paradigm", "semantic")
-    window = settings.get("window", 5, int)
-    if paradigm == "semantic":
-        dataset = semantic_features(streams, annotations, window)
-    elif paradigm == "topological":
-        network = adjacency.build_network(streams, annotations)
-        dataset = topological_features(network, annotations)
-    else:
-        raise SystemExit(f"unknown paradigm {paradigm!r}")
-    return dataset, streams, annotations
+def _reports(args, low_levels, grid, config, need_dataset=False):
+    """Cross-validated reports from ``--features`` or per word from a corpus,
+    with the features dataset (extracted from a corpus only if needed)."""
+    if args.features:
+        dataset = Dataset.from_csv(args.features)
+        plan = ev.make_fold_plan(dataset.labels, args.folds, args.seed)
+        swept = ev.cv_sweep(dataset, low_levels, grid, config, plan,
+                            word="dataset", paradigm="features")
+        return [swept[name] for name in low_levels], dataset
+    _, streams, annotations = _load_corpus(args, annotated=True)
+    reports = ev.run_word_experiments(
+        streams, annotations, paradigm=args.paradigm, window=args.window,
+        low_levels=low_levels, lambda_grid=grid, config=config,
+        n_folds=args.folds, seed=args.seed,
+    )
+    dataset = _extract(args, streams, annotations) if need_dataset else None
+    return reports, dataset
 
 
-def cmd_preprocess(settings):
-    documents, streams, annotations = _load_corpus(settings)
-    out_dir = Path(settings.get("out"))
+def cmd_preprocess(args):
+    documents, streams, annotations = _load_corpus(args)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for doc_id, lemmas in streams.items():
         (out_dir / f"{doc_id}.lemmas").write_text(" ".join(lemmas) + "\n", encoding="utf-8")
@@ -151,138 +160,92 @@ def cmd_preprocess(settings):
     return 0
 
 
-def cmd_build_net(settings):
-    documents, streams, annotations = _load_corpus(settings)
+def cmd_build_net(args):
+    documents, streams, annotations = _load_corpus(args)
     network = adjacency.build_network(streams, annotations)
-    out = settings.get("out")
-    adjacency.write_edgelist(network, out)
+    adjacency.write_edgelist(network, args.out)
     print(f"{len(network.nodes)} nodes, {len(network.weights)} edges, "
-          f"total weight {network.total_weight()} -> {out}")
+          f"total weight {network.total_weight()} -> {args.out}")
     return 0
 
 
-def cmd_extract(settings):
-    dataset, _, _ = _feature_dataset(settings)
-    out = settings.get("out")
-    dataset.to_csv(out)
-    print(f"{len(dataset)} instances x {dataset.dim} features -> {out}")
+def cmd_extract(args):
+    _, streams, annotations = _load_corpus(args, annotated=True)
+    dataset = _extract(args, streams, annotations)
+    dataset.to_csv(args.out)
+    print(f"{len(dataset)} instances x {dataset.dim} features -> {args.out}")
     return 0
 
 
-def cmd_evaluate(settings):
-    lam = settings.get("lam", 0.5, float)
-    low_level = settings.get("low_level", "knn")
-    config = _pipeline_config(settings, lam=lam)
-    n_folds = settings.get("folds", 10, int)
-    seed = settings.get("seed", 0, int)
-    p_method = settings.get("p_method", "binomial")
-
-    dataset, streams, annotations = _feature_dataset(settings)
-    if streams is not None and annotations is not None:
-        reports = ev.run_word_experiments(
-            streams, annotations, paradigm=settings.get("paradigm", "semantic"),
-            window=settings.get("window", 5, int), low_levels=(low_level,),
-            lambda_grid=(lam,), config=config, n_folds=n_folds, seed=seed,
-        )
-    else:
-        plan = ev.make_fold_plan(dataset.labels, n_folds, seed)
-        reports = [ev.lambda_sweep(dataset, low_level, (lam,), config, plan,
-                                   word="dataset", paradigm="features")]
+def cmd_evaluate(args):
+    config = _pipeline_config(args, lam=args.lam, low_level=args.low_level)
+    if args.p_method == "montecarlo" and not args.features:
+        raise ValueError("--p-method montecarlo needs --features (corpus reports are binomial)")
+    reports, dataset = _reports(args, (args.low_level,), (args.lam,), config,
+                                need_dataset=bool(args.dump_model or args.dump_graphs))
     for report in reports:
         row_lam, acc, p = report.rows[0]
-        if p_method != "binomial" and streams is None:
+        if args.p_method == "montecarlo":
             p = ev.p_value(acc, len(dataset), dataset.class_counts,
-                           method=p_method, seed=seed)
+                           method="montecarlo", seed=args.seed)
         print(f"{report.word}\t{report.low_level}\tlambda={row_lam:.2f}\t"
               f"accuracy={acc:.4f}\tp={p:.3g}")
-    report_path = settings.get("report")
-    if report_path:
-        ev.write_report_csv(reports, report_path)
-        print(f"report -> {report_path}")
-    _maybe_dump_models(settings, dataset, config)
+    if args.report:
+        ev.write_report_csv(reports, args.report)
+        print(f"report -> {args.report}")
+    _dump_models(args, dataset, config)
     return 0
 
 
-def _maybe_dump_models(settings, dataset, config):
-    dump_model = settings.get("dump_model")
-    dump_graphs = settings.get("dump_graphs")
-    if not dump_model and not dump_graphs:
+def _dump_models(args, dataset, config):
+    if not args.dump_model and not args.dump_graphs:
         return
     z = standardize(dataset)
-    if dump_model:
-        low_level = settings.get("low_level", "knn")
-        if low_level == "c45":
+    if args.dump_model:
+        if args.low_level == "c45":
             text = tree_to_text(c45_train(z), z.feature_names)
-        elif low_level == "bayes":
+        elif args.low_level == "bayes":
             text = bayes_bandwidths_csv(bayes_train(z))
         else:
             text = "k-nearest neighbors keeps no fitted parameters beyond the training set\n"
-        Path(dump_model).write_text(text if text.endswith("\n") else text + "\n", "utf-8")
-        print(f"model dump -> {dump_model}")
-    if dump_graphs:
+        Path(args.dump_model).write_text(text if text.endswith("\n") else text + "\n", "utf-8")
+        print(f"model dump -> {args.dump_model}")
+    if args.dump_graphs:
         graphs = build_training_graph(z, config.graph)
-        write_class_graphs(graphs, dump_graphs)
-        print(f"class graphs -> {dump_graphs}")
+        write_class_graphs(graphs, args.dump_graphs)
+        print(f"class graphs -> {args.dump_graphs}")
 
 
-def cmd_sweep(settings):
-    grid_text = settings.get("lambda_grid")
-    grid = tuple(float(v) for v in grid_text.split(",")) if grid_text else ev.LAMBDA_GRID
-    low_levels_text = settings.get("low_levels", "knn,bayes,c45")
-    low_levels = tuple(name.strip() for name in low_levels_text.split(","))
-    config = _pipeline_config(settings)
-    n_folds = settings.get("folds", 10, int)
-    seed = settings.get("seed", 0, int)
-
-    dataset, streams, annotations = _feature_dataset(settings)
-    if streams is not None and annotations is not None:
-        reports = ev.run_word_experiments(
-            streams, annotations, paradigm=settings.get("paradigm", "semantic"),
-            window=settings.get("window", 5, int), low_levels=low_levels,
-            lambda_grid=grid, config=config, n_folds=n_folds, seed=seed,
-        )
-    else:
-        plan = ev.make_fold_plan(dataset.labels, n_folds, seed)
-        swept = ev.cv_sweep(dataset, low_levels, grid, config, plan,
-                            word="dataset", paradigm="features")
-        reports = [swept[name] for name in low_levels]
+def cmd_sweep(args):
+    reports, _ = _reports(args, args.low_levels, args.lambda_grid, _pipeline_config(args))
     for report in reports:
         print(f"{report.word}\t{report.paradigm}\t{report.low_level}\t"
               f"best lambda={report.best_lambda:.2f}\t"
               f"accuracy={report.best_accuracy:.4f}")
-    out = settings.get("out")
-    if out:
-        ev.write_report_csv(reports, out)
-        print(f"report -> {out}")
+    if args.out:
+        ev.write_report_csv(reports, args.out)
+        print(f"report -> {args.out}")
     return 0
 
 
-def cmd_walk_curves(settings):
-    features_path = settings.get("features")
-    if not features_path:
-        raise SystemExit("--features CSV is required")
-    dataset = Dataset.from_csv(features_path)
-    if settings.get("no_standardize", False, bool):
-        z = dataset
-    else:
-        z = standardize(dataset)
-    graphs = build_training_graph(z, _graph_config(settings))
-    rows = ev.walk_curve_rows(graphs, settings.get("mu_max", 10, int))
-    out = settings.get("out")
-    ev.write_walk_curves(rows, out)
+def cmd_walk_curves(args):
+    dataset = Dataset.from_csv(args.features)
+    z = dataset if args.no_standardize else standardize(dataset)
+    graphs = build_training_graph(z, _graph_config(args))
+    rows = ev.walk_curve_rows(graphs, args.mu_max)
+    ev.write_walk_curves(rows, args.out)
     onsets = {class_id: steady for class_id, _, _, _, steady in rows}
     for class_id, steady in sorted(onsets.items()):
         print(f"class {class_id}: steady state from mu={steady}")
-    print(f"curves -> {out}")
-    dump_graphs = settings.get("dump_graphs")
-    if dump_graphs:
-        write_class_graphs(graphs, dump_graphs)
-        print(f"class graphs -> {dump_graphs}")
+    print(f"curves -> {args.out}")
+    if args.dump_graphs:
+        write_class_graphs(graphs, args.dump_graphs)
+        print(f"class graphs -> {args.dump_graphs}")
     return 0
 
 
-def cmd_toy(settings):
-    report = ev.toy_experiment(mu_critical=settings.get("mu_c", 10, int))
+def cmd_toy(args):
+    report = ev.toy_experiment(mu_critical=args.mu_c)
     names = {report.structured_class: "structured", report.unstructured_class: "unstructured"}
     for lam in (0.0, 0.5, 0.8):
         label = report.predictions_at[lam]
@@ -292,14 +255,17 @@ def cmd_toy(settings):
     else:
         print(f"first structured prediction at lambda={report.flip_lambda:.2f} "
               f"(monotone after: {report.monotone_after_flip})")
-    out = settings.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("lambda,predicted_class,structured_membership\n")
             for lam, label, members in report.rows:
                 fh.write(f"{lam:.2f},{label},{members!r}\n")
-        print(f"rows -> {out}")
+        print(f"rows -> {args.out}")
     return 0
+
+
+def _flags(*parents):
+    return argparse.ArgumentParser(add_help=False, parents=parents)
 
 
 def build_parser():
@@ -309,77 +275,76 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("preprocess", help="tokenize, filter and lemmatize documents")
-    _add_common(p)
-    _add_corpus_inputs(p)
+    common = _flags()
+    common.add_argument("--config", help="key = value file supplying defaults")
+    corpus_in = _flags(common)
+    corpus_in.add_argument("--in", dest="in_dir", help="directory of .txt documents")
+    corpus_in.add_argument("--annotations", help="TSV of document, position, word, sense")
+    corpus_in.add_argument("--stopwords", help="override the bundled stopword list")
+    corpus_in.add_argument("--lemmas", help="override the bundled lemma table")
+    features = _flags(corpus_in)
+    features.add_argument("--paradigm", choices=("semantic", "topological"), default="semantic")
+    features.add_argument("--window", type=int, default=5,
+                          help="context size for semantic features (5, 20 or 50)")
+    graph = _flags()
+    graph.add_argument("--epsilon", type=float,
+                       help="link radius (default: median same-class distance)")
+    graph.add_argument("--kappa", type=int, default=GraphConfig.kappa,
+                       help="nearest-neighbor count (default %(default)s)")
+    graph.add_argument("--fallback-factor", type=float, default=GraphConfig.fallback_factor,
+                       help="test-insertion reach in units of epsilon (default %(default)s)")
+    memory = _flags()
+    memory.add_argument("--mu-c", type=int, default=HighLevelConfig.mu_critical,
+                        help="maximum walk memory length")
+    cv = _flags(features, graph, memory)
+    cv.add_argument("--features", help="feature CSV instead of a corpus")
+    cv.add_argument("--alpha-t", type=float, default=HighLevelConfig.alpha_t,
+                    help="transient weight; cycle weight is its complement")
+    cv.add_argument("--knn-k", type=int, default=ev.PipelineConfig.knn_k,
+                    help="neighbors the kNN classifier votes with")
+    cv.add_argument("--folds", type=int, default=10)
+    cv.add_argument("--seed", type=int, default=0)
+
+    p = sub.add_parser("preprocess", parents=[corpus_in], help="tokenize, filter and lemmatize")
     p.add_argument("--out", required=True, help="output directory for .lemmas files")
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("build-net", help="build the word-adjacency network")
-    _add_common(p)
-    _add_corpus_inputs(p)
+    p = sub.add_parser("build-net", parents=[corpus_in], help="build the word-adjacency network")
     p.add_argument("--out", required=True, help="edge-list output path")
     p.set_defaults(func=cmd_build_net)
 
-    p = sub.add_parser("extract", help="extract feature vectors for annotations")
-    _add_common(p)
-    _add_corpus_inputs(p)
-    p.add_argument("--paradigm", choices=("semantic", "topological"))
-    p.add_argument("--window", type=int, help="context size for semantic features (5, 20 or 50)")
+    p = sub.add_parser("extract", parents=[features], help="feature vectors for annotations")
     p.add_argument("--out", required=True, help="feature CSV output path")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("evaluate", help="cross-validated accuracy at one lambda")
-    _add_common(p)
-    _add_corpus_inputs(p)
-    p.add_argument("--features", help="feature CSV instead of a corpus")
-    p.add_argument("--paradigm", choices=("semantic", "topological"))
-    p.add_argument("--window", type=int)
-    p.add_argument("--low-level", dest="low_level", choices=("knn", "bayes", "c45"))
-    p.add_argument("--lambda", dest="lam", type=float, help="compliance term in [0, 1]")
-    p.add_argument("--alpha-t", dest="alpha_t", type=float,
-                   help="transient weight; cycle weight is its complement")
-    p.add_argument("--mu-c", dest="mu_c", type=int, help="maximum walk memory length")
-    _add_graph_flags(p)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--p-method", dest="p_method", choices=("binomial", "montecarlo"))
+    p = sub.add_parser("evaluate", parents=[cv], help="cross-validated accuracy at one lambda")
+    p.add_argument("--low-level", choices=LOW_LEVEL_NAMES, default=ev.PipelineConfig.low_level)
+    p.add_argument("--lambda", dest="lam", type=float, default=ev.PipelineConfig.lam,
+                   help="compliance term in [0, 1]")
+    p.add_argument("--p-method", choices=("binomial", "montecarlo"), default="binomial")
     p.add_argument("--report", help="write the result rows as CSV")
-    p.add_argument("--dump-model", dest="dump_model", help="write model introspection text")
-    p.add_argument("--dump-graphs", dest="dump_graphs", help="write per-class edge lists")
+    p.add_argument("--dump-model", help="write model introspection text")
+    p.add_argument("--dump-graphs", help="write per-class edge lists")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="accuracy across the whole lambda grid")
-    _add_common(p)
-    _add_corpus_inputs(p)
-    p.add_argument("--features")
-    p.add_argument("--paradigm", choices=("semantic", "topological"))
-    p.add_argument("--window", type=int)
-    p.add_argument("--low-levels", dest="low_levels",
+    p = sub.add_parser("sweep", parents=[cv], help="accuracy across the whole lambda grid")
+    p.add_argument("--low-levels", type=_names, default=",".join(LOW_LEVEL_NAMES),
                    help="comma-separated subset of knn,bayes,c45")
-    p.add_argument("--lambda-grid", dest="lambda_grid",
+    p.add_argument("--lambda-grid", type=_floats, default=ev.LAMBDA_GRID,
                    help="comma-separated lambda values (default 0.00..1.00 step 0.05)")
-    p.add_argument("--alpha-t", dest="alpha_t", type=float)
-    p.add_argument("--mu-c", dest="mu_c", type=int)
-    _add_graph_flags(p)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="report CSV path")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("walk-curves", help="per-class walk statistics against memory length")
-    _add_common(p)
-    p.add_argument("--features", help="labeled feature CSV")
-    p.add_argument("--mu-max", dest="mu_max", type=int, help="largest memory length (default 10)")
-    p.add_argument("--no-standardize", dest="no_standardize", action="store_const", const=True)
-    _add_graph_flags(p)
+    p = sub.add_parser("walk-curves", parents=[common, graph],
+                       help="per-class walk statistics against memory length")
+    p.add_argument("--features", required=True, help="labeled feature CSV")
+    p.add_argument("--mu-max", type=int, default=10, help="largest memory length (default 10)")
+    p.add_argument("--no-standardize", action="store_true")
     p.add_argument("--out", required=True, help="curves CSV path")
-    p.add_argument("--dump-graphs", dest="dump_graphs")
+    p.add_argument("--dump-graphs")
     p.set_defaults(func=cmd_walk_curves)
 
-    p = sub.add_parser("toy", help="run the built-in structured-vs-scatter example")
-    _add_common(p)
-    p.add_argument("--mu-c", dest="mu_c", type=int)
+    p = sub.add_parser("toy", parents=[common, memory], help="built-in structured-vs-scatter run")
     p.add_argument("--out", help="per-lambda CSV path")
     p.set_defaults(func=cmd_toy)
 
@@ -387,10 +352,14 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
-    settings = Settings(args)
-    return args.func(settings)
+    try:
+        args = parser.parse_args(_with_config(parser, argv))
+        return args.func(args)
+    except _INPUT_ERRORS as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

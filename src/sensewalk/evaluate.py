@@ -18,6 +18,7 @@ from scipy import stats as sps
 
 from .attgraph import GraphConfig, build_training_graph, insert_test
 from .classify import (
+    LOW_LEVEL_NAMES,
     HighLevelConfig,
     hybrid_predict,
     high_level_predict,
@@ -98,7 +99,19 @@ class PipelineConfig:
     high: HighLevelConfig = field(default_factory=HighLevelConfig)
     knn_k: int = 1
     min_leaf: int = 2
-    standardize: bool = True
+
+    def __post_init__(self):
+        _check_choices((self.low_level,), (self.lam,))
+
+
+def _check_choices(low_levels, lambdas):
+    """Reject unknown low-level names and compliance terms outside [0, 1]."""
+    for name in low_levels:
+        if name not in LOW_LEVEL_NAMES:
+            raise ValueError(f"low_level must be one of {LOW_LEVEL_NAMES}, got {name!r}")
+    for lam in lambdas:
+        if not 0 <= lam <= 1:
+            raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")
 
 
 @dataclass(frozen=True)
@@ -144,12 +157,9 @@ def _fold_records(dataset, low_levels, config, fold_plan, fold_datasets=None, ne
             train_ds, test_ds = fold_datasets(train_idx, test_idx)
         else:
             train_ds, test_ds = dataset.subset(train_idx), dataset.subset(test_idx)
-        if config.standardize:
-            stats = feature_stats(train_ds)
-            train_z = standardize(train_ds, stats)
-            test_z = standardize(test_ds, stats)
-        else:
-            train_z, test_z = train_ds, test_ds
+        stats = feature_stats(train_ds)
+        train_z = standardize(train_ds, stats)
+        test_z = standardize(test_ds, stats)
         graphs = build_training_graph(train_z, config.graph) if need_high else None
         predictors = {
             name: train_low_level(name, train_z, knn_k=config.knn_k, min_size=config.min_leaf)
@@ -226,6 +236,7 @@ def cv_sweep(dataset, low_levels, lambda_grid=None, config=None, fold_plan=None,
     """One fold pass, every classifier, every lambda; shared walk scores."""
     config = config or PipelineConfig()
     grid = tuple(lambda_grid) if lambda_grid is not None else LAMBDA_GRID
+    _check_choices(low_levels, grid)
     if fold_plan is None:
         fold_plan = make_fold_plan(dataset.labels)
     records = _fold_records(
@@ -282,6 +293,7 @@ def run_word_experiments(token_streams, annotations, paradigm="semantic", window
     so no test-window lemma leaks into training features."""
     from .adjacency import build_network
 
+    _check_choices(low_levels, lambda_grid or ())
     reports = []
     network = build_network(token_streams, annotations) if paradigm == "topological" else None
     for word in sorted({a.word for a in annotations}):

@@ -19,11 +19,14 @@ indices follow id order, so the first admissible entry is the step the
 movement rule takes. One loop, :func:`_walk_indices`, walks on from a
 prefix of states: a fresh walk is the prefix ``(start,)``.
 
-:func:`walk_detail` memoizes, per graph and mu, each start's transient,
-cycle and full state walk (every vertex up to the repeated state or the
-dead end), and indexes every move of those walks by the vertex it leaves:
-the row position the move took (``len(row)`` on a dead end), its start and
-its step, packed into one int and sorted by row position, largest first.
+:func:`walk_detail` memoizes, per graph and mu, each start's transient
+``t``, cycle ``c`` and first ``t + c`` vertices (``t + 1`` on a dead end),
+and indexes the moves out of those vertices by the vertex they leave: the
+row position the move took (``len(row)`` on a dead end), its start and its
+step, packed into one int and sorted by row position, largest first. The
+vertex sequence is periodic from ``t`` with period ``c``, and a move's row
+position depends only on the vertices it joins, so every later move
+repeats one of these.
 It is the memo's only writer; a race between two threads computing the
 same mu costs work but not consistency, because the walks are
 deterministic and the first stored result wins.
@@ -109,6 +112,12 @@ def _walk_indices(rows, prefix, mu):
         seen[key] = k
 
 
+def _period_end(t, c):
+    """Steps to keep of a walk: its transient and one cycle period (the
+    transient and the dead end when it halts); later steps repeat them."""
+    return t + (c or 1)
+
+
 def walk(graph, start, mu):
     """One tourist walk from vertex id ``start`` with memory length ``mu``."""
     if mu < 0:
@@ -117,7 +126,7 @@ def walk(graph, start, mu):
     if k == len(graph.ids) or graph.ids[k] != start:
         raise VertexNotInComponent(repr(start))
     t, c, traj, _ = _walk_indices(graph.rows, (k,), mu)
-    return WalkResult(t, c, tuple(graph.ids[i] for i in traj[: t + (c or 1)]))
+    return WalkResult(t, c, tuple(graph.ids[i] for i in traj[: _period_end(t, c)]))
 
 
 class WalkDetail(NamedTuple):
@@ -125,8 +134,8 @@ class WalkDetail(NamedTuple):
 
     mean_t: float
     mean_c: float
-    starts: tuple  # per start: (transient, cycle, full state walk)
-    moves: tuple  # per vertex: packed moves leaving it, largest row position first
+    starts: tuple  # per start: (transient, cycle, its first _period_end vertices)
+    moves: tuple  # per vertex: packed moves leaving it within those, largest row position first
     low: int  # a move packs (row position << low) | (step * n + start)
     total_t: int
     total_c: int
@@ -135,7 +144,11 @@ class WalkDetail(NamedTuple):
 def _stats_for_mu(rows, mu):
     """Walk every start of ``rows`` at one mu and index the moves."""
     n = len(rows)
-    walks = [_walk_indices(rows, (s,), mu) for s in range(n)]
+    walks = []
+    for s in range(n):
+        t, c, traj, picks = _walk_indices(rows, (s,), mu)
+        end = _period_end(t, c)
+        walks.append((t, c, tuple(traj[:end]), picks[:end]))
     low = (n * max(len(traj) for _, _, traj, _ in walks)).bit_length()
     moves = [[] for _ in range(n)]
     for s, (_, _, traj, picks) in enumerate(walks):
@@ -146,7 +159,7 @@ def _stats_for_mu(rows, mu):
     return WalkDetail(
         total_t / n,
         total_c / n,
-        tuple((t, c, tuple(traj)) for t, c, traj, _ in walks),
+        tuple(entry[:3] for entry in walks),
         tuple(tuple(sorted(m, reverse=True)) for m in moves),
         low,
         total_t,

@@ -10,7 +10,6 @@ from sensewalk.attgraph import GraphConfig, build_training_graph, insert_test
 from sensewalk.classify import (
     DecisionTree,
     HighLevelConfig,
-    HybridConfig,
     MembershipVector,
     TreeNode,
     bayes_bandwidths_csv,
@@ -28,6 +27,7 @@ from sensewalk.classify import (
     train_low_level,
     tree_to_text,
 )
+from sensewalk.evaluate import PipelineConfig
 from sensewalk.features import Dataset, Instance
 from sensewalk.tourist import AllViewsEmpty
 
@@ -427,9 +427,9 @@ class TestConfigsAndFactory:
 
     def test_hybrid_config_validation(self):
         with pytest.raises(ValueError):
-            HybridConfig(lam=2.0)
+            PipelineConfig(lam=2.0)
         with pytest.raises(ValueError):
-            HybridConfig(low_level="svm")
+            PipelineConfig(low_level="svm")
 
     def test_train_low_level_names(self):
         train = make_dataset([-1.0, -0.9, 0.9, 1.0], [RED, RED, BLUE, BLUE])

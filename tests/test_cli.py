@@ -1,8 +1,14 @@
 import csv
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import sensewalk
+from sensewalk import adjacency
 from sensewalk.cli import main, parse_config_file
 from sensewalk.evaluate import make_synthetic_corpus
 from sensewalk.features import Dataset
@@ -194,3 +200,115 @@ def test_toy_command(tmp_path, capsys):
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["lambda", "predicted_class", "structured_membership"]
     assert len(rows) == 22
+
+
+def run_module(*args):
+    """``python -m sensewalk.cli`` in a fresh process, which calls ``main()``."""
+    src = str(Path(sensewalk.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "sensewalk.cli", *map(str, args)],
+                          capture_output=True, text=True, env={"PYTHONPATH": src})
+
+
+@pytest.fixture(scope="module")
+def overlap_csv(tmp_path_factory):
+    """Two overlapping blobs on which kNN with k = 1 and k = 3 disagree."""
+    rng = np.random.default_rng(4)
+    X = np.vstack([rng.normal(0.0, 1.0, (15, 2)), rng.normal(1.0, 1.0, (15, 2))])
+    path = tmp_path_factory.mktemp("overlap") / "features.csv"
+    Dataset(list(range(30)), X, [1] * 15 + [2] * 15, ["x", "y"]).to_csv(path)
+    return path
+
+
+def test_config_typo_is_a_usage_error(overlap_csv, tmp_path):
+    config = tmp_path / "c.conf"
+    config.write_text("lamda = 0.9\n")
+    done = run_module("evaluate", "--features", overlap_csv, "--config", config)
+    assert done.returncode == 2
+    assert "unknown key 'lamda'" in done.stderr and str(config) in done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""
+
+
+def test_config_value_gets_the_flag_type(overlap_csv, tmp_path, capsys):
+    config = tmp_path / "c.conf"
+    config.write_text("folds = four\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["evaluate", "--features", str(overlap_csv), "--config", str(config)])
+    assert exit_info.value.code == 2
+    assert "--folds: invalid int value: 'four'" in capsys.readouterr().err
+
+
+def test_config_out_satisfies_walk_curves(overlap_csv, tmp_path):
+    out = tmp_path / "curves.csv"
+    config = tmp_path / "c.conf"
+    config.write_text(f"out = {out}\nmu-max = 3\nno_standardize = yes\n")
+    assert main(["walk-curves", "--features", str(overlap_csv), "--config", str(config)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 2 * 4
+
+
+def test_flag_beats_config_beats_default(overlap_csv, tmp_path, capsys):
+    config = tmp_path / "c.conf"
+    config.write_text("lambda = 0.0\nfolds = 3\n")
+    base = ["evaluate", "--features", str(overlap_csv), "--folds", "3", "--mu-c", "2"]
+    assert main(base) == 0
+    assert "lambda=0.50" in capsys.readouterr().out
+    assert main(base + ["--config", str(config)]) == 0
+    assert "lambda=0.00" in capsys.readouterr().out
+    assert main(base + ["--config", str(config), "--lambda", "0.3"]) == 0
+    assert "lambda=0.30" in capsys.readouterr().out
+
+
+def test_config_knn_k_reaches_the_classifier(overlap_csv, tmp_path, capsys):
+    config = tmp_path / "c.conf"
+    config.write_text("knn_k = 3\n")
+    base = ["evaluate", "--features", str(overlap_csv), "--lambda", "0", "--folds", "5"]
+    accuracies = []
+    for extra in ([], ["--config", str(config)], ["--knn-k", "3"]):
+        assert main(base + extra) == 0
+        accuracies.append(capsys.readouterr().out.split("accuracy=")[1].split()[0])
+    assert accuracies[1] == accuracies[2] != accuracies[0]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--p-method", "montecarlo"], "--p-method montecarlo needs --features"),
+    (["--lambda", "2"], "lambda must lie in [0, 1]"),
+])
+def test_bad_evaluate_request_is_one_line(corpus_dir, monkeypatch, capsys, args, message):
+    def never(*a, **k):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(sensewalk.evaluate, "run_word_experiments", never)
+    root, ann = corpus_dir
+    assert main(["evaluate", "--in", str(root), "--annotations", str(ann)] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sensewalk: error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_missing_features_file_is_one_line(tmp_path):
+    done = run_module("sweep", "--features", tmp_path / "absent.csv")
+    assert done.returncode == 1
+    assert done.stderr.startswith("sensewalk: error: ") and done.stderr.count("\n") == 1
+    assert "absent.csv" in done.stderr
+
+
+def test_module_entry_runs_toy():
+    done = run_module("toy")
+    assert done.returncode == 0
+    assert "lambda=0.8: probe -> class 1" in done.stdout
+
+
+def test_topological_sweep_builds_the_network_once(corpus_dir, monkeypatch, capsys):
+    calls = []
+    build = adjacency.build_network
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(adjacency, "build_network", counted)
+    root, ann = corpus_dir
+    assert main(["sweep", "--in", str(root), "--annotations", str(ann),
+                 "--paradigm", "topological", "--low-levels", "knn",
+                 "--lambda-grid", "0", "--folds", "3"]) == 0
+    assert "best lambda" in capsys.readouterr().out
+    assert len(calls) == 1

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from sensewalk import adjacency, evaluate
 from sensewalk.attgraph import GraphConfig, build_training_graph
 from sensewalk.classify import HighLevelConfig, knn_predict
 from sensewalk.evaluate import (
@@ -204,6 +205,25 @@ class TestSweep:
                               make_fold_plan(ds.labels, 4, 1))
         assert report.accuracy_at(report.best_lambda) >= report.accuracy_at(0.0)
         assert report.accuracy_at(report.best_lambda) == report.best_accuracy
+
+    @pytest.mark.parametrize("low_levels, grid", [
+        (("knn",), (0.0, 1.5)),
+        (("knn", "bayes"), (-0.05, 0.5)),
+        (("knn", "svm"), (0.0, 0.5)),
+    ])
+    def test_bad_grid_rejected_before_any_fold(self, monkeypatch, low_levels, grid):
+        def never(*args, **kwargs):
+            raise AssertionError("scoring started")
+
+        monkeypatch.setattr(evaluate, "_fold_records", never)
+        monkeypatch.setattr(adjacency, "build_network", never)
+        with pytest.raises(ValueError):
+            cv_sweep(blob_dataset(), low_levels, grid)
+        docs, annotations = make_synthetic_corpus(n_per_sense=6, n_docs=2)
+        streams = {doc_id: d.content_lemmas() for doc_id, d in docs.items()}
+        with pytest.raises(ValueError):
+            run_word_experiments(streams, annotations, paradigm="topological",
+                                 low_levels=low_levels, lambda_grid=grid)
 
     def test_report_csv_format(self, tmp_path):
         ds = blob_dataset(per_class=8, gap=12.0, seed=2)

@@ -209,6 +209,37 @@ class TestComponentStats:
         assert stats[3] == first[:2]
         assert len(first[2]) == graphs[0].vertex_count
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_memo_keeps_one_period_per_start(self, seed):
+        # the memo keeps each start's walk up to one cycle period, exactly
+        # as walk() reports it, and indexes only the moves out of those
+        # vertices (none at mu 0, where no walk moves)
+        rng = random.Random(900 + seed)
+        if seed % 4 == 3:
+            n = rng.randint(3, 10)
+            positions = {k: (0.25 * k, 0.5) for k in range(n)}
+            edges = [(k, k + 1) for k in range(n - 1)]
+        else:
+            positions, edges = random_geometric_graph(rng, rng.randint(2, 14))
+            if seed % 2:
+                positions = _lattice_snap(positions)
+        graph = component_from_points(positions, edges)
+        for mu in range(9):
+            detail = walk_detail(graph, mu)
+            mask = (1 << detail.low) - 1
+            for s, (t, c, traj) in enumerate(detail.starts):
+                got = walk(graph, graph.ids[s], mu)
+                assert (t, c, tuple(graph.ids[i] for i in traj)) == (
+                    got.transient, got.cycle, got.trajectory)
+            recorded = 0
+            for u, moves in enumerate(detail.moves):
+                for move in moves:
+                    k, s = divmod(move & mask, len(graph.ids))
+                    assert detail.starts[s][2][k] == u
+                    recorded += 1
+            kept = sum(len(traj) for _, _, traj in detail.starts)
+            assert recorded == (0 if mu == 0 else kept)
+
 
 def _blob_dataset(seed=5, per_class=8, classes=(1, 2), spread=0.5, gap=6.0):
     rng = np.random.default_rng(seed)

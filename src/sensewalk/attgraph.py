@@ -148,7 +148,11 @@ def _pairwise_distances(X):
 
 
 def default_epsilon(dataset):
-    """Median Euclidean distance over all labeled same-class pairs."""
+    """Median Euclidean distance over all labeled same-class pairs.
+
+    Raises ``ValueError`` when that median is 0, which happens when at
+    least half of the same-class pairs coincide.
+    """
     dists = []
     labels = np.array([lab if lab is not None else -1 for lab in dataset.labels])
     for class_id in sorted(set(labels[labels >= 0])):
@@ -160,7 +164,13 @@ def default_epsilon(dataset):
         dists.extend(D[iu].tolist())
     if not dists:
         raise ClassTooSmall("no class has 2 or more labeled instances")
-    return float(np.median(dists))
+    epsilon = float(np.median(dists))
+    if epsilon == 0.0:
+        raise ValueError(
+            "the median same-class distance is 0 because at least half of the "
+            "same-class pairs are duplicate points; give an explicit epsilon (--epsilon)"
+        )
+    return epsilon
 
 
 def _neighbor_choice(D, row, epsilon, kappa):

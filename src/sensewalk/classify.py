@@ -82,7 +82,10 @@ def knn_predict(train_dataset, x, k=1):
     """Vote fractions among the k nearest training instances (Euclidean)."""
     x = np.asarray(getattr(x, "features", x), dtype=float)
     d = np.sqrt(((train_dataset.X - x) ** 2).sum(axis=1))
-    order = sorted(range(len(d)), key=lambda i: (d[i], train_dataset.ids[i]))
+    near = range(len(d))
+    if k < len(d):  # only rows within the k-th smallest distance can be among the k nearest
+        near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1]).tolist()
+    order = sorted(near, key=lambda i: (d[i], train_dataset.ids[i]))
     votes = Counter(train_dataset.labels[i] for i in order[:k])
     classes = train_dataset.classes()
     return MembershipVector({c: votes.get(c, 0) / k for c in classes})

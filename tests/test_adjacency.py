@@ -1,17 +1,25 @@
 import itertools
+import math
+import random
+import subprocess
+import sys
 from collections import Counter, deque
+from pathlib import Path
 
 import pytest
 
+import sensewalk
+from sensewalk import adjacency
 from sensewalk.adjacency import (
+    NodeTopology,
     WordAdjacencyNetwork,
-    brandes_betweenness,
     build_network,
     node_topology,
     read_edgelist,
     write_edgelist,
 )
 from sensewalk.corpus import SenseAnnotation, preprocess_text
+from sensewalk.evaluate import make_synthetic_corpus
 
 POEM_LEMMAS = (
     "middle road stone stone middle road stone middle road stone never "
@@ -90,6 +98,146 @@ class TestBuildNetwork:
         assert net.node_for("b", 0) == "jam#1"
 
 
+def projection(network):
+    """Undirected unweighted projection as sorted adjacency lists (no self-loops)."""
+    adj = {node: set() for node in network.nodes}
+    for a, b in network.weights:
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    return {node: sorted(adj[node]) for node in sorted(adj)}
+
+
+# The per-node loops the one-pass topology table replaced, kept as its
+# reference: a BFS per node, ring densities from member sets, and a
+# dict-based Brandes pass over every source.
+
+
+def reference_bfs_distances(adj, source):
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def reference_ring_density(adj, ring):
+    n = len(ring)
+    if n < 2:
+        return 0.0
+    members = set(ring)
+    edge_count = 0
+    for u in ring:
+        edge_count += sum(1 for v in adj[u] if v in members)
+    return edge_count / (n * (n - 1))  # each edge seen from both ends
+
+
+def reference_brandes_betweenness(adj):
+    centrality = {v: 0.0 for v in adj}
+    for s in adj:
+        stack = []
+        preds = {v: [] for v in adj}
+        sigma = {v: 0.0 for v in adj}
+        sigma[s] = 1.0
+        dist = {v: -1 for v in adj}
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = {v: 0.0 for v in adj}
+        while stack:
+            w = stack.pop()
+            for v in preds[w]:
+                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            if w != s:
+                centrality[w] += delta[w]
+    return {v: c / 2.0 for v, c in centrality.items()}
+
+
+def reference_topology(adj, node, betweenness):
+    dist = reference_bfs_distances(adj, node)
+    ring1 = [v for v, d in dist.items() if d == 1]
+    ring2 = [v for v, d in dist.items() if d == 2]
+    degrees = [len(adj[v]) for v in ring1]
+    if degrees:
+        mean = sum(degrees) / len(degrees)
+        std = math.sqrt(sum((d - mean) ** 2 for d in degrees) / len(degrees))
+    else:
+        mean = std = 0.0
+    reachable = [d for d in dist.values() if d > 0]
+    aspl = sum(reachable) / len(reachable) if reachable else 0.0
+    return NodeTopology(
+        hier_degree_1=float(len(ring1)),
+        hier_degree_2=float(len(ring2)),
+        hier_clustering_1=reference_ring_density(adj, ring1),
+        hier_clustering_2=reference_ring_density(adj, ring2),
+        neighbor_degree_mean=mean,
+        neighbor_degree_std=std,
+        avg_shortest_path=aspl,
+        betweenness=betweenness[node],
+    )
+
+
+def mixed_network(seed):
+    """Random pieces side by side: G(n, p) blobs, a star, a path, isolated
+    nodes, self-loops and edges given in both directions."""
+    rng = random.Random(seed)
+    weights, nodes = {}, set()
+
+    def link(a, b):
+        weights[(a, b)] = weights.get((a, b), 0) + rng.randint(1, 3)
+        nodes.update((a, b))
+
+    for blob in range(rng.randint(1, 3)):
+        members = [f"b{blob}_{i}" for i in range(rng.randint(2, 14))]
+        nodes.update(members)
+        p = rng.uniform(0.15, 0.7)
+        for a, b in itertools.permutations(members, 2):
+            if rng.random() < p / 2:
+                link(a, b)
+    hub = f"hub{seed}"
+    for i in range(rng.randint(1, 7)):
+        ends = (hub, f"leaf{i}") if rng.random() < 0.5 else (f"leaf{i}", hub)
+        link(*ends)
+    path = [f"p{i}" for i in range(rng.randint(2, 9))]
+    for a, b in zip(path, path[1:]):
+        link(a, b)
+    if rng.random() < 0.5:  # tie the path to the star
+        link(path[-1], hub)
+    for node in rng.sample(sorted(nodes), 3):
+        link(node, node)
+    nodes.update(f"iso{i}" for i in range(rng.randint(0, 3)))
+    return WordAdjacencyNetwork(weights, nodes, {})
+
+
+def corpus_network():
+    documents, annotations = make_synthetic_corpus(n_per_sense=60, seed=7, noise=0.35)
+    streams = {doc_id: doc.content_lemmas() for doc_id, doc in documents.items()}
+    return build_network(streams, annotations), annotations
+
+
+def assert_matches_reference(net):
+    adj = projection(net)
+    betweenness = reference_brandes_betweenness(adj)
+    for node in adj:
+        got = node_topology(net, node).as_vector()
+        want = reference_topology(adj, node, betweenness).as_vector()
+        assert got[:7] == want[:7], node
+        assert got[7] == pytest.approx(want[7], rel=1e-12), node
+
+
 class SmallGraphOracle:
     """Exhaustive shortest-path bookkeeping for tiny undirected graphs."""
 
@@ -154,7 +302,7 @@ class TestNodeTopology:
 
     def test_star_against_oracle(self):
         net = star_network(4)
-        oracle = SmallGraphOracle(net.undirected())
+        oracle = SmallGraphOracle(projection(net))
         for node in net.nodes:
             topo = node_topology(net, node)
             dist = oracle.distances(node)
@@ -226,15 +374,80 @@ class TestNodeTopology:
                 if rng.random() < 0.5:
                     weights[(a, b)] = 1
             net = WordAdjacencyNetwork(weights, set(nodes), {})
-            oracle = SmallGraphOracle(net.undirected())
-            bc = brandes_betweenness(net.undirected())
+            oracle = SmallGraphOracle(projection(net))
             for node in nodes:
-                assert bc[node] == pytest.approx(oracle.betweenness(node))
+                bc = node_topology(net, node).betweenness
+                assert bc == pytest.approx(oracle.betweenness(node))
 
     def test_missing_node_raises(self):
         net = star_network(2)
         with pytest.raises(KeyError):
             node_topology(net, "ghost")
+
+    def test_empty_network(self):
+        with pytest.raises(KeyError):
+            node_topology(WordAdjacencyNetwork({}, set(), {}), "a")
+
+    def test_table_is_computed_once(self, monkeypatch):
+        calls = []
+        table = adjacency._topology_table
+
+        def counted(*args):
+            calls.append(1)
+            return table(*args)
+
+        monkeypatch.setattr(adjacency, "_topology_table", counted)
+        net = star_network(5)
+        vectors = [node_topology(net, node).as_vector() for node in sorted(net.nodes) * 2]
+        assert vectors[:6] == vectors[6:]
+        assert len(calls) == 1
+
+
+class TestReferenceEquivalence:
+    """The one-pass table against the per-node loops it replaced."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_mixed_random_graphs(self, seed):
+        assert_matches_reference(mixed_network(seed))
+
+    def test_long_path(self):
+        # one level per node: the backward pass runs 39 levels deep
+        nodes = [f"n{i:02d}" for i in range(40)]
+        net = WordAdjacencyNetwork({(a, b): 1 for a, b in zip(nodes, nodes[1:])}, nodes, {})
+        assert_matches_reference(net)
+        assert node_topology(net, "n00").avg_shortest_path == sum(range(40)) / 39
+
+    def test_synthetic_corpus_network(self):
+        net, _ = corpus_network()
+        assert len(net.nodes) > 100
+        assert_matches_reference(net)
+
+
+_OCCURRENCE_VECTORS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_adjacency import corpus_network
+from sensewalk import node_topology
+net, annotations = corpus_network()
+for a in annotations:
+    print(repr(node_topology(net, net.node_for(a.document_id, a.position)).as_vector()))
+"""
+
+
+def test_topology_is_identical_across_hash_seeds():
+    # string hashing changes set order from one process to the next
+    src = str(Path(sensewalk.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    outputs = []
+    for hash_seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", _OCCURRENCE_VECTORS, tests],
+            capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+        )
+        outputs.append(done.stdout)
+    assert outputs[0].count("\n") == 120
+    assert outputs[0] == outputs[1]
 
 
 class TestSerialization:

@@ -99,6 +99,14 @@ class TestBuildRule:
         # distances: class1 pair = 5, class2 pair = 10 -> median 7.5
         assert default_epsilon(ds) == pytest.approx(7.5)
 
+    def test_duplicate_heavy_data_needs_an_explicit_epsilon(self):
+        ds = make_dataset([[0, 0]] * 6 + [[1, 1]] * 6, [1] * 6 + [2] * 6)
+        with pytest.raises(ValueError, match="duplicate points.*--epsilon"):
+            default_epsilon(ds)
+        with pytest.raises(ValueError, match="median same-class distance is 0"):
+            build_training_graph(ds)
+        assert len(build_training_graph(ds, GraphConfig(epsilon=0.5))) == 2
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             GraphConfig(epsilon=-1.0)

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -85,6 +86,27 @@ class TestKnn:
         for k in (1, 3, 7):
             m = knn_predict(train, np.array([0.5, 0.5]), k=k)
             assert sum(m.scores.values()) == pytest.approx(1.0)
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ties_match_a_full_sort(self, seed):
+        # points on a few rings around the query, ids shuffled: most
+        # distances tie, so the k nearest are decided by id
+        rng = np.random.default_rng(seed)
+        angles = rng.choice(8, size=30) * (np.pi / 4)
+        radii = rng.choice([1.0, 2.0, 3.0], size=30)
+        points = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+        points = np.round(points, 12)  # equal radii give exactly equal distances
+        ids = [int(i) for i in rng.permutation(100)[:30]]
+        labels = rng.choice([RED, BLUE, 3], size=30).tolist()
+        train = make_dataset(points, labels, ids=ids)
+        x = np.zeros(2)
+        d = np.sqrt(((train.X - x) ** 2).sum(axis=1))
+        order = sorted(range(len(d)), key=lambda i: (d[i], ids[i]))
+        for k in range(1, len(d) + 3):
+            expected = Counter(labels[i] for i in order[:k])
+            m = knn_predict(train, x, k=k)
+            assert m.scores == {c: expected.get(c, 0) / k for c in train.classes()}
 
 
 class TestBayes:

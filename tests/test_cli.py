@@ -312,3 +312,15 @@ def test_topological_sweep_builds_the_network_once(corpus_dir, monkeypatch, caps
                  "--lambda-grid", "0", "--folds", "3"]) == 0
     assert "best lambda" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_duplicate_heavy_features_ask_for_epsilon(tmp_path):
+    path = tmp_path / "dup.csv"
+    X = np.array([[0.0, 0.0]] * 6 + [[1.0, 1.0]] * 6)
+    Dataset(list(range(12)), X, [1] * 6 + [2] * 6, ["x", "y"]).to_csv(path)
+    done = run_module("evaluate", "--features", path)
+    assert done.returncode == 1 and done.stdout == ""
+    errors = [line for line in done.stderr.splitlines() if line.startswith("sensewalk: error: ")]
+    assert len(errors) == 1 and "Traceback" not in done.stderr
+    assert "duplicate points" in errors[0] and "--epsilon" in errors[0]
+    assert run_module("evaluate", "--features", path, "--epsilon", "0.5").returncode == 0

@@ -12,6 +12,12 @@ tree), H scores how little the test instance perturbs each class
 component's tourist-walk statistics, and ``lam`` trades the two off.
 At ``lam == 0`` the hybrid reduces exactly to the low-level classifier.
 
+The tree sorts each feature once at the root and carries the sorted
+orders down to its children; every node scores all features and
+boundaries in one array pass, ties going to the smallest feature index,
+then the smallest threshold. Trees grow from an explicit stack, so their
+depth is not limited by the recursion limit.
+
 Trained models are immutable; predictions write nothing but the class
 graphs' walk memos, and are safe to run concurrently across test instances.
 """
@@ -80,6 +86,8 @@ class HighLevelConfig:
 
 def knn_predict(train_dataset, x, k=1):
     """Vote fractions among the k nearest training instances (Euclidean)."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k!r}")
     x = np.asarray(getattr(x, "features", x), dtype=float)
     d = np.sqrt(((train_dataset.X - x) ** 2).sum(axis=1))
     near = range(len(d))
@@ -192,10 +200,14 @@ class DecisionTree:
     classes: tuple
 
 
+def _entropy(counts):
+    """Entropy in bits of a sequence of class counts, summed in its order."""
+    n = sum(counts)
+    return -sum((k / n) * math.log2(k / n) for k in counts if k)
+
+
 def entropy(labels):
-    counts = Counter(labels)
-    n = len(labels)
-    return -sum((k / n) * math.log2(k / n) for k in counts.values() if k)
+    return _entropy(list(Counter(labels).values()))
 
 
 def split_entropy(y, x, threshold):
@@ -222,76 +234,92 @@ def candidate_thresholds(x):
 
 
 def _entropies_by_row(counts, totals):
-    """Entropy of each row of class counts (rows with zero total give 0)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = counts / totals[:, None]
-        term = np.where(counts > 0, p * np.log2(p), 0.0)
-    return -term.sum(axis=1)
+    """Entropy of class counts along the last axis; every total is >= 1."""
+    p = counts / totals[..., None]
+    return -(p * np.log2(np.where(counts > 0, p, 1.0))).sum(axis=-1)
 
 
-def _best_split(X, y):
-    """(gain, feature, threshold) maximizing gain; ties favor the smallest
-    feature index then threshold. None when no feature admits a split."""
-    base = entropy(y)
-    n = len(y)
-    class_ids = sorted(set(y))
-    one_hot = np.array([[1.0 if lab == c else 0.0 for c in class_ids] for lab in y])
-    best = None
-    for f in range(X.shape[1]):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        cum = one_hot[order].cumsum(axis=0)
-        boundaries = np.nonzero(xs[:-1] < xs[1:])[0]  # split after these rows
-        if len(boundaries) == 0:
-            continue
-        left = cum[boundaries]
-        right = cum[-1][None, :] - left
-        nl = left.sum(axis=1)
-        nr = right.sum(axis=1)
-        cond = (nl / n) * _entropies_by_row(left, nl) + (nr / n) * _entropies_by_row(right, nr)
-        gains = base - cond
-        for b, gain in zip(boundaries, gains):
-            thr = (xs[b] + xs[b + 1]) / 2
-            key = (-gain, f, thr)
-            if best is None or key < best[0]:
-                best = (key, float(gain), f, float(thr))
-    if best is None:
+def _best_split(xs, one_hot, base):
+    """(feature, position) of the best split of one node, or None.
+
+    ``xs`` holds the node's values sorted along each feature's row (F, m)
+    and ``one_hot`` the matching class indicators (F, m, C), ``base`` the
+    node's label entropy. A split after position b is admissible where the
+    value changes; gains come for every feature and position at once, with
+    the same float operations as a per-feature scan. Ties favor the
+    smallest feature index, then the smallest threshold: the first argmax
+    across features of the first argmax along each feature.
+    """
+    n_features, m = xs.shape
+    if n_features == 0:
         return None
-    _, gain, f, thr = best
-    return gain, f, thr
+    cum = one_hot.cumsum(axis=1, dtype=float)
+    left = cum[:, :-1]
+    right = cum[:, -1:] - left
+    nl = np.arange(1.0, m)
+    nr = m - nl
+    h = _entropies_by_row(np.stack([left, right]), np.stack([nl, nr])[:, None])
+    cond = (nl / m) * h[0] + (nr / m) * h[1]
+    gains = np.where(xs[:, :-1] < xs[:, 1:], base - cond, -np.inf)
+    at = gains.argmax(axis=1)
+    f = int(gains[np.arange(n_features), at].argmax())
+    if gains[f, at[f]] == -np.inf:
+        return None
+    return f, int(at[f])
 
 
 def c45_train(train_dataset, min_size=2):
-    """Grow a binary tree by recursive best-gain splits.
+    """Grow a binary tree by best-gain splits.
 
     A node becomes a leaf when it is pure, smaller than ``min_size``, or
     offers no admissible split (all feature values equal). Splits with
     zero gain are still taken on impure nodes so that patterns needing
     two coordinated tests remain learnable.
+
+    The training rows are sorted once per feature at the root (stable, so
+    ties keep row order); a split partitions that (F, n) order matrix with
+    a row mask, so every node sees its rows presorted. Nodes are grown from
+    an explicit stack, so depth is not bounded by the recursion limit.
     """
     X = train_dataset.X
-    y = [lab for lab in train_dataset.labels]
+    y = list(train_dataset.labels)
     if any(lab is None for lab in y):
         raise ValueError("training labels must all be set")
     classes = tuple(sorted(set(y)))
-
-    def grow(rows):
-        labels = [y[i] for i in rows]
-        counts = dict(Counter(labels))
-        if len(counts) == 1 or len(rows) < min_size:
-            return TreeNode(counts=counts)
-        found = _best_split(X[rows], labels)
-        if found is None:
-            return TreeNode(counts=counts)
-        _, f, thr = found
-        left_rows = [i for i in rows if X[i, f] <= thr]
-        right_rows = [i for i in rows if X[i, f] > thr]
-        node = TreeNode(feature=f, threshold=thr)
-        node.left = grow(left_rows)
-        node.right = grow(right_rows)
-        return node
-
-    return DecisionTree(grow(list(range(len(y)))), classes)
+    index = {c: i for i, c in enumerate(classes)}
+    codes = np.array([index[lab] for lab in y], dtype=np.intp)
+    XT = X.T
+    features = np.arange(X.shape[1])[:, None]
+    go_left = np.zeros(len(y), dtype=bool)
+    root = TreeNode()
+    stack = [(root, np.arange(len(y)), np.argsort(X, axis=0, kind="stable").T)]
+    while stack:
+        node, rows, order = stack.pop()
+        # class counts in order of first appearance along the (ascending)
+        # rows, as Counter gives them: the base entropy sums in this order
+        node_codes = codes[rows]
+        sizes = np.bincount(node_codes, minlength=len(classes))
+        counts = {classes[c]: int(sizes[c]) for c in dict.fromkeys(node_codes.tolist())}
+        found = None
+        if len(counts) > 1 and len(rows) >= min_size:
+            xs = XT[features, order]
+            one_hot = codes[order][..., None] == np.flatnonzero(sizes)
+            found = _best_split(xs, one_hot, _entropy(list(counts.values())))
+        if found is not None:
+            f, at = found
+            thr = float((xs[f, at] + xs[f, at + 1]) / 2)
+            left = X[rows, f] <= thr
+            # a midpoint rounded onto the upper value can leave one side empty
+            if 0 < np.count_nonzero(left) < len(rows):
+                go_left[rows] = left
+                keep = go_left[order]
+                node.feature, node.threshold = f, thr
+                node.left, node.right = TreeNode(), TreeNode()
+                stack.append((node.right, rows[~left], order[~keep].reshape(len(order), -1)))
+                stack.append((node.left, rows[left], order[keep].reshape(len(order), -1)))
+                continue
+        node.counts = counts
+    return DecisionTree(root, classes)
 
 
 def c45_predict(tree, x):
@@ -307,22 +335,20 @@ def c45_predict(tree, x):
 def tree_to_text(tree, feature_names=None):
     """Introspection dump: the tree as indented threshold tests."""
     lines = []
-
-    def name(f):
-        return feature_names[f] if feature_names else f"f{f}"
-
-    def render(node, depth):
+    stack = [(tree.root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, str):  # an "else:" line between two subtrees
+            lines.append(node)
+            continue
         pad = "  " * depth
         if node.is_leaf:
             counts = ", ".join(f"{c}:{n}" for c, n in sorted(node.counts.items()))
             lines.append(f"{pad}leaf [{counts}]")
         else:
-            lines.append(f"{pad}if {name(node.feature)} <= {node.threshold:.6g}:")
-            render(node.left, depth + 1)
-            lines.append(f"{pad}else:")
-            render(node.right, depth + 1)
-
-    render(tree.root, 0)
+            name = feature_names[node.feature] if feature_names else f"f{node.feature}"
+            lines.append(f"{pad}if {name} <= {node.threshold:.6g}:")
+            stack += [(node.right, depth + 1), (f"{pad}else:", depth), (node.left, depth + 1)]
     return "\n".join(lines)
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-from scipy import stats as sps
 
 from .attgraph import GraphConfig, build_training_graph, insert_test
 from .classify import (
@@ -62,6 +61,8 @@ def make_fold_plan(labels, n_folds=10, seed=0):
     """Stratified folds: each class's shuffled indices are dealt round-robin,
     so per-class proportions match within one instance. Classes smaller
     than ``n_folds`` shrink the fold count to the smallest class size."""
+    if n_folds < 2:
+        raise ValueError(f"cross-validation needs at least 2 folds, got {n_folds!r}")
     by_class = {}
     for i, lab in enumerate(labels):
         if lab is None:
@@ -102,6 +103,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         _check_choices((self.low_level,), (self.lam,))
+        if self.knn_k < 1:
+            raise ValueError(f"knn_k must be >= 1, got {self.knn_k!r}")
 
 
 def _check_choices(low_levels, lambdas):
@@ -219,7 +222,9 @@ def p_value(accuracy, n, class_counts, method="binomial", seed=0, samples=20000)
     q = sum((c / total) ** 2 for c in class_counts.values())
     correct = int(round(accuracy * n))
     if method == "binomial":
-        return float(sps.binom.sf(correct - 1, n, q))
+        from scipy import stats  # imported here: loading it dominates `import sensewalk`
+
+        return float(stats.binom.sf(correct - 1, n, q))
     if method == "montecarlo":
         rng = np.random.default_rng(seed)
         priors = {c: count / total for c, count in class_counts.items()}

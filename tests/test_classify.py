@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sensewalk import classify
 from sensewalk.attgraph import GraphConfig, build_training_graph, insert_test
 from sensewalk.classify import (
     DecisionTree,
@@ -28,7 +29,7 @@ from sensewalk.classify import (
     train_low_level,
     tree_to_text,
 )
-from sensewalk.evaluate import PipelineConfig
+from sensewalk.evaluate import PipelineConfig, make_synthetic_corpus, run_word_experiments
 from sensewalk.features import Dataset, Instance
 from sensewalk.tourist import AllViewsEmpty
 
@@ -87,6 +88,12 @@ class TestKnn:
             m = knn_predict(train, np.array([0.5, 0.5]), k=k)
             assert sum(m.scores.values()) == pytest.approx(1.0)
 
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_rejected(self, k):
+        train = make_dataset([[0, 0], [5, 5]], [RED, BLUE])
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            knn_predict(train, np.zeros(2), k=k)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_ties_match_a_full_sort(self, seed):
@@ -259,6 +266,179 @@ class TestC45:
         text = tree_to_text(tree, feature_names=["height"])
         assert "if height <=" in text
         assert "leaf" in text
+
+    def test_tree_text_nests_subtrees_under_their_tests(self):
+        root = TreeNode(
+            feature=0, threshold=0.5,
+            left=TreeNode(feature=1, threshold=2.0,
+                          left=TreeNode(counts={RED: 2}), right=TreeNode(counts={BLUE: 1})),
+            right=TreeNode(counts={BLUE: 3, RED: 1}),
+        )
+        assert tree_to_text(DecisionTree(root, (RED, BLUE)), ["a", "b"]).splitlines() == [
+            "if a <= 0.5:",
+            "  if b <= 2:",
+            "    leaf [1:2]",
+            "  else:",
+            "    leaf [2:1]",
+            "else:",
+            "  leaf [1:1, 2:3]",
+        ]
+
+    def test_deep_chain_beyond_the_recursion_limit(self):
+        # one feature, alternating labels: every split peels off one row,
+        # so the tree is 1,499 tests deep
+        n = 1500
+        train = make_dataset(np.arange(n, dtype=float), [RED if i % 2 else BLUE for i in range(n)])
+        tree = c45_train(train)
+        assert _tree_depth(tree.root) == n - 1
+        assert [c45_predict(tree, train.X[i]).argmax() for i in range(n)] == train.labels
+        lines = tree_to_text(tree).splitlines()
+        assert len(lines) == 3 * (n - 1) + 1
+        assert lines[:3] == ["if f0 <= 0.5:", "  leaf [2:1]", "else:"]
+
+    def test_midpoint_rounded_onto_a_value_makes_a_leaf(self):
+        # the midpoint of these adjacent floats rounds up onto the larger
+        # one, so the only candidate split would send every row left
+        lo = 1.0 + 2.0**-52
+        hi = 1.0 + 2.0**-51
+        assert (lo + hi) / 2 == hi
+        tree = c45_train(make_dataset([lo, hi], [RED, BLUE]))
+        assert tree.root.is_leaf and tree.root.counts == {RED: 1, BLUE: 1}
+
+
+def reference_c45_train(train_dataset, min_size=2):
+    """C4.5 as first written: a fresh argsort per feature and node, the
+    (-gain, feature, threshold) tie rule applied in a loop over boundaries,
+    and recursive growth."""
+
+    def entropy_(labels):
+        n = len(labels)
+        return -sum((k / n) * math.log2(k / n) for k in Counter(labels).values() if k)
+
+    def entropies_by_row(counts, totals):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = counts / totals[:, None]
+            term = np.where(counts > 0, p * np.log2(p), 0.0)
+        return -term.sum(axis=1)
+
+    def best_split(X, y):
+        base = entropy_(y)
+        n = len(y)
+        class_ids = sorted(set(y))
+        one_hot = np.array([[1.0 if lab == c else 0.0 for c in class_ids] for lab in y])
+        best = None
+        for f in range(X.shape[1]):
+            order = np.argsort(X[:, f], kind="stable")
+            xs = X[order, f]
+            cum = one_hot[order].cumsum(axis=0)
+            boundaries = np.nonzero(xs[:-1] < xs[1:])[0]
+            if len(boundaries) == 0:
+                continue
+            left = cum[boundaries]
+            right = cum[-1][None, :] - left
+            nl = left.sum(axis=1)
+            nr = right.sum(axis=1)
+            cond = (nl / n) * entropies_by_row(left, nl) + (nr / n) * entropies_by_row(right, nr)
+            gains = base - cond
+            for b, gain in zip(boundaries, gains):
+                thr = (xs[b] + xs[b + 1]) / 2
+                key = (-gain, f, thr)
+                if best is None or key < best[0]:
+                    best = (key, float(gain), f, float(thr))
+        if best is None:
+            return None
+        _, gain, f, thr = best
+        return gain, f, thr
+
+    X = train_dataset.X
+    y = list(train_dataset.labels)
+
+    def grow(rows):
+        labels = [y[i] for i in rows]
+        counts = dict(Counter(labels))
+        if len(counts) == 1 or len(rows) < min_size:
+            return TreeNode(counts=counts)
+        found = best_split(X[rows], labels)
+        if found is None:
+            return TreeNode(counts=counts)
+        _, f, thr = found
+        node = TreeNode(feature=f, threshold=thr)
+        node.left = grow([i for i in rows if X[i, f] <= thr])
+        node.right = grow([i for i in rows if X[i, f] > thr])
+        return node
+
+    return DecisionTree(grow(list(range(len(y)))), tuple(sorted(set(y))))
+
+
+def _preorder(tree):
+    """The tree as a preorder list of (feature, threshold, leaf counts in
+    insertion order), built without recursion; it pins the tree exactly."""
+    out, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
+        out.append((node.feature, node.threshold, node.counts and list(node.counts.items())))
+        if not node.is_leaf:
+            stack += [node.right, node.left]
+    return out
+
+
+def _assert_same_tree(got, want):
+    assert got.classes == want.classes
+    assert _preorder(got) == _preorder(want)
+
+
+class TestSplitSearchEquivalence:
+    """The one-sort, all-features split search grows the reference's trees."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_seeded_lattice_cases(self, seed):
+        # values on a 0.25 lattice tie within features; every third case
+        # duplicates a column, an exact tie between features; up to 11
+        # classes pins the order of the sum over classes
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 90))
+        n_features = int(rng.integers(1, 6))
+        n_classes = 2 + seed % 10
+        X = np.round(rng.normal(size=(n, n_features)) * 4) / 4
+        if seed % 3 == 0 and n_features > 1:
+            X[:, -1] = X[:, 0]
+        labels = rng.integers(1, n_classes + 1, size=n).tolist()
+        train = make_dataset(X, labels)
+        for min_size in (1, 2, 5):
+            _assert_same_tree(c45_train(train, min_size), reference_c45_train(train, min_size))
+
+    @pytest.mark.parametrize("paradigm", ["semantic", "topological"])
+    def test_synthetic_corpus_folds(self, paradigm, monkeypatch):
+        seen = []
+        grow = classify.c45_train
+
+        def checked(train_dataset, min_size=2):
+            tree = grow(train_dataset, min_size)
+            _assert_same_tree(tree, reference_c45_train(train_dataset, min_size))
+            seen.append(train_dataset.X.shape)
+            return tree
+
+        monkeypatch.setattr(classify, "c45_train", checked)
+        documents, annotations = make_synthetic_corpus(noise=0.35)
+        streams = {doc_id: doc.content_lemmas() for doc_id, doc in documents.items()}
+        run_word_experiments(streams, annotations, paradigm=paradigm,
+                             low_levels=("c45",), lambda_grid=(0.0,))
+        assert len(seen) == 10
+
+    def test_equal_gains_at_two_thresholds_and_on_two_features(self):
+        # feature 1 sorts the labels as 1 2 2 1 and feature 2 sorts them in
+        # reverse order, which reads the same: thresholds 0.5 and 2.5 of
+        # both features all reach the best gain exactly; feature 0 is
+        # constant. The rule picks the smallest feature, then threshold.
+        X = [[7.0, 0.0, 3.0], [7.0, 1.0, 2.0], [7.0, 2.0, 1.0], [7.0, 3.0, 0.0]]
+        y = [RED, BLUE, BLUE, RED]
+        gains = [information_gain(y, np.array(X)[:, f], thr)
+                 for f in (1, 2) for thr in (0.5, 2.5)]
+        assert len(set(gains)) == 1 and gains[0] > information_gain(y, np.array(X)[:, 1], 1.5)
+        train = make_dataset(X, y)
+        tree = c45_train(train, min_size=1)
+        assert (tree.root.feature, tree.root.threshold) == (1, 0.5)
+        _assert_same_tree(tree, reference_c45_train(train, min_size=1))
 
 
 class TestHighLevel:
@@ -452,6 +632,8 @@ class TestConfigsAndFactory:
             PipelineConfig(lam=2.0)
         with pytest.raises(ValueError):
             PipelineConfig(low_level="svm")
+        with pytest.raises(ValueError, match="knn_k must be >= 1, got 0"):
+            PipelineConfig(knn_k=0)
 
     def test_train_low_level_names(self):
         train = make_dataset([-1.0, -0.9, 0.9, 1.0], [RED, RED, BLUE, BLUE])
@@ -462,7 +644,11 @@ class TestConfigsAndFactory:
             train_low_level("svm", train)
 
 
-def _tree_depth(node):
-    if node.is_leaf:
-        return 0
-    return 1 + max(_tree_depth(node.left), _tree_depth(node.right))
+def _tree_depth(root):
+    depth, stack = 0, [(root, 0)]
+    while stack:
+        node, d = stack.pop()
+        depth = max(depth, d)
+        if not node.is_leaf:
+            stack += [(node.left, d + 1), (node.right, d + 1)]
+    return depth

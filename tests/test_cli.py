@@ -228,6 +228,18 @@ def test_config_typo_is_a_usage_error(overlap_csv, tmp_path):
     assert "Traceback" not in done.stderr and done.stdout == ""
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--knn-k", "0"], "knn_k must be >= 1, got 0"),
+    (["--knn-k", "-2"], "knn_k must be >= 1, got -2"),
+    (["--folds", "0"], "cross-validation needs at least 2 folds, got 0"),
+    (["--folds", "1"], "cross-validation needs at least 2 folds, got 1"),
+])
+def test_bad_knn_k_or_fold_count_is_one_line(overlap_csv, flags, message):
+    done = run_module("evaluate", "--features", overlap_csv, "--lambda", "0", *flags)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == f"sensewalk: error: {message}\n"
+
+
 def test_config_value_gets_the_flag_type(overlap_csv, tmp_path, capsys):
     config = tmp_path / "c.conf"
     config.write_text("folds = four\n")

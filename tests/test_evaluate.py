@@ -1,8 +1,12 @@
 import csv
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sensewalk
 from sensewalk import adjacency, evaluate
 from sensewalk.attgraph import GraphConfig, build_training_graph
 from sensewalk.classify import HighLevelConfig, knn_predict
@@ -73,6 +77,11 @@ class TestFoldPlan:
         with pytest.raises(ValueError):
             make_fold_plan([1, None, 2, 2], 2)
 
+    @pytest.mark.parametrize("n_folds", [1, 0, -3])
+    def test_fewer_than_two_folds_rejected(self, n_folds):
+        with pytest.raises(ValueError, match=f"at least 2 folds, got {n_folds}$"):
+            make_fold_plan([1, 1, 2, 2], n_folds)
+
 
 class TestPValue:
     def test_perfect_accuracy_two_balanced_classes(self):
@@ -103,6 +112,19 @@ class TestPValue:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             p_value(0.5, 10, {1: 5, 2: 5}, method="exactish")
+
+    def test_scipy_stats_loads_only_for_a_p_value(self):
+        src = str(Path(sensewalk.__file__).resolve().parents[1])
+        code = (
+            "import sys, sensewalk\n"
+            "print('scipy.stats' in sys.modules)\n"
+            "sensewalk.p_value(1.0, 20, {1: 10, 2: 10})\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={"PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "True"]
 
 
 class TestCrossValidate:

@@ -17,7 +17,6 @@ from .attgraph import (
     GraphConfig,
     InsertionView,
     build_training_graph,
-    commit_or_discard,
     default_epsilon,
     insert_test,
     write_class_graphs,
@@ -54,9 +53,7 @@ from .evaluate import (
     ExperimentReport,
     FoldPlan,
     PipelineConfig,
-    cross_validate,
     cv_sweep,
-    lambda_sweep,
     make_fold_plan,
     make_synthetic_corpus,
     p_value,

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 _SOURCE_BLOCK = 16  # BFS sources per block: columns of the n x block dist/sigma arrays
 
@@ -117,6 +116,8 @@ def _projection(network):
     Nodes are indexed in sorted order; each row lists its neighbors in
     ascending index order, and self-loops are dropped.
     """
+    from scipy import sparse  # imported here: loading it would dominate `import sensewalk`
+
     nodes = sorted(network.nodes)
     index = {node: i for i, node in enumerate(nodes)}
     n = len(nodes)

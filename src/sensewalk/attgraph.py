@@ -23,7 +23,6 @@ base rows instead of copying them.
 """
 
 import hashlib
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +75,7 @@ class ClassGraph:
     :meth:`edges` returns; a pair listed twice is kept once. ``ids`` must
     be strictly increasing, ``positions`` holds row ``k`` for ``ids[k]``.
 
-    Immutable once built; ``commit_or_discard`` returns fresh objects
-    instead of mutating. The one mutable slot, ``_walks``, maps mu to a
+    Immutable once built. The one mutable slot, ``_walks``, maps mu to a
     :class:`sensewalk.tourist.WalkDetail`: every start's transient, cycle
     and full state walk, and its moves indexed by the vertex they leave
     with the row position they took, which lets an insertion resume only
@@ -224,13 +222,6 @@ def _bridges(D, pairs):
     return added
 
 
-def _connected_graph(class_id, ids, X, D, pairs, config):
-    """ClassGraph over index ``pairs`` plus the bridges that make it one component."""
-    pairs = list(pairs)
-    pairs += _bridges(D, pairs)
-    return ClassGraph(class_id, ids, X, [(ids[i], ids[j], D[i, j]) for i, j in pairs], config)
-
-
 def build_training_graph(dataset, config=None):
     """Build one connected ClassGraph per class of a labeled dataset."""
     config = config or GraphConfig()
@@ -259,7 +250,9 @@ def build_training_graph(dataset, config=None):
             for i in range(len(ids))
             for j in _neighbor_choice(D, i, epsilon, resolved.kappa).tolist()
         ]
-        graphs.append(_connected_graph(class_id, ids, X, D, pairs, resolved))
+        pairs += _bridges(D, pairs)
+        edges = [(ids[i], ids[j], D[i, j]) for i, j in pairs]
+        graphs.append(ClassGraph(class_id, ids, X, edges, resolved))
     return graphs
 
 
@@ -286,36 +279,6 @@ def insert_test(instance_features, class_graphs):
             links = ()
         views.append(InsertionView(graph.class_id, links))
     return views
-
-
-def commit_or_discard(instance, predicted_label, class_graphs, mode="discard"):
-    """Either leave the graphs alone or fold the instance into its class.
-
-    Incorporation links the new vertex by the training rule (epsilon ball
-    if large enough, else kappa nearest), re-bridges if needed, and
-    returns a fresh ClassGraph whose walk memo starts empty.
-    """
-    if mode == "discard":
-        return class_graphs
-    if mode != "incorporate":
-        raise ValueError(f"mode must be 'discard' or 'incorporate', got {mode!r}")
-
-    x = np.asarray(instance.features, dtype=float)
-    updated = []
-    for graph in class_graphs:
-        if graph.class_id != predicted_label:
-            updated.append(graph)
-            continue
-        cfg = graph.config
-        cut = bisect_left(graph.ids, instance.id)
-        ids = graph.ids[:cut] + [instance.id] + graph.ids[cut:]
-        X = np.insert(graph.positions, cut, x, axis=0)
-        D = _pairwise_distances(X)
-        index = {v: k for k, v in enumerate(ids)}
-        pairs = [(index[a], index[b]) for a, b, _ in graph.edges()]
-        pairs += [(cut, j) for j in _neighbor_choice(D, cut, cfg.epsilon, cfg.kappa).tolist()]
-        updated.append(_connected_graph(graph.class_id, ids, X, D, pairs, cfg))
-    return updated
 
 
 def write_class_graphs(class_graphs, path):

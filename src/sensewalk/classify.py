@@ -52,9 +52,6 @@ class MembershipVector:
                 best = class_id
         return best
 
-    def as_array(self, class_order):
-        return np.array([self.scores[c] for c in class_order])
-
     @classmethod
     def normalized(cls, raw):
         total = sum(raw.values())
@@ -65,19 +62,23 @@ class MembershipVector:
 
 @dataclass(frozen=True)
 class HighLevelConfig:
-    """Weights of the transient/cycle variations and the memory sweep cap."""
+    """Weights of the transient/cycle variations and the memory sweep cap.
+
+    The cycle weight ``alpha_c`` is the complement of ``alpha_t``.
+    """
 
     alpha_t: float = 0.5
-    alpha_c: float = 0.5
     mu_critical: int = 10
 
     def __post_init__(self):
-        if not (0 <= self.alpha_t <= 1 and 0 <= self.alpha_c <= 1):
-            raise ValueError("alpha_t and alpha_c must lie in [0, 1]")
-        if abs(self.alpha_t + self.alpha_c - 1.0) > 1e-9:
-            raise ValueError("alpha_t + alpha_c must equal 1")
+        if not 0 <= self.alpha_t <= 1:
+            raise ValueError("alpha_t must lie in [0, 1]")
         if self.mu_critical < 0:
             raise ValueError("mu_critical must be >= 0")
+
+    @property
+    def alpha_c(self):
+        return 1.0 - self.alpha_t
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +121,11 @@ def _silverman(values):
     return 1.06 * sigma * n ** (-1 / 5)
 
 
-def bayes_train(train_dataset, bandwidth="silverman"):
+def bayes_train(train_dataset):
     """Fit priors and per-class per-feature Gaussian kernel densities.
 
-    ``bandwidth`` may be the name of the plug-in rule, a constant, or a
-    callable mapping a class's (n, d) array to per-feature bandwidths.
-    Bandwidths are floored so single-point classes stay well-defined.
+    Bandwidths follow Silverman's rule of thumb, floored so single-point
+    classes stay well-defined.
     """
     classes = tuple(train_dataset.classes())
     n_total = sum(train_dataset.class_counts.values())
@@ -133,14 +133,8 @@ def bayes_train(train_dataset, bandwidth="silverman"):
     for c in classes:
         rows = [i for i, lab in enumerate(train_dataset.labels) if lab == c]
         V = train_dataset.X[rows]
-        if bandwidth == "silverman":
-            h = _silverman(V)
-        elif callable(bandwidth):
-            h = np.asarray(bandwidth(V), dtype=float)
-        else:
-            h = np.full(V.shape[1], float(bandwidth))
         values[c] = V
-        bandwidths[c] = np.maximum(h, _BANDWIDTH_FLOOR)
+        bandwidths[c] = np.maximum(_silverman(V), _BANDWIDTH_FLOOR)
         log_priors[c] = math.log(len(rows) / n_total)
     return BayesModel(classes, log_priors, values, bandwidths, tuple(train_dataset.feature_names))
 
@@ -181,7 +175,7 @@ def bayes_bandwidths_csv(model):
 # decision tree (binary splits on continuous attributes, information gain)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TreeNode:
     feature: int | None = None
     threshold: float | None = None
@@ -210,21 +204,14 @@ def entropy(labels):
     return _entropy(list(Counter(labels).values()))
 
 
-def split_entropy(y, x, threshold):
-    left = [lab for lab, v in zip(y, x) if v <= threshold]
-    right = [lab for lab, v in zip(y, x) if v > threshold]
-    n = len(y)
-    h = 0.0
-    if left:
-        h += len(left) / n * entropy(left)
-    if right:
-        h += len(right) / n * entropy(right)
-    return h
-
-
 def information_gain(y, x, threshold):
     """Entropy drop from splitting labels ``y`` on feature values ``x``."""
-    return entropy(y) - split_entropy(y, x, threshold)
+    h = 0.0
+    for side in ([lab for lab, v in zip(y, x) if v <= threshold],
+                 [lab for lab, v in zip(y, x) if v > threshold]):
+        if side:
+            h += len(side) / len(y) * entropy(side)
+    return entropy(y) - h
 
 
 def candidate_thresholds(x):

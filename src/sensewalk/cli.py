@@ -118,13 +118,11 @@ def _graph_config(args):
                        fallback_factor=args.fallback_factor)
 
 
-def _pipeline_config(args, **hybrid):
+def _pipeline_config(args):
     return ev.PipelineConfig(
         graph=_graph_config(args),
-        high=HighLevelConfig(alpha_t=args.alpha_t, alpha_c=1.0 - args.alpha_t,
-                             mu_critical=args.mu_c),
+        high=HighLevelConfig(alpha_t=args.alpha_t, mu_critical=args.mu_c),
         knn_k=args.knn_k,
-        **hybrid,
     )
 
 
@@ -178,7 +176,8 @@ def cmd_extract(args):
 
 
 def cmd_evaluate(args):
-    config = _pipeline_config(args, lam=args.lam, low_level=args.low_level)
+    ev._check_choices((args.low_level,), (args.lam,))
+    config = _pipeline_config(args)
     if args.p_method == "montecarlo" and not args.features:
         raise ValueError("--p-method montecarlo needs --features (corpus reports are binomial)")
     reports, dataset = _reports(args, (args.low_level,), (args.lam,), config,
@@ -318,8 +317,8 @@ def build_parser():
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("evaluate", parents=[cv], help="cross-validated accuracy at one lambda")
-    p.add_argument("--low-level", choices=LOW_LEVEL_NAMES, default=ev.PipelineConfig.low_level)
-    p.add_argument("--lambda", dest="lam", type=float, default=ev.PipelineConfig.lam,
+    p.add_argument("--low-level", choices=LOW_LEVEL_NAMES, default="knn")
+    p.add_argument("--lambda", dest="lam", type=float, default=0.5,
                    help="compliance term in [0, 1]")
     p.add_argument("--p-method", choices=("binomial", "montecarlo"), default="binomial")
     p.add_argument("--report", help="write the result rows as CSV")

@@ -52,10 +52,6 @@ class FoldPlan:
     folds: tuple
     seed: int
 
-    @property
-    def n_folds(self):
-        return len(self.folds)
-
 
 def make_fold_plan(labels, n_folds=10, seed=0):
     """Stratified folds: each class's shuffled indices are dealt round-robin,
@@ -94,15 +90,12 @@ def make_fold_plan(labels, n_folds=10, seed=0):
 class PipelineConfig:
     """Everything one classification run needs besides the data."""
 
-    low_level: str = "knn"
-    lam: float = 0.5
     graph: GraphConfig = field(default_factory=GraphConfig)
     high: HighLevelConfig = field(default_factory=HighLevelConfig)
     knn_k: int = 1
     min_leaf: int = 2
 
     def __post_init__(self):
-        _check_choices((self.low_level,), (self.lam,))
         if self.knn_k < 1:
             raise ValueError(f"knn_k must be >= 1, got {self.knn_k!r}")
 
@@ -115,13 +108,6 @@ def _check_choices(low_levels, lambdas):
     for lam in lambdas:
         if not 0 <= lam <= 1:
             raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")
-
-
-@dataclass(frozen=True)
-class CVResult:
-    accuracy: float
-    predictions: tuple  # (instance index, true label, predicted label)
-    fold_accuracies: tuple
 
 
 @dataclass(frozen=True)
@@ -145,7 +131,6 @@ class ExperimentReport:
 
 @dataclass(frozen=True)
 class _Record:
-    fold: int
     index: int
     true: int
     lows: dict  # low-level name -> MembershipVector
@@ -155,7 +140,7 @@ class _Record:
 def _fold_records(dataset, low_levels, config, fold_plan, fold_datasets=None, need_high=True):
     """Score every test instance once; lambdas blend these records later."""
     records = []
-    for fold_no, (train_idx, test_idx) in enumerate(fold_plan.folds):
+    for train_idx, test_idx in fold_plan.folds:
         if fold_datasets is not None:
             train_ds, test_ds = fold_datasets(train_idx, test_idx)
         else:
@@ -178,7 +163,7 @@ def _fold_records(dataset, low_levels, config, fold_plan, fold_datasets=None, ne
                     high = high_level_predict(inst, graphs, config.high, views)
                 except AllViewsEmpty:
                     log.info("instance %r links into no class; using low-level only", inst.id)
-            records.append(_Record(fold_no, orig_index, test_z.labels[row], lows, high))
+            records.append(_Record(orig_index, test_z.labels[row], lows, high))
     return records
 
 
@@ -187,27 +172,6 @@ def _accuracy(records, low_level, lam):
         1 for r in records if hybrid_predict(r.lows[low_level], r.high, lam)[1] == r.true
     )
     return correct / len(records)
-
-
-def cross_validate(dataset, config=None, fold_plan=None, fold_datasets=None):
-    """Pooled accuracy of the hybrid pipeline over stratified folds."""
-    config = config or PipelineConfig()
-    if fold_plan is None:
-        fold_plan = make_fold_plan(dataset.labels)
-    records = _fold_records(
-        dataset, (config.low_level,), config, fold_plan, fold_datasets,
-        need_high=config.lam > 0,
-    )
-    predictions = tuple(
-        (r.index, r.true, hybrid_predict(r.lows[config.low_level], r.high, config.lam)[1])
-        for r in records
-    )
-    fold_accuracies = []
-    for f in range(fold_plan.n_folds):
-        fold_preds = [(t, p) for r, (_, t, p) in zip(records, predictions) if r.fold == f]
-        fold_accuracies.append(sum(1 for t, p in fold_preds if t == p) / len(fold_preds))
-    accuracy = sum(1 for _, t, p in predictions if t == p) / len(predictions)
-    return CVResult(accuracy, predictions, tuple(fold_accuracies))
 
 
 def p_value(accuracy, n, class_counts, method="binomial", seed=0, samples=20000):
@@ -264,15 +228,6 @@ def cv_sweep(dataset, low_levels, lambda_grid=None, config=None, fold_plan=None,
                 best_lambda, best_acc = lam, acc
         reports[name] = ExperimentReport(word, paradigm, name, tuple(rows), best_lambda)
     return reports
-
-
-def lambda_sweep(dataset, low_level, lambda_grid=None, config=None, fold_plan=None,
-                 fold_datasets=None, word="", paradigm=""):
-    """Accuracy across the compliance grid for one low-level classifier."""
-    return cv_sweep(
-        dataset, (low_level,), lambda_grid, config, fold_plan, fold_datasets,
-        word=word, paradigm=paradigm,
-    )[low_level]
 
 
 def write_report_csv(reports, path):

@@ -450,6 +450,21 @@ def test_topology_is_identical_across_hash_seeds():
     assert outputs[0] == outputs[1]
 
 
+def test_scipy_sparse_loads_only_for_topology():
+    src = str(Path(sensewalk.__file__).resolve().parents[1])
+    code = (
+        "import sys, sensewalk\n"
+        "print('scipy.sparse' in sys.modules)\n"
+        "net = sensewalk.build_network({'d': ['a', 'b', 'c', 'a']})\n"
+        "sensewalk.node_topology(net, 'a')\n"
+        "print('scipy.sparse' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         net = build_network({"poem": POEM_LEMMAS})

@@ -9,13 +9,11 @@ from sensewalk.attgraph import (
     _neighbor_choice,
     _pairwise_distances,
     build_training_graph,
-    commit_or_discard,
     default_epsilon,
     insert_test,
     write_class_graphs,
 )
-from sensewalk.features import Dataset, Instance
-from sensewalk.tourist import component_stats, walk_detail
+from sensewalk.features import Dataset
 
 
 def make_dataset(points, labels, ids=None):
@@ -162,75 +160,6 @@ class TestInsertTest:
         ids1 = sorted(vid for vid, _ in views[0].links)
         ids2 = sorted(vid - 8 for vid, _ in views[1].links)
         assert ids1 == ids2
-
-
-class TestCommitOrDiscard:
-    def _graphs(self):
-        pts = [[0, 0], [0.2, 0], [0, 0.2], [5, 5], [5.2, 5], [5, 5.2]]
-        ds = make_dataset(pts, [1, 1, 1, 2, 2, 2])
-        return build_training_graph(ds, GraphConfig(epsilon=0.5, kappa=2))
-
-    def test_discard_mode_identical(self):
-        graphs = self._graphs()
-        before = [g.content_hash() for g in graphs]
-        out = commit_or_discard(Instance(99, np.array([0.1, 0.1]), None), 1, graphs, "discard")
-        assert out is graphs
-        assert [g.content_hash() for g in out] == before
-
-    def test_incorporate_adds_vertex(self):
-        graphs = self._graphs()
-        inst = Instance(99, np.array([0.1, 0.1]), None)
-        out = commit_or_discard(inst, 1, graphs, "incorporate")
-        g1 = next(g for g in out if g.class_id == 1)
-        g2 = next(g for g in out if g.class_id == 2)
-        assert g1.vertex_count == 4
-        assert g2.vertex_count == 3
-        assert 99 in g1.ids
-
-    def test_incorporate_keeps_single_component(self):
-        graphs = self._graphs()
-        inst = Instance(99, np.array([40.0, 40.0]), None)  # far away outlier
-        out = commit_or_discard(inst, 2, graphs, "incorporate")
-        g2 = next(g for g in out if g.class_id == 2)
-        assert g2.is_connected()
-
-    def test_original_graphs_untouched_by_incorporate(self):
-        graphs = self._graphs()
-        before = [g.content_hash() for g in graphs]
-        commit_or_discard(Instance(99, np.array([0.1, 0.1]), None), 1, graphs, "incorporate")
-        assert [g.content_hash() for g in graphs] == before
-
-    def test_unknown_mode(self):
-        graphs = self._graphs()
-        with pytest.raises(ValueError):
-            commit_or_discard(Instance(99, np.zeros(2), None), 1, graphs, "replace")
-
-    def test_incorporate_invalidates_walk_caches(self):
-        graphs = self._graphs()
-        warmed = walk_detail(graphs[0], 1)
-        assert len(warmed[2]) == 3
-        inst = Instance(99, np.array([0.1, 0.1]), None)
-        out = commit_or_discard(inst, 1, graphs, "incorporate")
-        fresh = next(g for g in out if g.class_id == 1)
-        # recomputed statistics see the incorporated vertex
-        assert len(walk_detail(fresh, 1)[2]) == 4
-        assert walk_detail(graphs[0], 1) is warmed
-        assert component_stats(fresh, 1)[0] == (0.0, 1.0)
-
-    def test_incorporate_keeps_edges_and_links_by_training_rule(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(12, 2))
-        ds = make_dataset(X, [1] * 12, ids=list(range(0, 24, 2)))
-        cfg = GraphConfig(epsilon=0.8, kappa=2)
-        (graph,) = build_training_graph(ds, cfg)
-        for new_id, x in ((5, [0.1, 0.0]), (25, [3.0, 3.0]), (-1, [-0.2, 0.4])):
-            (out,) = commit_or_discard(Instance(new_id, np.array(x), None), 1, [graph], "incorporate")
-            assert set(graph.edges()) <= set(out.edges())
-            d = np.sqrt(((X - np.array(x)) ** 2).sum(axis=1))
-            ball = {graph.ids[j] for j in np.nonzero(d < cfg.epsilon)[0]}
-            if len(ball) <= cfg.kappa:
-                ball = {graph.ids[j] for j in np.argsort(d, kind="stable")[: cfg.kappa]}
-            assert neighbors(out, new_id) == ball
 
 
 def _repeated_scan_bridges(D, pairs):

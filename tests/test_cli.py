@@ -326,6 +326,24 @@ def test_topological_sweep_builds_the_network_once(corpus_dir, monkeypatch, caps
     assert len(calls) == 1
 
 
+def test_semantic_sweep_is_identical_across_hash_seeds(corpus_dir, tmp_path):
+    # string hashing changes set order from one process to the next
+    root, ann = corpus_dir
+    src = str(Path(sensewalk.__file__).resolve().parents[1])
+    report = tmp_path / "report.csv"
+    outputs = []
+    for hash_seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-m", "sensewalk.cli", "sweep", "--paradigm", "semantic",
+             "--in", str(root), "--annotations", str(ann), "--out", str(report)],
+            capture_output=True, text=True, env={"PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append((done.stdout, report.read_bytes()))
+    assert outputs[0][0].count("\n") == 4
+    assert outputs[0] == outputs[1]
+
+
 def test_duplicate_heavy_features_ask_for_epsilon(tmp_path):
     path = tmp_path / "dup.csv"
     X = np.array([[0.0, 0.0]] * 6 + [[1.0, 1.0]] * 6)

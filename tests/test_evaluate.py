@@ -14,9 +14,7 @@ from sensewalk.evaluate import (
     LAMBDA_GRID,
     InsufficientClassSize,
     PipelineConfig,
-    cross_validate,
     cv_sweep,
-    lambda_sweep,
     make_fold_plan,
     make_synthetic_corpus,
     p_value,
@@ -67,7 +65,7 @@ class TestFoldPlan:
     def test_small_class_reduces_fold_count(self):
         labels = [1] * 30 + [2] * 4
         plan = make_fold_plan(labels, 10, seed=0)
-        assert plan.n_folds == 4
+        assert len(plan.folds) == 4
 
     def test_singleton_class_rejected(self):
         with pytest.raises(InsufficientClassSize):
@@ -127,6 +125,11 @@ class TestPValue:
         assert done.stdout.split() == ["False", "True"]
 
 
+def cv_accuracy(ds, low_level, lam, plan=None, config=None):
+    """Pooled cross-validated accuracy of one classifier at one lambda."""
+    return cv_sweep(ds, (low_level,), (lam,), config, plan)[low_level].accuracy_at(lam)
+
+
 class TestCrossValidate:
     def test_majority_classifier_forced_accuracy(self):
         # constant features starve the likelihoods, so Bayes predicts the
@@ -134,15 +137,12 @@ class TestCrossValidate:
         X = np.zeros((100, 2))
         labels = [1] * 70 + [2] * 30
         ds = Dataset(list(range(100)), X, labels, ["a", "b"])
-        config = PipelineConfig(low_level="bayes", lam=0.0)
-        result = cross_validate(ds, config, make_fold_plan(labels, 10, 0))
-        assert result.accuracy == pytest.approx(0.70)
+        assert cv_accuracy(ds, "bayes", 0.0, make_fold_plan(labels, 10, 0)) == pytest.approx(0.70)
 
     def test_lambda_zero_equals_direct_low_level(self):
         ds = blob_dataset(per_class=15, spread=3.0, seed=5)
         plan = make_fold_plan(ds.labels, 5, seed=2)
-        config = PipelineConfig(low_level="knn", lam=0.0)
-        result = cross_validate(ds, config, plan)
+        accuracy = cv_accuracy(ds, "knn", 0.0, plan)
         # independent low-level-only loop over the same folds
         correct = 0
         for train_idx, test_idx in plan.folds:
@@ -152,30 +152,28 @@ class TestCrossValidate:
             for row in range(len(test_z)):
                 pred = knn_predict(train_z, test_z.X[row], k=1).argmax()
                 correct += pred == test_z.labels[row]
-        assert result.accuracy == pytest.approx(correct / len(ds))
+        assert accuracy == pytest.approx(correct / len(ds))
 
     def test_separable_dataset_perfect_knn(self):
         ds = blob_dataset(per_class=20, gap=30.0, spread=0.3, seed=1)
-        config = PipelineConfig(low_level="knn", lam=0.0)
-        result = cross_validate(ds, config)
-        assert result.accuracy == 1.0
+        assert cv_accuracy(ds, "knn", 0.0) == 1.0
 
     def test_accuracy_invariant_under_fold_order(self):
         ds = blob_dataset(per_class=12, spread=2.5, seed=9)
         plan = make_fold_plan(ds.labels, 4, seed=7)
         shuffled = type(plan)(tuple(reversed(plan.folds)), plan.seed)
-        config = PipelineConfig(low_level="knn", lam=0.0)
-        assert cross_validate(ds, config, plan).accuracy == pytest.approx(
-            cross_validate(ds, config, shuffled).accuracy
+        assert cv_accuracy(ds, "knn", 0.0, plan) == pytest.approx(
+            cv_accuracy(ds, "knn", 0.0, shuffled)
         )
 
     def test_hybrid_runs_with_positive_lambda(self):
         ds = blob_dataset(per_class=10, gap=10.0, seed=3)
-        config = PipelineConfig(low_level="knn", lam=0.5,
-                                high=HighLevelConfig(mu_critical=4))
-        result = cross_validate(ds, config, make_fold_plan(ds.labels, 5, 0))
-        assert 0.0 <= result.accuracy <= 1.0
-        assert len(result.predictions) == len(ds)
+        config = PipelineConfig(high=HighLevelConfig(mu_critical=4))
+        report = cv_sweep(ds, ("knn",), (0.5,), config, make_fold_plan(ds.labels, 5, 0))["knn"]
+        ((lam, accuracy, p),) = report.rows
+        assert lam == 0.5 and 0.0 <= accuracy <= 1.0 and 0.0 < p <= 1.0
+        # every instance is scored exactly once
+        assert accuracy * len(ds) == pytest.approx(round(accuracy * len(ds)))
 
 
 class TestSweep:
@@ -183,7 +181,7 @@ class TestSweep:
         ds = blob_dataset(per_class=10, gap=12.0, seed=2)
         grid = (0.0, 0.5, 1.0)
         config = PipelineConfig(high=HighLevelConfig(mu_critical=3))
-        report = lambda_sweep(ds, "knn", grid, config, make_fold_plan(ds.labels, 5, 0))
+        report = cv_sweep(ds, ("knn",), grid, config, make_fold_plan(ds.labels, 5, 0))["knn"]
         assert len(report.rows) == 3
         assert report.best_lambda in grid
 
@@ -191,8 +189,8 @@ class TestSweep:
         ds = blob_dataset(per_class=10, gap=40.0, spread=0.2, seed=4)
         config = PipelineConfig(high=HighLevelConfig(mu_critical=3))
         # trivially separable: every lambda scores 1.0, so best is 0.0
-        report = lambda_sweep(ds, "knn", (0.0, 0.25, 0.5), config,
-                              make_fold_plan(ds.labels, 5, 0))
+        report = cv_sweep(ds, ("knn",), (0.0, 0.25, 0.5), config,
+                          make_fold_plan(ds.labels, 5, 0))["knn"]
         assert report.best_accuracy == 1.0
         assert report.best_lambda == 0.0
 
@@ -223,8 +221,8 @@ class TestSweep:
     def test_sweep_bookkeeping_monotone(self):
         ds = blob_dataset(per_class=12, gap=6.0, spread=1.2, seed=11)
         config = PipelineConfig(high=HighLevelConfig(mu_critical=4))
-        report = lambda_sweep(ds, "knn", LAMBDA_GRID, config,
-                              make_fold_plan(ds.labels, 4, 1))
+        report = cv_sweep(ds, ("knn",), LAMBDA_GRID, config,
+                          make_fold_plan(ds.labels, 4, 1))["knn"]
         assert report.accuracy_at(report.best_lambda) >= report.accuracy_at(0.0)
         assert report.accuracy_at(report.best_lambda) == report.best_accuracy
 
@@ -250,9 +248,9 @@ class TestSweep:
     def test_report_csv_format(self, tmp_path):
         ds = blob_dataset(per_class=8, gap=12.0, seed=2)
         config = PipelineConfig(high=HighLevelConfig(mu_critical=2))
-        report = lambda_sweep(ds, "knn", (0.0, 1.0), config,
-                              make_fold_plan(ds.labels, 4, 0), word="crane",
-                              paradigm="semantic")
+        report = cv_sweep(ds, ("knn",), (0.0, 1.0), config,
+                          make_fold_plan(ds.labels, 4, 0), word="crane",
+                          paradigm="semantic")["knn"]
         path = tmp_path / "report.csv"
         write_report_csv([report], path)
         with open(path) as fh:

@@ -16,8 +16,25 @@ whose every neighbor is forbidden halts: cycle 0, transient = steps taken.
 Walks run directly on :attr:`ClassGraph.rows <sensewalk.attgraph.ClassGraph>`:
 row ``k`` lists vertex ``k``'s neighbors sorted by (distance, index), and
 indices follow id order, so the first admissible entry is the step the
-movement rule takes. One loop, :func:`_walk_indices`, walks on from a
-prefix of states: a fresh walk is the prefix ``(start,)``.
+movement rule takes.
+
+One loop, :func:`_walk_indices`, runs a batch of walks on the same rows
+at one mu, each on from a prefix of states (a fresh walk is the prefix
+``(start,)``). A batch is every start of one graph when the memo below is
+filled, or the resumed starts plus the test vertex's own walk of one
+:meth:`InsertionTrial.augmented_means` call. It shares one state table,
+mapping each state a walk of the batch entered to that walk and step; the
+table lives only for the call. For fixed mu the walk is a map on states
+(a functional graph), so a walk that reaches a state an earlier walk
+entered goes on exactly as that walk did: it copies the earlier walk's
+remaining vertices and row positions (up to its dead end, or up to its
+repeated state plus the rest of one period when the state lies on its
+cycle), takes its cycle and reruns the vertex-level shrink on the joined
+sequence. That shrink returns the smallest index from which the vertices
+repeat with period ``c``, wherever in the periodic part it starts, so the
+join is exact. A resumed walk enters only its prefix's last state: a walk
+back into its prefix passes that state again and is caught there, with
+the same cycle and, after the shrink, the same transient.
 
 :func:`walk_detail` memoizes, per graph and mu, each start's transient
 ``t``, cycle ``c`` and first ``t + c`` vertices (``t + 1`` on a dead end),
@@ -46,7 +63,7 @@ keeps its memoized (transient, cycle). At mu 0 no walk moves, so none is
 deflected.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -66,50 +83,78 @@ class WalkResult:
     trajectory: tuple  # transient vertices then one cycle period (all visited on dead end)
 
 
-def _walk_indices(rows, prefix, mu):
-    """Walk on from ``prefix``, the walk's first states as vertex indices.
+def _walk_indices(rows, prefixes, mu):
+    """Walk on from each prefix in turn, sharing one state table.
 
-    Returns (transient, cycle, traj, picks): ``traj`` is the prefix plus
-    every vertex up to the first repeated (vertex, window) state or the
-    dead end, ``picks`` the row position of each move made after the
-    prefix (``len(row)`` for the dead end). A prefix must repeat no state.
+    A prefix is a walk's first states as vertex indices (a fresh walk is
+    ``(start,)``) and must repeat no state; only its last state enters the
+    table. Returns, per prefix, (transient, cycle, traj, picks): ``traj``
+    is the prefix plus every vertex up to the walk's first return to a
+    state it entered, or to its dead end; ``picks`` is the row position of
+    each move made after the prefix (``len(row)`` for the dead end).
     """
-    traj = list(prefix)
     if mu == 0:
-        return 0, 1, traj, []
+        return [(0, 1, list(prefix), []) for prefix in prefixes]
     keep = mu - 1
-    window = ()
-    seen = {}
-    for k, v in enumerate(traj):
-        window = (v,) + window[:keep]
-        seen[v, window] = k
-    picks = []
-    while True:  # k, v: index and vertex of the walk's last state
-        row = rows[v]
-        p = 0
-        for _, j in row:
-            if j not in window:
+    seen = {}  # window (its first entry is the vertex) -> serial, in entry order
+    setdefault = seen.setdefault
+    walks = []
+    firsts = []  # per walk: the serial of the first state it entered
+    offs = []  # per walk: the index of that state, its prefix's last
+    loops = []  # per walk: index of its repeated state, or of its last if it halts or joins
+    for prefix in prefixes:
+        traj = list(prefix)
+        v = traj[-1]
+        window = tuple(reversed(traj[-mu:]))
+        off = len(traj) - 1
+        first = serial = len(seen)
+        picks = []
+        while True:  # v, window: the walk's last state, traj[-1] == v
+            g = setdefault(window, serial)
+            if g != serial:
                 break
-            p += 1
-        else:
-            # dead end: every neighbor inside the memory window
+            serial += 1
+            p = 0
+            for _, j in rows[v]:
+                if j not in window:
+                    break
+                p += 1
+            else:
+                # dead end: every neighbor inside the memory window
+                picks.append(p)
+                break
             picks.append(p)
-            return k, 0, traj, picks
-        picks.append(p)
-        traj.append(j)
-        v = j
-        window = (j,) + window[:keep]
-        key = (j, window)
-        k += 1
-        i = seen.get(key)
-        if i is not None:
-            c = k - i
-            t = i
+            traj.append(j)
+            v = j
+            window = (j,) + window[:keep]
+        k = loop = len(traj) - 1
+        if g >= first:
+            # the walk repeats its own state, or halts on its last state k
+            # (g is that state's serial, so the cycle comes out as 0)
+            loop = t = g - first + off
+            c = k - t
+        else:  # the walk joins an earlier walk's state and copies its rest
+            w = bisect_right(firsts, g) - 1
+            t_w, c, traj_w, picks_w = walks[w]
+            off_w, loop_w = offs[w], loops[w]
+            i = g - firsts[w] + off_w
+            # from state i the earlier walk runs to its end; if state i is
+            # on its cycle (i > loop_w), the rest of one period leads back to i
+            traj += traj_w[i + 1:]
+            traj += traj_w[loop_w + 1:i + 1]
+            picks += picks_w[i - off_w:]
+            picks += picks_w[loop_w - off_w:i - off_w]
+            # its vertices repeat from t_w on, so the joined ones from k + t_w - i
+            t = k + max(t_w - i, 0)
+        if c:
             # the vertex sequence may turn periodic before the state does
             while t > 0 and traj[t - 1] == traj[t - 1 + c]:
                 t -= 1
-            return t, c, traj, picks
-        seen[key] = k
+        walks.append((t, c, traj, picks))
+        firsts.append(first)
+        offs.append(off)
+        loops.append(loop)
+    return walks
 
 
 def _period_end(t, c):
@@ -125,7 +170,7 @@ def walk(graph, start, mu):
     k = bisect_left(graph.ids, start)
     if k == len(graph.ids) or graph.ids[k] != start:
         raise VertexNotInComponent(repr(start))
-    t, c, traj, _ = _walk_indices(graph.rows, (k,), mu)
+    t, c, traj, _ = _walk_indices(graph.rows, [(k,)], mu)[0]
     return WalkResult(t, c, tuple(graph.ids[i] for i in traj[: _period_end(t, c)]))
 
 
@@ -145,8 +190,7 @@ def _stats_for_mu(rows, mu):
     """Walk every start of ``rows`` at one mu and index the moves."""
     n = len(rows)
     walks = []
-    for s in range(n):
-        t, c, traj, picks = _walk_indices(rows, (s,), mu)
+    for t, c, traj, picks in _walk_indices(rows, [(s,) for s in range(n)], mu):
         end = _period_end(t, c)
         walks.append((t, c, tuple(traj[:end]), picks[:end]))
     low = (n * max(len(traj) for _, _, traj, _ in walks)).bit_length()
@@ -179,6 +223,8 @@ def walk_detail(graph, mu):
 def component_stats(graph, mu_critical):
     """``{mu: (mean transient, mean cycle)}`` over walks from every vertex,
     for each mu in [0, mu_critical]."""
+    if mu_critical < 0:
+        raise ValueError("mu_max must be >= 0")
     if graph.vertex_count == 0:
         raise ValueError("component is empty")
     return {mu: walk_detail(graph, mu)[:2] for mu in range(mu_critical + 1)}
@@ -237,14 +283,15 @@ class InsertionTrial:
                 k, s = divmod(move & mask, n)
                 if first.get(s, k + 1) > k:
                     first[s] = k
+        prefixes = [base.starts[s][2][: k + 1] for s, k in first.items()]
+        walks = _walk_indices(rows, prefixes + [(n,)], mu)
         total_t = base.total_t
         total_c = base.total_c
-        for s, k in first.items():
-            t0, c0, traj = base.starts[s]
-            t, c, _, _ = _walk_indices(rows, traj[: k + 1], mu)
+        for s, (t, c, _, _) in zip(first, walks):
+            t0, c0, _ = base.starts[s]
             total_t += t - t0
             total_c += c - c0
-        t, c, _, _ = _walk_indices(rows, (n,), mu)
+        t, c, _, _ = walks[-1]
         return (total_t + t) / (n + 1), (total_c + c) / (n + 1)
 
     def variations(self, mu):

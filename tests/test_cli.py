@@ -240,6 +240,14 @@ def test_bad_knn_k_or_fold_count_is_one_line(overlap_csv, flags, message):
     assert done.stderr == f"sensewalk: error: {message}\n"
 
 
+def test_negative_mu_max_is_one_line(overlap_csv, tmp_path):
+    out = tmp_path / "curves.csv"
+    done = run_module("walk-curves", "--features", overlap_csv, "--mu-max", "-1", "--out", out)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "sensewalk: error: mu_max must be >= 0\n"
+    assert not out.exists()
+
+
 def test_config_value_gets_the_flag_type(overlap_csv, tmp_path, capsys):
     config = tmp_path / "c.conf"
     config.write_text("folds = four\n")

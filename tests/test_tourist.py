@@ -16,6 +16,7 @@ from sensewalk.tourist import (
     AllViewsEmpty,
     InsertionTrial,
     VertexNotInComponent,
+    _walk_indices,
     component_stats,
     walk,
     walk_detail,
@@ -159,6 +160,11 @@ class TestWalkAgainstOracle:
 
 
 class TestComponentStats:
+    def test_negative_mu_rejected(self):
+        comp = graph_from_edges({0: (0.0,)}, [])
+        with pytest.raises(ValueError, match="mu_max must be >= 0"):
+            component_stats(comp, -1)
+
     def test_single_vertex_component(self):
         comp = graph_from_edges({0: (0.0,)}, [])
         stats = component_stats(comp, 2)
@@ -418,3 +424,143 @@ class TestResumedWalks:
         assert walk(graph, 0, 2).cycle == 0
         for _ in range(4):
             self._assert_matches_rebuilt(positions, edges, rng, tied=seed % 2)
+
+
+def _states(traj, mu):
+    """The (vertex, window) state at each index of a vertex sequence."""
+    return [(v, tuple(reversed(traj[max(0, k + 1 - mu):k + 1]))) for k, v in enumerate(traj)]
+
+
+def _checked_picks(rows, traj, picks, off):
+    """Each pick is the row position of the next vertex (the row's length at a dead end)."""
+    for m, pick in enumerate(picks, start=off):
+        order = [j for _, j in rows[traj[m]]]
+        assert pick == (order.index(traj[m + 1]) if m + 1 < len(traj) else len(order))
+
+
+def _random_graph(rng, seed):
+    """A random geometric graph; lattice-snapped on odd seeds, a path every fourth."""
+    if seed % 4 == 3:
+        n = rng.randint(3, 10)
+        positions = {k: (0.25 * k + 0.1 * (k % 2), 0.5) for k in range(n)}
+        return positions, [(k, k + 1) for k in range(n - 1)]
+    positions, edges = random_geometric_graph(rng, rng.randint(2, 14))
+    return (_lattice_snap(positions) if seed % 2 else positions), edges
+
+
+class TestSharedStateTable:
+    """Walks of one batch share a state table; each result equals an isolated walk."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_every_start_in_one_batch(self, seed):
+        rng = random.Random(7000 + seed)
+        positions, edges = _random_graph(rng, seed)
+        graph = component_from_points(positions, edges)
+        adj = oracle_neighbors(positions, edges)
+        order = list(range(len(graph.ids)))
+        for mu in range(9):
+            rng.shuffle(order)
+            batch = _walk_indices(graph.rows, [(s,) for s in order], mu)
+            for s, got in zip(order, batch):
+                assert got == _walk_indices(graph.rows, [(s,)], mu)[0], (s, mu)
+                t, c, traj, picks = got
+                assert (t, c) == oracle_walk(positions, adj, graph.ids[s], mu), (s, mu)
+                if mu:
+                    _checked_picks(graph.rows, traj, picks, 0)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_resumed_prefixes_in_one_batch(self, seed):
+        # base walks resumed at their first move onto the test vertex n,
+        # batched with n's own walk, equal full walks on the augmented rows
+        rng = random.Random(8000 + seed)
+        points, pairs = _random_graph(rng, seed)
+        positions = {2 * v: p for v, p in points.items()}
+        edges = [(2 * a, 2 * b) for a, b in pairs]
+        graph = component_from_points(positions, edges)
+        test_id = 2 * rng.randint(0, len(positions)) - 1
+        point = (rng.random(), rng.random())
+        linked = rng.sample(sorted(positions), rng.randint(1, min(len(positions), 5)))
+        links = tuple((v, math.dist(point, positions[v])) for v in linked)
+        _, rows, _ = InsertionTrial(test_id, [graph], [InsertionView(0, links)])._aug[0]
+        n = len(graph.ids)
+        ids = graph.ids + [test_id]  # index n is the test vertex
+        full_positions = {**positions, test_id: point}
+        adj = oracle_neighbors(full_positions, edges + [(test_id, v) for v in linked])
+        for mu in range(1, 9):
+            prefixes = {}
+            for s, (_, _, traj) in enumerate(walk_detail(graph, mu).starts):
+                k = _first_deflection(rows, traj, mu, n)
+                if k is not None:
+                    prefixes[s] = traj[:k + 1]
+            prefixes[n] = (n,)
+            order = list(prefixes)
+            rng.shuffle(order)
+            batch = _walk_indices(rows, [prefixes[s] for s in order], mu)
+            for s, got in zip(order, batch):
+                assert got == _walk_indices(rows, [prefixes[s]], mu)[0], (s, mu)
+                t, c, traj, picks = got
+                off = len(prefixes[s]) - 1
+                want_t, want_c, want_traj, want_picks = _walk_indices(rows, [(s,)], mu)[0]
+                end = t + (c or 1)
+                assert (t, c, traj[:end]) == (want_t, want_c, want_traj[:end]), (s, mu)
+                assert picks[:end - off] == want_picks[off:end]
+                assert (t, c) == oracle_walk(full_positions, adj, ids[s], mu)
+                _checked_picks(rows, traj, picks, off)
+
+    # Explicit joins. In the batch a later walk stops at the first state an
+    # earlier walk entered; the asserted trajectories are worked by hand.
+
+    def test_join_into_a_dead_end(self):
+        # 0 - 1 - 2 on a line, 1 nearer 0; at mu 2 walk 1 halts at 0 and
+        # walk 2 reaches that same state (0, window (0, 1)) one step later
+        graph = graph_from_edges({0: (0.0,), 1: (1.0,), 2: (3.0,)},
+                                 [(0, 1, 1.0), (1, 2, 2.0)])
+        got = _walk_indices(graph.rows, [(0,), (1,), (2,)], 2)
+        assert [r[:3] for r in got] == [(2, 0, [0, 1, 2]), (1, 0, [1, 0]), (2, 0, [2, 1, 0])]
+        assert _states(got[2][2], 2)[2] == _states(got[1][2], 2)[1]
+        assert [r[3] for r in got] == [[0, 1, 1], [0, 1], [0, 0, 1]]
+
+    def test_join_onto_a_cycle_past_its_entry(self):
+        # the triangle 0, 1, 2 at 1, 2 and 4 on a line; at mu 2 walk 1 runs
+        # 1 0 2 1 0 (cycle entered at index 1); walk 2 steps onto its state
+        # (1, window (1, 2)) at index 3, so its tail is one rotated period
+        graph = graph_from_edges({0: (1.0,), 1: (2.0,), 2: (4.0,)},
+                                 [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)])
+        got = _walk_indices(graph.rows, [(1,), (2,)], 2)
+        assert got[0][:3] == (0, 3, [1, 0, 2, 1, 0])
+        assert _states(got[1][2], 2)[1] == _states(got[0][2], 2)[3]
+        assert got[1][:3] == (0, 3, [2, 1, 0, 2, 1])
+        assert got == [_walk_indices(graph.rows, [(s,)], 2)[0] for s in (1, 2)]
+
+    def test_join_into_a_transient(self):
+        # the same triangle with a tail 2 - 3 - 4; walk 3 enters the cycle
+        # through (2, window (2, 3)) at index 1, and walk 4 reaches that
+        # transient state at index 2
+        graph = graph_from_edges(
+            {0: (1.0,), 1: (2.0,), 2: (4.0,), 3: (10.0,), 4: (20.0,)},
+            [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0), (2, 3, 6.0), (3, 4, 10.0)],
+        )
+        got = _walk_indices(graph.rows, [(3,), (4,)], 2)
+        assert got[0][:3] == (1, 3, [3, 2, 1, 0, 2, 1])
+        assert _states(got[1][2], 2)[2] == _states(got[0][2], 2)[1]
+        assert got[1][:3] == (2, 3, [4, 3, 2, 1, 0, 2, 1])
+        assert got == [_walk_indices(graph.rows, [(s,)], 2)[0] for s in (3, 4)]
+
+    def test_mu_one_walk_back_to_its_start_state(self):
+        # 0 and 1 are mutual nearest neighbors: walk 0 returns to its start
+        # state; walk 2 joins it at state 1 and walk 1 starts there
+        graph = graph_from_edges({0: (0.0,), 1: (1.0,), 2: (3.0,)},
+                                 [(0, 1, 1.0), (1, 2, 2.0)])
+        got = _walk_indices(graph.rows, [(0,), (2,), (1,)], 1)
+        assert [r[:3] for r in got] == [(0, 2, [0, 1, 0]), (1, 2, [2, 1, 0, 1]), (0, 2, [1, 0, 1])]
+        assert got == [_walk_indices(graph.rows, [(s,)], 1)[0] for s in (0, 2, 1)]
+
+
+def _first_deflection(rows, traj, mu, n):
+    """First index of ``traj`` whose move on ``rows`` goes to vertex ``n``, or None."""
+    for k, v in enumerate(traj):
+        window = traj[max(0, k + 1 - mu):k + 1]
+        nxt = next((j for _, j in rows[v] if j not in window), None)
+        if nxt == n:
+            return k
+    return None

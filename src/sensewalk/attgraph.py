@@ -48,11 +48,11 @@ class GraphConfig:
     fallback_factor: float = 3.0
 
     def __post_init__(self):
-        if self.epsilon is not None and self.epsilon <= 0:
+        if self.epsilon is not None and not self.epsilon > 0:  # NaN too
             raise ValueError("epsilon must be > 0")
         if self.kappa < 1:
             raise ValueError("kappa must be >= 1")
-        if self.fallback_factor <= 0:
+        if not self.fallback_factor > 0:
             raise ValueError("fallback_factor must be > 0")
 
 
@@ -76,10 +76,10 @@ class ClassGraph:
     be strictly increasing, ``positions`` holds row ``k`` for ``ids[k]``.
 
     Immutable once built. The one mutable slot, ``_walks``, maps mu to a
-    :class:`sensewalk.tourist.WalkDetail`: every start's transient, cycle
-    and full state walk, and its moves indexed by the vertex they leave
-    with the row position they took, which lets an insertion resume only
-    the walks it deflects. :func:`sensewalk.tourist.walk_detail` is its
+    :class:`sensewalk.tourist.WalkDetail`: every start's transient and
+    cycle, and its walk up to one period as a row of vertices beside a row
+    of the row positions its moves took, which lets an insertion resume
+    only the walks it deflects. :func:`sensewalk.tourist.walk_detail` is its
     only reader and writer, and ``content_hash`` leaves it out.
     """
 

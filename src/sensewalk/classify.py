@@ -86,7 +86,8 @@ class HighLevelConfig:
 
 
 def knn_predict(train_dataset, x, k=1):
-    """Vote fractions among the k nearest training instances (Euclidean)."""
+    """Vote fractions among the k nearest training instances (Euclidean);
+    all of them when there are no more than k."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
     x = np.asarray(getattr(x, "features", x), dtype=float)
@@ -97,7 +98,7 @@ def knn_predict(train_dataset, x, k=1):
     order = sorted(near, key=lambda i: (d[i], train_dataset.ids[i]))
     votes = Counter(train_dataset.labels[i] for i in order[:k])
     classes = train_dataset.classes()
-    return MembershipVector({c: votes.get(c, 0) / k for c in classes})
+    return MembershipVector({c: votes.get(c, 0) / min(k, len(d)) for c in classes})
 
 
 # ---------------------------------------------------------------------------

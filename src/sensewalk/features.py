@@ -92,12 +92,19 @@ class Dataset:
             if not header or header[-1] != "label":
                 raise ValueError("feature CSV must end with a 'label' column")
             names = header[:-1]
-            X, labels, ids = [], [], []
-            for i, row in enumerate(reader):
-                X.append([float(v) for v in row[:-1]])
-                labels.append(int(row[-1]) if row[-1] != "" else None)
-                ids.append(i)
-        return cls(ids, np.array(X, dtype=float), labels, names)
+            X, labels = [], []
+            for row in reader:
+                where = f"{path}, line {reader.line_num}"
+                if len(row) != len(header):
+                    raise ValueError(f"{where}: {len(row)} fields, the header has {len(header)}")
+                try:
+                    X.append([float(v) for v in row[:-1]])
+                    labels.append(int(row[-1]) if row[-1] != "" else None)
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
+        if not X:
+            raise ValueError(f"{path}: no instance rows after the header")
+        return cls(range(len(X)), np.array(X, dtype=float), labels, names)
 
 
 def window_lemmas(stream, position, window):
@@ -108,6 +115,8 @@ def window_lemmas(stream, position, window):
     after, while occurrences near a document edge draw the shortfall from
     the other side.
     """
+    if window < 1:
+        raise ValueError(f"the semantic window must be >= 1, got {window!r}")
     chosen = []
     left = position - 1
     right = position + 1

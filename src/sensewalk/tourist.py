@@ -37,12 +37,11 @@ back into its prefix passes that state again and is caught there, with
 the same cycle and, after the shrink, the same transient.
 
 :func:`walk_detail` memoizes, per graph and mu, each start's transient
-``t``, cycle ``c`` and first ``t + c`` vertices (``t + 1`` on a dead end),
-and indexes the moves out of those vertices by the vertex they leave: the
-row position the move took (``len(row)`` on a dead end), its start and its
-step, packed into one int and sorted by row position, largest first. The
-vertex sequence is periodic from ``t`` with period ``c``, and a move's row
-position depends only on the vertices it joins, so every later move
+``t`` and cycle ``c``; row ``s`` of ``verts`` holds start ``s``'s first
+``t + c`` vertices (``t + 1`` on a dead end), and row ``s`` of ``picks``
+the row position of each move out of them (``len(row)`` on a dead end).
+The vertex sequence is periodic from ``t`` with period ``c``, and a move's
+row position depends only on the vertices it joins, so every later move
 repeats one of these.
 It is the memo's only writer; a race between two threads computing the
 same mu costs work but not consistency, because the walks are
@@ -56,16 +55,19 @@ row is appended last. For fixed mu the walk is a deterministic map on
 (vertex, window) states, and the test vertex is outside every window
 until the walk first reaches it. So an augmented walk follows its base
 walk up to the first move out of a touched vertex ``u`` whose row position
-is at or behind the test vertex's entry in ``u``'s augmented row; there
-the test vertex becomes the next choice. Only those starts are walked
-again, resumed from that prefix on the augmented rows; every other start
-keeps its memoized (transient, cycle). At mu 0 no walk moves, so none is
-deflected.
+is at or behind ``p_u``, the test vertex's entry in ``u``'s augmented row;
+there the test vertex becomes the next choice. ``picks >= floor[verts]``
+marks those moves, ``floor`` being ``p_u`` at each touched ``u`` and the
+int64 maximum elsewhere. Only starts with a marked move are walked again,
+on the augmented rows from the first; the rest keep their memoized
+(transient, cycle). At mu 0 no walk moves, so none is deflected.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 
 class VertexNotInComponent(Exception):
@@ -179,33 +181,32 @@ class WalkDetail(NamedTuple):
 
     mean_t: float
     mean_c: float
-    starts: tuple  # per start: (transient, cycle, its first _period_end vertices)
-    moves: tuple  # per vertex: packed moves leaving it within those, largest row position first
-    low: int  # a move packs (row position << low) | (step * n + start)
+    starts: tuple  # per start: (transient, cycle)
+    verts: np.ndarray  # n x width: row s is start s's first _period_end vertices, padded with n
+    picks: np.ndarray  # n x width: the row position of each move out of them, padded with -1
     total_t: int
     total_c: int
 
 
 def _stats_for_mu(rows, mu):
-    """Walk every start of ``rows`` at one mu and index the moves."""
+    """Walk every start of ``rows`` at one mu and lay out the kept moves."""
     n = len(rows)
-    walks = []
-    for t, c, traj, picks in _walk_indices(rows, [(s,) for s in range(n)], mu):
+    walks = _walk_indices(rows, [(s,) for s in range(n)], mu)
+    width = max(_period_end(t, c) for t, c, _, _ in walks)
+    verts = np.full((n, width), n)
+    picks = np.full((n, width), -1)
+    for s, (t, c, traj, moves) in enumerate(walks):
         end = _period_end(t, c)
-        walks.append((t, c, tuple(traj[:end]), picks[:end]))
-    low = (n * max(len(traj) for _, _, traj, _ in walks)).bit_length()
-    moves = [[] for _ in range(n)]
-    for s, (_, _, traj, picks) in enumerate(walks):
-        for k, pick in enumerate(picks):
-            moves[traj[k]].append((pick << low) | (k * n + s))
+        verts[s, :end] = traj[:end]
+        picks[s, :len(moves[:end])] = moves[:end]  # mu 0 makes no move
     total_t = sum(t for t, _, _, _ in walks)
     total_c = sum(c for _, c, _, _ in walks)
     return WalkDetail(
         total_t / n,
         total_c / n,
-        tuple(entry[:3] for entry in walks),
-        tuple(tuple(sorted(m, reverse=True)) for m in moves),
-        low,
+        tuple((t, c) for t, c, _, _ in walks),
+        verts,
+        picks,
         total_t,
         total_c,
     )
@@ -257,7 +258,7 @@ class InsertionTrial:
                 raise ValueError(f"vertex {test_id!r} already present")
             rows = list(graph.rows)
             own = []
-            entries = []
+            floor = np.full(n + 1, np.iinfo(np.int64).max)  # p_u at each touched u
             for vid, dist in view.links:
                 i = bisect_left(graph.ids, vid)
                 row = list(rows[i])
@@ -265,34 +266,23 @@ class InsertionTrial:
                 row.insert(p, (dist, n))
                 rows[i] = row
                 own.append((dist, i))
-                entries.append((i, p))
+                floor[i] = p
             rows.append(sorted(own))
-            self._aug[graph.class_id] = (graph, rows, entries)
+            self._aug[graph.class_id] = (graph, rows, floor)
 
     def augmented_means(self, class_id, mu):
-        graph, rows, entries = self._aug[class_id]
+        graph, rows, floor = self._aug[class_id]
         base = walk_detail(graph, mu)
         n = len(base.starts)
-        mask = (1 << base.low) - 1
-        first = {}  # start -> first step that moves to the test vertex
-        for u, p in entries:
-            floor = p << base.low
-            for move in base.moves[u]:
-                if move < floor:
-                    break
-                k, s = divmod(move & mask, n)
-                if first.get(s, k + 1) > k:
-                    first[s] = k
-        prefixes = [base.starts[s][2][: k + 1] for s, k in first.items()]
-        walks = _walk_indices(rows, prefixes + [(n,)], mu)
-        total_t = base.total_t
-        total_c = base.total_c
-        for s, (t, c, _, _) in zip(first, walks):
-            t0, c0, _ = base.starts[s]
-            total_t += t - t0
-            total_c += c - c0
-        t, c, _, _ = walks[-1]
-        return (total_t + t) / (n + 1), (total_c + c) / (n + 1)
+        hit = base.picks >= floor[base.verts]  # moves that would take the test vertex
+        deflected = np.flatnonzero(hit.any(axis=1)).tolist()
+        steps = hit[deflected].argmax(axis=1).tolist()
+        prefixes = [base.verts[s, :k + 1].tolist() for s, k in zip(deflected, steps)]
+        walks = _walk_indices(rows, prefixes + [(n,)], mu)  # n's own walk last
+        old = [base.starts[s] for s in deflected]
+        total_t = base.total_t - sum(t for t, _ in old) + sum(w[0] for w in walks)
+        total_c = base.total_c - sum(c for _, c in old) + sum(w[1] for w in walks)
+        return total_t / (n + 1), total_c / (n + 1)
 
     def variations(self, mu):
         """Normalized per-class variations (delta_t, delta_c) at one mu.

@@ -88,6 +88,10 @@ class TestKnn:
             m = knn_predict(train, np.array([0.5, 0.5]), k=k)
             assert sum(m.scores.values()) == pytest.approx(1.0)
 
+    def test_k_beyond_the_training_rows_votes_all_of_them(self):
+        train = make_dataset([[0.0], [1.0], [2.0]], [RED, RED, BLUE])
+        m = knn_predict(train, np.array([0.0]), k=5)
+        assert m.scores == {RED: 2 / 3, BLUE: 1 / 3}
 
     @pytest.mark.parametrize("k", [0, -2])
     def test_k_below_one_rejected(self, k):
@@ -113,7 +117,8 @@ class TestKnn:
         for k in range(1, len(d) + 3):
             expected = Counter(labels[i] for i in order[:k])
             m = knn_predict(train, x, k=k)
-            assert m.scores == {c: expected.get(c, 0) / k for c in train.classes()}
+            votes = min(k, len(d))  # every row votes once k exceeds them
+            assert m.scores == {c: expected.get(c, 0) / votes for c in train.classes()}
 
 
 class TestBayes:

@@ -240,6 +240,29 @@ def test_bad_knn_k_or_fold_count_is_one_line(overlap_csv, flags, message):
     assert done.stderr == f"sensewalk: error: {message}\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--epsilon", "nan"], "epsilon must be > 0"),
+    (["--fallback-factor", "nan"], "fallback_factor must be > 0"),
+])
+def test_nan_graph_setting_is_one_line(overlap_csv, flags, message):
+    # a NaN epsilon links no test instance, so every high-level score
+    # would fall back to kNN
+    done = run_module("evaluate", "--features", overlap_csv, "--lambda", "1", *flags)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == f"sensewalk: error: {message}\n"
+
+
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_window_below_one_is_one_line(corpus_dir, tmp_path, capsys, window):
+    root, ann = corpus_dir
+    out = tmp_path / "features.csv"
+    assert main(["extract", "--in", str(root), "--annotations", str(ann),
+                 "--paradigm", "semantic", "--window", window, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"sensewalk: error: the semantic window must be >= 1, got {window}\n"
+    assert not out.exists()
+
+
 def test_negative_mu_max_is_one_line(overlap_csv, tmp_path):
     out = tmp_path / "curves.csv"
     done = run_module("walk-curves", "--features", overlap_csv, "--mu-max", "-1", "--out", out)

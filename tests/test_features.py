@@ -175,6 +175,18 @@ class TestDatasetCsv:
         with pytest.raises(ValueError):
             Dataset.from_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,b,label\n", r"bad\.csv: no instance rows after the header$"),
+        ("a,b,label\n1,2,1\n3,2\n", r"bad\.csv, line 3: 2 fields, the header has 3$"),
+        ("a,b,label\n1,2,1\n1,x,2\n", r"bad\.csv, line 3: could not convert string to float: 'x'$"),
+        ("a,b,label\n1,2,one\n", r"bad\.csv, line 2: invalid literal for int\(\) .*'one'$"),
+    ], ids=["header-only", "short-row", "non-number", "non-integer-label"])
+    def test_malformed_row_named_by_its_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            Dataset.from_csv(path)
+
     def test_subset_alignment(self):
         ds = Dataset([10, 11, 12], np.eye(3), [1, 2, 1], ["a", "b", "c"])
         sub = ds.subset([2, 0])

@@ -217,9 +217,10 @@ class TestComponentStats:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_memo_keeps_one_period_per_start(self, seed):
-        # the memo keeps each start's walk up to one cycle period, exactly
-        # as walk() reports it, and indexes only the moves out of those
-        # vertices (none at mu 0, where no walk moves)
+        # row s of the memo holds start s's walk up to one cycle period,
+        # exactly as walk() reports it, and the row positions of the moves
+        # out of those vertices (none at mu 0, where no walk moves); the
+        # rows are padded to the longest with n and -1
         rng = random.Random(900 + seed)
         if seed % 4 == 3:
             n = rng.randint(3, 10)
@@ -230,21 +231,21 @@ class TestComponentStats:
             if seed % 2:
                 positions = _lattice_snap(positions)
         graph = component_from_points(positions, edges)
+        n = len(graph.ids)
         for mu in range(9):
             detail = walk_detail(graph, mu)
-            mask = (1 << detail.low) - 1
-            for s, (t, c, traj) in enumerate(detail.starts):
+            width = max(t + (c or 1) for t, c in detail.starts)
+            assert detail.verts.shape == detail.picks.shape == (n, width)
+            for s, (t, c) in enumerate(detail.starts):
                 got = walk(graph, graph.ids[s], mu)
-                assert (t, c, tuple(graph.ids[i] for i in traj)) == (
-                    got.transient, got.cycle, got.trajectory)
-            recorded = 0
-            for u, moves in enumerate(detail.moves):
-                for move in moves:
-                    k, s = divmod(move & mask, len(graph.ids))
-                    assert detail.starts[s][2][k] == u
-                    recorded += 1
-            kept = sum(len(traj) for _, _, traj in detail.starts)
-            assert recorded == (0 if mu == 0 else kept)
+                assert (t, c) == (got.transient, got.cycle)
+                end = len(got.trajectory)
+                verts = detail.verts[s].tolist()
+                assert [graph.ids[i] for i in verts[:end]] == list(got.trajectory)
+                assert verts[end:] == [n] * (width - end)
+                picks = _walk_indices(graph.rows, [(s,)], mu)[0][3][:end]
+                assert len(picks) == (0 if mu == 0 else end)
+                assert detail.picks[s].tolist() == picks + [-1] * (width - len(picks))
 
 
 def _blob_dataset(seed=5, per_class=8, classes=(1, 2), spread=0.5, gap=6.0):
@@ -488,7 +489,8 @@ class TestSharedStateTable:
         adj = oracle_neighbors(full_positions, edges + [(test_id, v) for v in linked])
         for mu in range(1, 9):
             prefixes = {}
-            for s, (_, _, traj) in enumerate(walk_detail(graph, mu).starts):
+            for s, row in enumerate(walk_detail(graph, mu).verts.tolist()):
+                traj = [v for v in row if v < n]
                 k = _first_deflection(rows, traj, mu, n)
                 if k is not None:
                     prefixes[s] = traj[:k + 1]
@@ -506,6 +508,47 @@ class TestSharedStateTable:
                 assert picks[:end - off] == want_picks[off:end]
                 assert (t, c) == oracle_walk(full_positions, adj, ids[s], mu)
                 _checked_picks(rows, traj, picks, off)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_resumes_exactly_the_first_deflections(self, seed, monkeypatch):
+        # augmented_means resumes each start whose base walk moves onto the
+        # test vertex n, from its first such move, and no other start; a
+        # brute-force scan of every base walk finds those moves
+        rng = random.Random(9000 + seed)
+        points, pairs = _random_graph(rng, seed)
+        positions = {2 * v: p for v, p in points.items()}
+        edges = [(2 * a, 2 * b) for a, b in pairs]
+        graph = component_from_points(positions, edges)
+        adj = oracle_neighbors(positions, edges)
+        test_id = 2 * rng.randint(0, len(positions)) - 1
+        point = (rng.random(), rng.random())
+        linked = rng.sample(sorted(positions), rng.randint(1, min(len(positions), 5)))
+        links = tuple((v, math.dist(point, positions[v])) for v in linked)
+        trial = InsertionTrial(test_id, [graph], [InsertionView(0, links)])
+        _, rows, _ = trial._aug[0]
+        n = len(graph.ids)
+        for mu in range(9):
+            walk_detail(graph, mu)  # the memo's own batch is not spied on
+        batches = []
+
+        def spy(rows, prefixes, mu):
+            batches.append([tuple(p) for p in prefixes])
+            return _walk_indices(rows, prefixes, mu)
+
+        monkeypatch.setattr("sensewalk.tourist._walk_indices", spy)
+        for mu in range(9):
+            want = []
+            for start in graph.ids if mu else ():
+                t, c = oracle_walk(positions, adj, start, mu)
+                traj = [graph.ids.index(v) for v in _trace(graph, start, mu, t + 2 * c)]
+                k = _first_deflection(rows, traj, mu, n)
+                if k is not None:
+                    want.append(tuple(traj[:k + 1]))
+            batches.clear()
+            trial.augmented_means(0, mu)
+            [batch] = batches
+            assert batch[-1] == (n,)
+            assert sorted(batch[:-1]) == want, mu
 
     # Explicit joins. In the batch a later walk stops at the first state an
     # earlier walk entered; the asserted trajectories are worked by hand.

@@ -1,18 +1,23 @@
 """Attribute-space class graphs: combined epsilon-radius / kNN formation.
 
-Each class of a labeled dataset becomes one connected graph component.
-A training vertex links to every same-class vertex closer than epsilon
+Each class of a labeled dataset becomes one connected graph component,
+built in index space from one pairwise distance matrix per class (any
+label other than ``None`` is a class). With no epsilon given, the build
+takes the median same-class distance from those same matrices. A
+training vertex links to every same-class vertex closer than epsilon
 when that ball holds more than kappa points (dense regions), and to its
-kappa nearest same-class vertices otherwise (sparse regions). Classes
-left disconnected by the local rule are bridged by one Kruskal pass that
-adds the shortest inter-component edges, ties to the smallest index pair.
+kappa nearest same-class vertices otherwise (sparse regions); the rule is
+one boolean matrix per class, symmetrised. Classes left disconnected by
+the local rule are bridged by one Kruskal pass that adds the shortest
+inter-component edges, ties to the smallest index pair.
 
 :class:`ClassGraph` is the only graph type. It lives in index space:
 vertex ``k`` is ``ids[k]`` (ids sorted), ``positions[k]`` its feature
 vector and ``rows[k]`` its neighbors as ``(distance, index)`` pairs sorted
 ascending. Because indices follow id order, scanning a row front to back
 realizes the tourist walk's movement rule (nearest first, ties to the
-smallest id); the constructor is the one place that sorts rows.
+smallest id); the constructor takes unsorted index-space rows and is the
+one place that sorts them.
 
 Test instances are inserted *virtually*: an :class:`InsertionView` lists
 the links a test point would make into one class component without ever
@@ -22,7 +27,6 @@ concurrently against the same graphs. The walk engine
 base rows instead of copying them.
 """
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,19 +75,20 @@ class InsertionView:
 class ClassGraph:
     """One class's component in index space.
 
-    ``edges`` are undirected ``(id_a, id_b, distance)`` triples, the form
-    :meth:`edges` returns; a pair listed twice is kept once. ``ids`` must
-    be strictly increasing, ``positions`` holds row ``k`` for ``ids[k]``.
+    ``ids`` must be strictly increasing and ``positions`` holds row ``k``
+    for ``ids[k]``. ``rows[k]`` lists vertex ``k``'s neighbors as
+    ``(distance, index)`` pairs in any order, each undirected edge in the
+    rows of both its ends; the constructor sorts every row.
 
     Immutable once built. The one mutable slot, ``_walks``, maps mu to a
     :class:`sensewalk.tourist.WalkDetail`: every start's transient and
     cycle, and its walk up to one period as a row of vertices beside a row
     of the row positions its moves took, which lets an insertion resume
     only the walks it deflects. :func:`sensewalk.tourist.walk_detail` is its
-    only reader and writer, and ``content_hash`` leaves it out.
+    only reader and writer.
     """
 
-    def __init__(self, class_id, ids, positions, edges, config):
+    def __init__(self, class_id, ids, positions, rows, config):
         self.class_id = class_id
         self.ids = list(ids)
         if any(b <= a for a, b in zip(self.ids, self.ids[1:])):
@@ -91,17 +96,7 @@ class ClassGraph:
         self.positions = np.array(positions, dtype=float)
         self.positions.flags.writeable = False
         self.config = config
-        index = {v: k for k, v in enumerate(self.ids)}
-        pairs = {}
-        for a, b, d in edges:
-            i, j = index[a], index[b]
-            pairs[min(i, j), max(i, j)] = float(d)
-        self.rows = [[] for _ in self.ids]
-        for (i, j), d in pairs.items():
-            self.rows[i].append((d, j))
-            self.rows[j].append((d, i))
-        for row in self.rows:
-            row.sort()
+        self.rows = [sorted(row) for row in rows]
         self._walks = {}
 
     @property
@@ -117,52 +112,36 @@ class ClassGraph:
             if j > k
         )
 
-    def is_connected(self):
-        if not self.ids:
-            return True
-        stack = [0]
-        visited = {0}
-        while stack:
-            for _, j in self.rows[stack.pop()]:
-                if j not in visited:
-                    visited.add(j)
-                    stack.append(j)
-        return len(visited) == len(self.ids)
-
-    def content_hash(self):
-        h = hashlib.sha256()
-        for v, position in zip(self.ids, self.positions):
-            h.update(repr(v).encode())
-            h.update(position.tobytes())
-        for a, b, d in self.edges():
-            h.update(repr((a, b)).encode())
-            h.update(np.float64(d).tobytes())
-        return h.hexdigest()
-
 
 def _pairwise_distances(X):
     diff = X[:, None, :] - X[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
 
 
-def default_epsilon(dataset):
-    """Median Euclidean distance over all labeled same-class pairs.
+def _class_distances(dataset):
+    """Every labeled class as ``(class_id, rows, D)``, classes sorted.
 
-    Raises ``ValueError`` when that median is 0, which happens when at
-    least half of the same-class pairs coincide.
+    Any label other than ``None`` is a class. ``rows`` are the class's
+    dataset rows in id order and ``D`` their pairwise distance matrix, the
+    one distance computation per class of a build.
     """
-    dists = []
-    labels = np.array([lab if lab is not None else -1 for lab in dataset.labels])
-    for class_id in sorted(set(labels[labels >= 0])):
-        X = dataset.X[labels == class_id]
-        if len(X) < 2:
-            continue
-        D = _pairwise_distances(X)
-        iu = np.triu_indices(len(X), k=1)
-        dists.extend(D[iu].tolist())
-    if not dists:
+    by_class = {}
+    for i, label in enumerate(dataset.labels):
+        if label is not None:
+            by_class.setdefault(label, []).append(i)
+    classes = []
+    for class_id in sorted(by_class):
+        rows = sorted(by_class[class_id], key=lambda r: dataset.ids[r])
+        classes.append((class_id, rows, _pairwise_distances(dataset.X[rows])))
+    return classes
+
+
+def _median_distance(classes):
+    """Median of every same-class pair's distance in ``_class_distances`` output."""
+    dists = [D[np.triu_indices(len(D), k=1)] for _, _, D in classes]
+    if not any(len(d) for d in dists):
         raise ClassTooSmall("no class has 2 or more labeled instances")
-    epsilon = float(np.median(dists))
+    epsilon = float(np.median(np.concatenate(dists)))
     if epsilon == 0.0:
         raise ValueError(
             "the median same-class distance is 0 because at least half of the "
@@ -171,28 +150,45 @@ def default_epsilon(dataset):
     return epsilon
 
 
-def _neighbor_choice(D, row, epsilon, kappa):
-    """Indices the combined rule links vertex ``row`` to: its epsilon ball
-    when that holds more than kappa vertices, else its kappa nearest."""
-    d = D[row].copy()
-    d[row] = np.inf
-    ball = np.nonzero(d < epsilon)[0]
-    if len(ball) > kappa:
-        return ball
-    order = np.argsort(d, kind="stable")  # ties fall back to id order
-    return order[: min(kappa, len(d) - 1)]
+def default_epsilon(dataset):
+    """Median Euclidean distance over all labeled same-class pairs.
+
+    Raises ``ValueError`` when that median is 0, which happens when at
+    least half of the same-class pairs coincide.
+    """
+    return _median_distance(_class_distances(dataset))
 
 
-def _bridges(D, pairs):
-    """Index pairs that join the pieces ``pairs`` leaves apart, shortest first.
+def _local_links(D, epsilon, kappa):
+    """The combined rule as a symmetric boolean adjacency matrix.
 
-    One Kruskal pass over all pairs sorted by (distance, i, j). A pair is
-    added only if it is the shortest one left between two pieces, so this
-    adds the same bridges in the same order as repeatedly taking the
-    globally shortest inter-component edge.
+    Vertex ``i`` links its epsilon ball when that holds more than kappa
+    other vertices, else its kappa nearest (a stable sort, so ties go to
+    the smaller index); a link either end chose is an edge.
+    """
+    d = D.copy()
+    np.fill_diagonal(d, np.inf)
+    ball = d < epsilon
+    nearest = np.argsort(d, axis=1, kind="stable")[:, : min(kappa, len(d) - 1)]
+    links = np.zeros_like(ball)
+    np.put_along_axis(links, nearest, True, axis=1)
+    dense = ball.sum(axis=1) > kappa
+    links[dense] = ball[dense]
+    return links | links.T
+
+
+def _bridges(D, links):
+    """Index pairs that join the pieces ``links`` leaves apart, shortest first.
+
+    Union-find over the unique local edges, then, only when more than one
+    piece is left, one Kruskal pass over all pairs sorted by (distance, i,
+    j). A pair is added only if it is the shortest one left between two
+    pieces, so this adds the same bridges in the same order as repeatedly
+    taking the globally shortest inter-component edge.
     """
     n = len(D)
     parent = list(range(n))
+    pieces = n
 
     def find(x):
         while parent[x] != x:
@@ -200,59 +196,55 @@ def _bridges(D, pairs):
             x = parent[x]
         return x
 
-    pieces = n
-    for i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            pieces -= 1
-    added = []
-    if pieces <= 1:
-        return added
-    iu, ju = np.triu_indices(n, k=1)
-    for k in np.lexsort((ju, iu, D[iu, ju])).tolist():
-        i, j = int(iu[k]), int(ju[k])
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            added.append((i, j))
-            pieces -= 1
+    def join(pairs):
+        """Union the pairs in order until one piece is left; returns the joining ones."""
+        nonlocal pieces
+        joined = []
+        for i, j in pairs:
             if pieces == 1:
                 break
-    return added
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
+                joined.append((i, j))
+                pieces -= 1
+        return joined
+
+    li, lj = np.nonzero(np.triu(links, k=1))
+    join(zip(li.tolist(), lj.tolist()))
+    if pieces == 1:
+        return []
+    iu, ju = np.triu_indices(n, k=1)
+    order = np.lexsort((ju, iu, D[iu, ju]))
+    return join(zip(iu[order].tolist(), ju[order].tolist()))
 
 
 def build_training_graph(dataset, config=None):
-    """Build one connected ClassGraph per class of a labeled dataset."""
-    config = config or GraphConfig()
-    by_class = {}
-    for i, label in enumerate(dataset.labels):
-        if label is not None:
-            by_class.setdefault(label, []).append(i)
+    """Build one connected ClassGraph per class of a labeled dataset.
 
-    if not by_class:
+    Each class's distance matrix is computed once; with ``epsilon=None``
+    the median is taken over those same matrices.
+    """
+    config = config or GraphConfig()
+    classes = _class_distances(dataset)
+    if not classes:
         raise ClassTooSmall("dataset has no labeled instances")
-    for class_id, rows in by_class.items():
+    for class_id, rows, _ in classes:
         if len(rows) < 2:
             raise ClassTooSmall(f"class {class_id} has {len(rows)} instance(s); need >= 2")
 
-    epsilon = config.epsilon if config.epsilon is not None else default_epsilon(dataset)
+    epsilon = config.epsilon if config.epsilon is not None else _median_distance(classes)
     resolved = GraphConfig(epsilon, config.kappa, config.fallback_factor)
 
     graphs = []
-    for class_id in sorted(by_class):
-        rows = sorted(by_class[class_id], key=lambda r: dataset.ids[r])
+    for class_id, rows, D in classes:
+        links = _local_links(D, epsilon, config.kappa)
+        for i, j in _bridges(D, links):
+            links[i, j] = links[j, i] = True
+        adjacency = [zip(D[k, row].tolist(), np.flatnonzero(row).tolist())
+                     for k, row in enumerate(links)]
         ids = [dataset.ids[r] for r in rows]
-        X = dataset.X[rows]
-        D = _pairwise_distances(X)
-        pairs = [
-            (i, j)
-            for i in range(len(ids))
-            for j in _neighbor_choice(D, i, epsilon, resolved.kappa).tolist()
-        ]
-        pairs += _bridges(D, pairs)
-        edges = [(ids[i], ids[j], D[i, j]) for i, j in pairs]
-        graphs.append(ClassGraph(class_id, ids, X, edges, resolved))
+        graphs.append(ClassGraph(class_id, ids, dataset.X[rows], adjacency, resolved))
     return graphs
 
 

@@ -79,9 +79,6 @@ class Document:
     raw_text: str
     tokens: tuple[Token, ...]
 
-    def content_tokens(self):
-        return [t for t in self.tokens if t.is_content]
-
     def content_lemmas(self):
         return [t.lemma for t in self.tokens if t.is_content]
 

@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
 
+from sensewalk import attgraph
 from sensewalk.attgraph import (
     ClassGraph,
     ClassTooSmall,
     GraphConfig,
     _bridges,
-    _neighbor_choice,
-    _pairwise_distances,
     build_training_graph,
     default_epsilon,
     insert_test,
     write_class_graphs,
 )
-from sensewalk.features import Dataset
+from sensewalk.evaluate import make_fold_plan, make_synthetic_corpus
+from sensewalk.features import (
+    Dataset,
+    feature_stats,
+    semantic_features,
+    semantic_vocabulary,
+    standardize,
+)
 
 
 def make_dataset(points, labels, ids=None):
@@ -26,6 +32,27 @@ def make_dataset(points, labels, ids=None):
 def neighbors(graph, v):
     """Ids adjacent to vertex id ``v``."""
     return {graph.ids[j] for _, j in graph.rows[graph.ids.index(v)]}
+
+
+def snapshot(graph):
+    """Everything a built graph holds, floats as their exact bits."""
+    return (
+        graph.class_id,
+        list(graph.ids),
+        graph.positions.tobytes(),
+        [[(d.hex(), j) for d, j in row] for row in graph.rows],
+        [(a, b, d.hex()) for a, b, d in graph.edges()],
+    )
+
+
+def is_connected(graph):
+    """Breadth-first search over ``rows`` from vertex 0 reaches every vertex."""
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        frontier = [j for k in frontier for _, j in graph.rows[k] if j not in seen]
+        seen.update(frontier)
+    return len(seen) == graph.vertex_count
 
 
 class TestBuildRule:
@@ -84,7 +111,7 @@ class TestBuildRule:
         X = np.vstack([rng.normal(0, 0.2, size=(6, 2)), rng.normal(20, 0.2, size=(6, 2))])
         ds = make_dataset(X, [1] * 12)
         graphs = build_training_graph(ds, GraphConfig(epsilon=0.5, kappa=2))
-        assert graphs[0].is_connected()
+        assert is_connected(graphs[0])
 
     def test_class_too_small(self):
         ds = make_dataset([[0, 0], [1, 1], [2, 2]], [1, 1, 2])
@@ -140,10 +167,10 @@ class TestInsertTest:
 
     def test_insertion_does_not_mutate_graphs(self):
         graphs, _ = self._two_class_graphs()
-        before = [g.content_hash() for g in graphs]
+        before = [snapshot(g) for g in graphs]
         insert_test(np.array([0.1, 0.1]), graphs)
         insert_test(np.array([100.0, 100.0]), graphs)
-        assert [g.content_hash() for g in graphs] == before
+        assert [snapshot(g) for g in graphs] == before
 
     def test_mirrored_components_symmetric_views(self):
         rng = np.random.default_rng(7)
@@ -210,9 +237,10 @@ class TestBridging:
     def _pieces(self, ds, class_id):
         rows = [i for i, lab in enumerate(ds.labels) if lab == class_id]
         ids = [ds.ids[r] for r in rows]
-        D = _pairwise_distances(ds.X[rows])
+        D = _reference_distances(ds.X[rows])
         pairs = [(i, j) for i in range(len(ids))
-                 for j in _neighbor_choice(D, i, self.CONFIG.epsilon, self.CONFIG.kappa).tolist()]
+                 for j in _reference_neighbor_choice(D, i, self.CONFIG.epsilon,
+                                                     self.CONFIG.kappa).tolist()]
         return ids, D, pairs
 
     @pytest.mark.parametrize("seed", range(6))
@@ -224,7 +252,9 @@ class TestBridging:
             ids, D, pairs = self._pieces(ds, g.class_id)
             want_bridges = _repeated_scan_bridges(D, pairs)
             assert len(want_bridges) >= 2
-            assert _bridges(D, pairs) == want_bridges
+            links = np.zeros(D.shape, dtype=bool)
+            links[tuple(zip(*pairs))] = True
+            assert _bridges(D, links | links.T) == want_bridges
             want = {(min(i, j), max(i, j)) for i, j in pairs + want_bridges}
             assert g.edges() == sorted((ids[i], ids[j], D[i, j]) for i, j in want)
 
@@ -235,12 +265,236 @@ class TestBridging:
         assert len(set(lengths)) < len(lengths)
 
 
-def test_round_trip_through_edges_keeps_content_hash():
+# -- the per-vertex builder, the reference the index-space build must match bit for bit
+
+
+def _reference_distances(X):
+    diff = X[:, None, :] - X[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def _reference_neighbor_choice(D, row, epsilon, kappa):
+    """Indices the combined rule links vertex ``row`` to: its epsilon ball
+    when that holds more than kappa vertices, else its kappa nearest."""
+    d = D[row].copy()
+    d[row] = np.inf
+    ball = np.nonzero(d < epsilon)[0]
+    if len(ball) > kappa:
+        return ball
+    order = np.argsort(d, kind="stable")  # ties fall back to id order
+    return order[: min(kappa, len(d) - 1)]
+
+
+def _reference_bridges(D, pairs):
+    """Kruskal over every directed pair, then over all pairs by (distance, i, j)."""
+    n = len(D)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    pieces = n
+    for i, j in pairs:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            pieces -= 1
+    added = []
+    if pieces <= 1:
+        return added
+    iu, ju = np.triu_indices(n, k=1)
+    for k in np.lexsort((ju, iu, D[iu, ju])).tolist():
+        i, j = int(iu[k]), int(ju[k])
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            added.append((i, j))
+            pieces -= 1
+            if pieces == 1:
+                break
+    return added
+
+
+def _rows_from_id_edges(ids, edges):
+    """Sorted index-space rows of ``(id_a, id_b, distance)`` edges, a pair
+    listed twice kept once: the constructor's old id-edge path."""
+    index = {v: k for k, v in enumerate(ids)}
+    pairs = {}
+    for a, b, d in edges:
+        i, j = index[a], index[b]
+        pairs[min(i, j), max(i, j)] = float(d)
+    rows = [[] for _ in ids]
+    for (i, j), d in pairs.items():
+        rows[i].append((d, j))
+        rows[j].append((d, i))
+    return [sorted(row) for row in rows]
+
+
+def reference_build_training_graph(dataset, config):
+    """``(class_id, ids, rows, epsilon)`` per class, as the per-vertex builder made them.
+
+    Each class's distances are computed once for the median epsilon (in
+    dataset row order) and again for the graph (in id order), the rule
+    runs once per vertex and the edges go through ids before the rows are
+    built.
+    """
+    by_class = {}
+    for i, label in enumerate(dataset.labels):
+        if label is not None:
+            by_class.setdefault(label, []).append(i)
+    epsilon = config.epsilon
+    if epsilon is None:
+        dists = []
+        for class_id in sorted(by_class):
+            D = _reference_distances(dataset.X[by_class[class_id]])
+            dists.extend(D[np.triu_indices(len(D), k=1)].tolist())
+        epsilon = float(np.median(dists))
+    graphs = []
+    for class_id in sorted(by_class):
+        rows = sorted(by_class[class_id], key=lambda r: dataset.ids[r])
+        ids = [dataset.ids[r] for r in rows]
+        D = _reference_distances(dataset.X[rows])
+        pairs = [(i, j) for i in range(len(ids))
+                 for j in _reference_neighbor_choice(D, i, epsilon, config.kappa).tolist()]
+        pairs += _reference_bridges(D, pairs)
+        edges = [(ids[i], ids[j], D[i, j]) for i, j in pairs]
+        graphs.append((class_id, ids, _rows_from_id_edges(ids, edges), epsilon))
+    return graphs
+
+
+def _clouds(seed, sizes, spread):
+    """One class per size: a tight core (dense regime) plus outliers spread
+    ``spread`` wide (sparse regime), ids shuffled against row order."""
+    rng = np.random.default_rng(seed)
+    X, labels = [], []
+    for class_id, n in enumerate(sizes):
+        core = rng.normal(class_id, 0.2, size=(n - n // 3, 3))
+        far = rng.uniform(-spread, spread, size=(n // 3, 3))
+        X += [core, far]
+        labels += [class_id] * n
+    ids = rng.permutation(len(labels)).tolist()
+    return make_dataset(np.vstack(X), labels, ids)
+
+
+def _lattice(seed, n_per_class):
+    """Points on a 0.25 lattice, so distances tie exactly and often."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 8, size=(2 * n_per_class, 2)) * 0.25
+    return make_dataset(X, [3] * n_per_class + [5] * n_per_class)
+
+
+def _semantic_training_folds(seed):
+    """Standardized training folds of the noisy synthetic corpus, as
+    cross-validation hands them to the builder."""
+    documents, annotations = make_synthetic_corpus(noise=0.35, seed=7 + seed)
+    streams = {doc_id: doc.content_lemmas() for doc_id, doc in documents.items()}
+    annotations = sorted(annotations, key=lambda a: (a.document_id, a.position))
+    labels = [a.sense_id for a in annotations]
+    folds = []
+    for train_idx, _ in make_fold_plan(labels, 10, seed).folds:
+        train = [annotations[i] for i in train_idx]
+        ds = semantic_features(streams, train, 5, semantic_vocabulary(streams, train, 5))
+        folds.append(standardize(ds, feature_stats(ds)))
+    return folds
+
+
+EQUIVALENCE_CASES = {
+    **{f"mixed-regimes-{seed}-eps-{eps}": (_clouds(seed, (24, 31, 17), 3.0),
+                                           GraphConfig(epsilon=eps, kappa=3))
+       for seed in range(3) for eps in (None, 0.6)},
+    **{f"lattice-ties-{seed}-eps-{eps}": (_lattice(seed, 40), GraphConfig(epsilon=eps, kappa=k))
+       for seed in range(3) for eps, k in ((None, 3), (0.5, 3), (0.25, 2), (0.75, 6))},
+    "duplicates-explicit-eps": (
+        make_dataset([[0, 0]] * 7 + [[1, 0]] * 3 + [[1, 1]] * 6 + [[4, 4]] * 2,
+                     [1] * 10 + [2] * 8),
+        GraphConfig(epsilon=0.5, kappa=3)),
+    "two-point-classes": (make_dataset([[0, 0], [1, 2], [5, 5], [5, 6.5], [9, 0], [9, 0]],
+                                       [1, 1, 2, 2, 3, 3]), GraphConfig(kappa=1)),
+    "kappa-at-least-n-minus-1": (_clouds(4, (4, 5, 6), 2.0), GraphConfig(epsilon=0.3, kappa=5)),
+    "kappa-far-beyond-n": (_clouds(5, (3, 7), 2.0), GraphConfig(kappa=50)),
+    **{f"multi-blob-{seed}-{'translated' if t else 'random'}": (
+        _multi_blob_dataset(seed, t), GraphConfig(epsilon=1.5, kappa=2))
+       for seed in range(6) for t in (False, True)},
+}
+
+
+class TestReferenceBuilder:
+    @staticmethod
+    def assert_matches_reference(graphs, dataset, config):
+        want = reference_build_training_graph(dataset, config)
+        assert len(graphs) == len(want)
+        for g, (class_id, ids, rows, epsilon) in zip(graphs, want):
+            assert (g.class_id, g.ids) == (class_id, ids)
+            assert [[(d.hex(), j) for d, j in row] for row in g.rows] == \
+                [[(d.hex(), j) for d, j in row] for row in rows]
+            assert [(a, b, d.hex()) for a, b, d in g.edges()] == sorted(
+                (ids[k], ids[j], d.hex()) for k, row in enumerate(rows) for d, j in row if j > k)
+            assert g.config.epsilon.hex() == epsilon.hex()
+
+    @pytest.mark.parametrize("case", EQUIVALENCE_CASES)
+    def test_rows_edges_and_epsilon_are_bit_identical(self, case):
+        ds, config = EQUIVALENCE_CASES[case]
+        self.assert_matches_reference(build_training_graph(ds, config), ds, config)
+
+    def test_training_folds_of_the_noisy_corpus(self):
+        for z in _semantic_training_folds(0):
+            self.assert_matches_reference(build_training_graph(z), z, GraphConfig())
+
+    def test_cases_cover_both_regimes_and_bridges(self):
+        """The cases exercise what they are named for."""
+        dense = sparse = bridged = 0
+        for ds, config in EQUIVALENCE_CASES.values():
+            for class_id, ids, rows, epsilon in reference_build_training_graph(ds, config):
+                X = ds.X[[ds.ids.index(v) for v in ids]]
+                D = _reference_distances(X)
+                picked = [(i, j) for i in range(len(ids))
+                          for j in _reference_neighbor_choice(D, i, epsilon, config.kappa)]
+                balls = (D < epsilon).sum(axis=1) - 1
+                dense += int((balls > config.kappa).sum())
+                sparse += int((balls <= config.kappa).sum())
+                bridged += len(_reference_bridges(D, picked)) > 0
+        assert dense > 100 and sparse > 100 and bridged >= 24
+
+
+def test_one_distance_matrix_per_class(monkeypatch):
+    sizes = []
+    real = attgraph._pairwise_distances
+
+    def counting(X):
+        sizes.append(len(X))
+        return real(X)
+
+    monkeypatch.setattr(attgraph, "_pairwise_distances", counting)
+    ds = _clouds(0, (6, 9, 4), 2.0)
+    build_training_graph(ds)
+    assert sizes == [6, 9, 4]  # epsilon=None takes the median from the same matrices
+    sizes.clear()
+    build_training_graph(ds, GraphConfig(epsilon=1.0))
+    assert sizes == [6, 9, 4]
+
+
+@pytest.mark.parametrize("labels", [[-1, 2], [-2, -3], ["bank", "shore"]],
+                         ids=["negative-and-positive", "all-negative", "strings"])
+def test_epsilon_comes_from_every_labeled_class(labels):
+    # same-class distances {1, 3, 2} and {3, 1, 4}: median 2.5 over both
+    # classes, 3.0 over the second alone
+    first, second = labels
+    ds = make_dataset([[0], [1], [3], [10], [13], [14]], [first] * 3 + [second] * 3)
+    assert default_epsilon(ds) == 2.5
+    graphs = build_training_graph(ds)
+    assert [g.class_id for g in graphs] == sorted(labels)
+    assert [g.config.epsilon for g in graphs] == [2.5, 2.5]
+
+
+def test_round_trip_through_edges_keeps_the_graph():
     ds = _multi_blob_dataset(1, translated=False)
     for g in build_training_graph(ds, GraphConfig(epsilon=1.5, kappa=2)):
-        copy = ClassGraph(g.class_id, g.ids, g.positions, g.edges(), g.config)
-        assert copy.content_hash() == g.content_hash()
-        assert copy.rows == g.rows
+        rows = _rows_from_id_edges(g.ids, g.edges())
+        copy = ClassGraph(g.class_id, g.ids, g.positions, rows, g.config)
+        assert snapshot(copy) == snapshot(g)
 
 
 def test_graph_dump_format(tmp_path):

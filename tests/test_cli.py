@@ -104,7 +104,7 @@ def test_evaluate_on_features(corpus_dir, tmp_path, capsys):
                  "--report", str(report)]) == 0
     out = capsys.readouterr().out
     assert "accuracy=" in out
-    rows = list(csv.reader(report.open()))
+    rows = list(csv.reader(report.read_text().splitlines()))
     assert rows[0] == ["word", "paradigm", "algorithm", "lambda", "accuracy", "p_value"]
     assert len(rows) == 2
 
@@ -137,6 +137,23 @@ def test_evaluate_dumps(corpus_dir, tmp_path):
     assert all(len(line.split("\t")) == 4 for line in lines)
 
 
+@pytest.mark.parametrize("labels", [(-1, 2), (-2, -3)], ids=["mixed-sign", "all-negative"])
+def test_default_epsilon_spans_every_class(tmp_path, labels):
+    # same-class gaps {1, 1, 2} and {1, 3, 4}: the median over both classes
+    # (1.5) links each class as a path; the second class's alone (3) would
+    # also link ids 0 and 2, and negative labels alone used to leave no class
+    first, second = labels
+    feats = tmp_path / "features.csv"
+    feats.write_text("f0,label\n" + "".join(
+        f"{x},{label}\n" for x, label in zip([0, 1, 2, 10, 11, 14], [first] * 3 + [second] * 3)))
+    graphs = tmp_path / "graphs.tsv"
+    assert main(["evaluate", "--features", str(feats), "--kappa", "1", "--folds", "3",
+                 "--lambda", "0.5", "--dump-graphs", str(graphs)]) == 0
+    edges = {tuple(line.split("\t")[:3]) for line in graphs.read_text().splitlines()}
+    assert edges == {(str(first), "0", "1"), (str(first), "1", "2"),
+                     (str(second), "3", "4"), (str(second), "4", "5")}
+
+
 def test_sweep_with_config_file(corpus_dir, tmp_path, capsys):
     root, ann = corpus_dir
     feats = tmp_path / "features.csv"
@@ -153,7 +170,7 @@ def test_sweep_with_config_file(corpus_dir, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--features", str(feats), "--config", str(config),
                  "--out", str(out)]) == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert len(rows) == 3  # header + 2 lambdas x 1 classifier
     assert {r[3] for r in rows[1:]} == {"0.00", "0.50"}
     assert "best lambda" in capsys.readouterr().out
@@ -185,7 +202,7 @@ def test_walk_curves(corpus_dir, tmp_path, capsys):
     out = tmp_path / "curves.csv"
     assert main(["walk-curves", "--features", str(feats), "--mu-max", "6",
                  "--out", str(out)]) == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["class", "mu", "mean_transient", "mean_cycle", "steady_state_mu"]
     assert len(rows) == 1 + 2 * 7
     assert "steady state" in capsys.readouterr().out
@@ -197,7 +214,7 @@ def test_toy_command(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "lambda=0.0: probe -> class 2" in printed
     assert "lambda=0.8: probe -> class 1" in printed
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["lambda", "predicted_class", "structured_membership"]
     assert len(rows) == 22
 

@@ -26,10 +26,26 @@ from walk_oracle import oracle_neighbors, oracle_walk, random_geometric_graph
 
 
 def graph_from_edges(positions, weighted_edges):
-    """ClassGraph over explicit coordinates and (id_a, id_b, distance) edges."""
+    """ClassGraph over explicit coordinates and (id_a, id_b, distance) edges;
+    a pair listed twice is kept once."""
     ids = sorted(positions)
     coords = np.array([positions[v] for v in ids], dtype=float)
-    return ClassGraph(0, ids, coords, weighted_edges, GraphConfig())
+    index = {v: k for k, v in enumerate(ids)}
+    pairs = {}
+    for a, b, d in weighted_edges:
+        i, j = index[a], index[b]
+        pairs[min(i, j), max(i, j)] = float(d)
+    rows = [[] for _ in ids]
+    for (i, j), d in pairs.items():
+        rows[i].append((d, j))
+        rows[j].append((d, i))
+    return ClassGraph(0, ids, coords, rows, GraphConfig())
+
+
+def snapshot(graph):
+    """A graph's ids, positions and rows, floats as their exact bits."""
+    rows = [[(d.hex(), j) for d, j in row] for row in graph.rows]
+    return list(graph.ids), graph.positions.tobytes(), rows
 
 
 def component_from_points(positions, edges):
@@ -322,11 +338,11 @@ class TestInsertionVariation:
 
     def test_insertion_leaves_graphs_unchanged(self):
         graphs, views = self._setup([0.3, 0.2])
-        before = [g.content_hash() for g in graphs]
+        before = [snapshot(g) for g in graphs]
         trial = InsertionTrial(99, graphs, views)
         for mu in range(4):
             trial.variations(mu)
-        assert [g.content_hash() for g in graphs] == before
+        assert [snapshot(g) for g in graphs] == before
 
 
 def _means_bruteforce(comp, mu):
@@ -340,10 +356,9 @@ def _means_bruteforce(comp, mu):
 
 def _rebuilt_with(graph, new_id, position, links):
     """The augmented graph built from scratch: base edges plus the links."""
-    ids = sorted(graph.ids + [new_id])
-    positions = np.insert(graph.positions, ids.index(new_id), position, axis=0)
-    edges = graph.edges() + [(new_id, vid, dist) for vid, dist in links]
-    return ClassGraph(graph.class_id, ids, positions, edges, graph.config)
+    positions = dict(zip(graph.ids, graph.positions.tolist()))
+    positions[new_id] = position
+    return graph_from_edges(positions, graph.edges() + [(new_id, vid, d) for vid, d in links])
 
 
 class TestInsertionOverlay:

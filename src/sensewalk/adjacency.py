@@ -24,7 +24,7 @@ tables), and later calls look up one row.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,19 +45,11 @@ class NodeTopology:
     avg_shortest_path: float
     betweenness: float
 
-    FIELD_NAMES = (
-        "hier_degree_1",
-        "hier_degree_2",
-        "hier_clustering_1",
-        "hier_clustering_2",
-        "neighbor_degree_mean",
-        "neighbor_degree_std",
-        "avg_shortest_path",
-        "betweenness",
-    )
-
     def as_vector(self):
         return [getattr(self, name) for name in self.FIELD_NAMES]
+
+
+NodeTopology.FIELD_NAMES = tuple(f.name for f in fields(NodeTopology))
 
 
 class WordAdjacencyNetwork:

@@ -1,15 +1,15 @@
 """Attribute-space class graphs: combined epsilon-radius / kNN formation.
 
-Each class of a labeled dataset becomes one connected graph component,
-built in index space from one pairwise distance matrix per class (any
-label other than ``None`` is a class). With no epsilon given, the build
-takes the median same-class distance from those same matrices. A
-training vertex links to every same-class vertex closer than epsilon
-when that ball holds more than kappa points (dense regions), and to its
-kappa nearest same-class vertices otherwise (sparse regions); the rule is
-one boolean matrix per class, symmetrised. Classes left disconnected by
-the local rule are bridged by one Kruskal pass that adds the shortest
-inter-component edges, ties to the smallest index pair.
+Each class in the dataset's class index (any label other than ``None``;
+unlabeled rows are skipped) becomes one connected graph component, built
+in index space from one pairwise distance matrix per class. With no
+epsilon given, the build takes the median same-class distance from those
+same matrices. A training vertex links to every same-class vertex closer
+than epsilon when that ball holds more than kappa points (dense regions),
+and to its kappa nearest same-class vertices otherwise (sparse regions);
+the rule is one boolean matrix per class, symmetrised. Classes left
+disconnected by the local rule are bridged by one Kruskal pass that adds
+the shortest inter-component edges, ties to the smallest index pair.
 
 :class:`ClassGraph` is the only graph type. It lives in index space:
 vertex ``k`` is ``ids[k]`` (ids sorted), ``positions[k]`` its feature
@@ -113,25 +113,26 @@ class ClassGraph:
         )
 
 
+def euclidean(A, B):
+    """Euclidean distances between the rows of ``A`` and ``B``, broadcast."""
+    diff = A - B
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
 def _pairwise_distances(X):
-    diff = X[:, None, :] - X[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    return euclidean(X[:, None, :], X[None, :, :])
 
 
 def _class_distances(dataset):
     """Every labeled class as ``(class_id, rows, D)``, classes sorted.
 
-    Any label other than ``None`` is a class. ``rows`` are the class's
-    dataset rows in id order and ``D`` their pairwise distance matrix, the
-    one distance computation per class of a build.
+    ``rows`` are the class's dataset rows in id order and ``D`` their
+    pairwise distance matrix, the one distance computation per class of a
+    build.
     """
-    by_class = {}
-    for i, label in enumerate(dataset.labels):
-        if label is not None:
-            by_class.setdefault(label, []).append(i)
     classes = []
-    for class_id in sorted(by_class):
-        rows = sorted(by_class[class_id], key=lambda r: dataset.ids[r])
+    for class_id in dataset.classes():
+        rows = sorted(dataset.class_rows[class_id], key=lambda r: dataset.ids[r])
         classes.append((class_id, rows, _pairwise_distances(dataset.X[rows])))
     return classes
 
@@ -256,11 +257,11 @@ def insert_test(instance_features, class_graphs):
     ``epsilon * fallback_factor``, the kappa nearest vertices are linked
     instead; beyond that the view stays empty.
     """
-    x = np.asarray(getattr(instance_features, "features", instance_features), dtype=float)
+    x = np.asarray(instance_features, dtype=float)
     views = []
     for graph in class_graphs:
         cfg = graph.config
-        d = np.sqrt(((graph.positions - x) ** 2).sum(axis=1))
+        d = euclidean(graph.positions, x)
         within = np.nonzero(d < cfg.epsilon)[0]
         if len(within) > 0:
             links = tuple((graph.ids[int(i)], float(d[i])) for i in within)

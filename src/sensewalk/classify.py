@@ -18,6 +18,8 @@ boundaries in one array pass, ties going to the smallest feature index,
 then the smallest threshold. Trees grow from an explicit stack, so their
 depth is not limited by the recursion limit.
 
+The low-level classifiers read the training set's class index
+(:class:`sensewalk.features.Dataset`) and refuse unlabeled training rows.
 Trained models are immutable; predictions write nothing but the class
 graphs' walk memos, and are safe to run concurrently across test instances.
 """
@@ -25,13 +27,13 @@ graphs' walk memos, and are safe to run concurrently across test instances.
 import io
 import logging
 import math
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tourist import InsertionTrial
+from .attgraph import euclidean
+from .tourist import InsertionTrial, normalize
 
 log = logging.getLogger(__name__)
 
@@ -54,10 +56,7 @@ class MembershipVector:
 
     @classmethod
     def normalized(cls, raw):
-        total = sum(raw.values())
-        if total <= 0:
-            return cls({c: 1.0 / len(raw) for c in raw})
-        return cls({c: v / total for c, v in raw.items()})
+        return cls(normalize(raw))
 
 
 @dataclass(frozen=True)
@@ -81,6 +80,13 @@ class HighLevelConfig:
         return 1.0 - self.alpha_t
 
 
+def _training_classes(train_dataset):
+    """The sorted classes of a training set whose every row is labeled."""
+    if sum(len(rows) for rows in train_dataset.class_rows.values()) != len(train_dataset):
+        raise ValueError("training labels must all be set")
+    return train_dataset.classes()
+
+
 # ---------------------------------------------------------------------------
 # k-nearest neighbors
 
@@ -90,15 +96,14 @@ def knn_predict(train_dataset, x, k=1):
     all of them when there are no more than k."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
-    x = np.asarray(getattr(x, "features", x), dtype=float)
-    d = np.sqrt(((train_dataset.X - x) ** 2).sum(axis=1))
+    classes = _training_classes(train_dataset)
+    d = euclidean(train_dataset.X, np.asarray(x, dtype=float))
     near = range(len(d))
     if k < len(d):  # only rows within the k-th smallest distance can be among the k nearest
         near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1]).tolist()
     order = sorted(near, key=lambda i: (d[i], train_dataset.ids[i]))
     votes = Counter(train_dataset.labels[i] for i in order[:k])
-    classes = train_dataset.classes()
-    return MembershipVector({c: votes.get(c, 0) / min(k, len(d)) for c in classes})
+    return MembershipVector.normalized({c: votes.get(c, 0) for c in classes})
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +133,13 @@ def bayes_train(train_dataset):
     Bandwidths follow Silverman's rule of thumb, floored so single-point
     classes stay well-defined.
     """
-    classes = tuple(train_dataset.classes())
-    n_total = sum(train_dataset.class_counts.values())
+    classes = tuple(_training_classes(train_dataset))
     log_priors, values, bandwidths = {}, {}, {}
     for c in classes:
-        rows = [i for i, lab in enumerate(train_dataset.labels) if lab == c]
-        V = train_dataset.X[rows]
+        V = train_dataset.X[train_dataset.class_rows[c]]
         values[c] = V
         bandwidths[c] = np.maximum(_silverman(V), _BANDWIDTH_FLOOR)
-        log_priors[c] = math.log(len(rows) / n_total)
+        log_priors[c] = math.log(len(V) / len(train_dataset))
     return BayesModel(classes, log_priors, values, bandwidths, tuple(train_dataset.feature_names))
 
 
@@ -150,7 +153,7 @@ def _log_kde(x, values, h):
 
 def bayes_predict(model, x):
     """Posterior memberships under the attribute-independence hypothesis."""
-    x = np.asarray(getattr(x, "features", x), dtype=float)
+    x = np.asarray(x, dtype=float)
     log_scores = {}
     for c in model.classes:
         log_scores[c] = model.log_priors[c] + _log_kde(x, model.values[c], model.bandwidths[c]).sum()
@@ -270,17 +273,15 @@ def c45_train(train_dataset, min_size=2):
     an explicit stack, so depth is not bounded by the recursion limit.
     """
     X = train_dataset.X
-    y = list(train_dataset.labels)
-    if any(lab is None for lab in y):
-        raise ValueError("training labels must all be set")
-    classes = tuple(sorted(set(y)))
-    index = {c: i for i, c in enumerate(classes)}
-    codes = np.array([index[lab] for lab in y], dtype=np.intp)
+    classes = tuple(_training_classes(train_dataset))
+    codes = np.empty(len(X), dtype=np.intp)
+    for i, c in enumerate(classes):
+        codes[train_dataset.class_rows[c]] = i
     XT = X.T
     features = np.arange(X.shape[1])[:, None]
-    go_left = np.zeros(len(y), dtype=bool)
+    go_left = np.zeros(len(X), dtype=bool)
     root = TreeNode()
-    stack = [(root, np.arange(len(y)), np.argsort(X, axis=0, kind="stable").T)]
+    stack = [(root, np.arange(len(X)), np.argsort(X, axis=0, kind="stable").T)]
     while stack:
         node, rows, order = stack.pop()
         # class counts in order of first appearance along the (ascending)
@@ -312,12 +313,11 @@ def c45_train(train_dataset, min_size=2):
 
 def c45_predict(tree, x):
     """Walk threshold tests to a leaf; membership = leaf class proportions."""
-    x = np.asarray(getattr(x, "features", x), dtype=float)
+    x = np.asarray(x, dtype=float)
     node = tree.root
     while not node.is_leaf:
         node = node.left if x[node.feature] <= node.threshold else node.right
-    total = sum(node.counts.values())
-    return MembershipVector({c: node.counts.get(c, 0) / total for c in tree.classes})
+    return MembershipVector.normalized({c: node.counts.get(c, 0) for c in tree.classes})
 
 
 def tree_to_text(tree, feature_names=None):
@@ -361,8 +361,7 @@ def combine_walk_variations(variations, priors, config):
 
 
 def class_priors(class_graphs):
-    total = sum(g.vertex_count for g in class_graphs)
-    return {g.class_id: g.vertex_count / total for g in class_graphs}
+    return normalize({g.class_id: g.vertex_count for g in class_graphs})
 
 
 def high_level_predict(test_instance, class_graphs, config, views):
@@ -373,15 +372,7 @@ def high_level_predict(test_instance, class_graphs, config, views):
     Raises :class:`sensewalk.tourist.AllViewsEmpty` when the instance
     links into no class; callers fall back to the low-level membership.
     """
-    test_id = getattr(test_instance, "id", None)
-    try:
-        for graph in class_graphs:
-            bisect_left(graph.ids, test_id)
-    except TypeError:
-        raise ValueError(
-            f"the test instance needs an id comparable with the training ids, got {test_id!r}"
-        ) from None
-    trial = InsertionTrial(test_id, class_graphs, views)
+    trial = InsertionTrial(getattr(test_instance, "id", None), class_graphs, views)
     variations = {mu: trial.variations(mu) for mu in range(config.mu_critical + 1)}
     return combine_walk_variations(variations, class_priors(class_graphs), config)
 

@@ -320,7 +320,8 @@ def build_parser():
     p.add_argument("--low-level", choices=LOW_LEVEL_NAMES, default="knn")
     p.add_argument("--lambda", dest="lam", type=float, default=0.5,
                    help="compliance term in [0, 1]")
-    p.add_argument("--p-method", choices=("binomial", "montecarlo"), default="binomial")
+    p.add_argument("--p-method", choices=("binomial", "montecarlo"), default="binomial",
+                   help="binomial tail, or a simulated tail with each class's count fixed")
     p.add_argument("--report", help="write the result rows as CSV")
     p.add_argument("--dump-model", help="write model introspection text")
     p.add_argument("--dump-graphs", help="write per-class edge lists")

@@ -29,12 +29,13 @@ from .features import (
     Dataset,
     Instance,
     feature_stats,
+    rows_by_label,
     semantic_features,
     semantic_vocabulary,
     standardize,
     topological_features,
 )
-from .tourist import AllViewsEmpty, component_stats
+from .tourist import AllViewsEmpty, component_stats, normalize
 
 log = logging.getLogger(__name__)
 
@@ -59,11 +60,9 @@ def make_fold_plan(labels, n_folds=10, seed=0):
     than ``n_folds`` shrink the fold count to the smallest class size."""
     if n_folds < 2:
         raise ValueError(f"cross-validation needs at least 2 folds, got {n_folds!r}")
-    by_class = {}
-    for i, lab in enumerate(labels):
-        if lab is None:
-            raise ValueError("cross-validation requires labeled instances")
-        by_class.setdefault(lab, []).append(i)
+    by_class = rows_by_label(labels)
+    if sum(len(rows) for rows in by_class.values()) != len(labels):
+        raise ValueError("cross-validation requires labeled instances")
     min_count = min(len(v) for v in by_class.values())
     if min_count < 2:
         raise InsufficientClassSize("every class needs at least 2 instances")
@@ -180,10 +179,12 @@ def p_value(accuracy, n, class_counts, method="binomial", seed=0, samples=20000)
     A random classifier guesses class j with probability p(j) equal to its
     prior, so each of the n trials succeeds with probability sum_j p(j)^2;
     the p-value is the upper binomial tail at the observed correct count.
-    ``method="montecarlo"`` estimates the same tail by simulation.
+    ``method="montecarlo"`` simulates another tail, each class's count held
+    at n_j = round(p(j) n): sum_j Binomial(n_j, p(j)), narrower than the
+    binomial unless the priors are equal, so its p-values are smaller.
     """
-    total = sum(class_counts.values())
-    q = sum((c / total) ** 2 for c in class_counts.values())
+    priors = normalize(class_counts)
+    q = sum(p ** 2 for p in priors.values())
     correct = int(round(accuracy * n))
     if method == "binomial":
         from scipy import stats  # imported here: loading it dominates `import sensewalk`
@@ -191,11 +192,9 @@ def p_value(accuracy, n, class_counts, method="binomial", seed=0, samples=20000)
         return float(stats.binom.sf(correct - 1, n, q))
     if method == "montecarlo":
         rng = np.random.default_rng(seed)
-        priors = {c: count / total for c, count in class_counts.items()}
         hits = np.zeros(samples, dtype=int)
-        for class_id, count in class_counts.items():
-            n_class = int(round(count / total * n))
-            hits += rng.binomial(n_class, priors[class_id], size=samples)
+        for p in priors.values():
+            hits += rng.binomial(int(round(p * n)), p, size=samples)
         return float((hits >= correct).mean())
     raise ValueError(f"unknown p-value method {method!r}")
 
@@ -212,9 +211,7 @@ def cv_sweep(dataset, low_levels, lambda_grid=None, config=None, fold_plan=None,
         dataset, tuple(low_levels), config, fold_plan, fold_datasets,
         need_high=any(lam > 0 for lam in grid),
     )
-    counts = {r.true: 0 for r in records}
-    for r in records:
-        counts[r.true] += 1
+    counts = {c: len(rows) for c, rows in rows_by_label([r.true for r in records]).items()}
     reports = {}
     for name in low_levels:
         rows = []

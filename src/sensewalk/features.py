@@ -3,12 +3,12 @@
 Semantic: each occurrence is described by the counts of the lemmas among
 its nearest context words. Topological: each occurrence is described by
 the eight structural measurements of its node in the word-adjacency
-network. Both produce a :class:`Dataset`; distance-based downstream
-methods expect the features to be standardized first.
+network. Both produce a :class:`Dataset`, which owns the class index (any
+label but ``None`` is a class; unlabeled rows join none). Distance-based
+downstream methods expect the features to be standardized first.
 """
 
 import csv
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +27,21 @@ class Instance:
     label: int | None
 
 
+def rows_by_label(labels):
+    """Each label but ``None`` with its rows ascending, in order of first appearance."""
+    rows = {}
+    for i, label in enumerate(labels):
+        if label is not None:
+            rows.setdefault(label, []).append(i)
+    return rows
+
+
 class Dataset:
     """A fixed-order collection of feature vectors with optional labels.
 
     All rows share the feature ordering in ``feature_names``. Labels are
     sense ids; unlabeled rows carry ``None``. Every feature must be finite.
+    The class index (read-only ``class_rows``, sorted ``classes()``) is built once.
     """
 
     def __init__(self, ids, X, labels, feature_names):
@@ -49,6 +59,8 @@ class Dataset:
                 f"feature row {row} (id {self.ids[row]!r}), column {col} "
                 f"is {self.X[row, col]}; features must be finite"
             )
+        self.class_rows = rows_by_label(self.labels)
+        self._classes = sorted(self.class_rows)
 
     def __len__(self):
         return len(self.ids)
@@ -59,10 +71,10 @@ class Dataset:
 
     @property
     def class_counts(self):
-        return dict(Counter(lab for lab in self.labels if lab is not None))
+        return {c: len(rows) for c, rows in self.class_rows.items()}
 
     def classes(self):
-        return sorted(self.class_counts)
+        return list(self._classes)
 
     def instance(self, i):
         return Instance(self.ids[i], self.X[i], self.labels[i])

@@ -243,17 +243,21 @@ class InsertionTrial:
 
     def __init__(self, test_id, class_graphs, views):
         self.class_graphs = list(class_graphs)
-        self.views = {v.class_id: v for v in views}
-        self.linked_ids = [g.class_id for g in class_graphs if self.views[g.class_id].linked]
-        if not self.linked_ids:
+        try:
+            cuts = [bisect_left(g.ids, test_id) for g in self.class_graphs]  # ids below it
+        except TypeError:
+            raise ValueError(
+                f"the test instance needs an id comparable with the training ids, got {test_id!r}"
+            ) from None
+        views = {v.class_id: v for v in views}
+        if not any(views[g.class_id].linked for g in self.class_graphs):
             raise AllViewsEmpty(f"test instance {test_id!r} links into no class component")
         self._aug = {}
-        for graph in class_graphs:
-            view = self.views[graph.class_id]
+        for graph, cut in zip(self.class_graphs, cuts):
+            view = views[graph.class_id]
             if not view.linked:
                 continue
             n = graph.vertex_count
-            cut = bisect_left(graph.ids, test_id)  # ids below the test id
             if cut < n and graph.ids[cut] == test_id:
                 raise ValueError(f"vertex {test_id!r} already present")
             rows = list(graph.rows)
@@ -308,11 +312,12 @@ class InsertionTrial:
             if graph.class_id not in self._aug:
                 raw_t[graph.class_id] = high_t
                 raw_c[graph.class_id] = high_c
-        return _normalize(raw_t), _normalize(raw_c)
+        return normalize(raw_t), normalize(raw_c)
 
 
-def _normalize(raw):
+def normalize(raw):
+    """Scale non-negative scores to sum to 1; uniform when they sum to 0."""
     total = sum(raw.values())
-    if total == 0:
+    if total <= 0:
         return {k: 1.0 / len(raw) for k in raw}
     return {k: v / total for k, v in raw.items()}

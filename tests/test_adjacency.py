@@ -289,6 +289,15 @@ class SmallGraphOracle:
 
 
 class TestNodeTopology:
+    def test_field_names_are_the_fields_in_order(self):
+        # the topological feature columns and the benchmark read these names
+        assert NodeTopology.FIELD_NAMES == (
+            "hier_degree_1", "hier_degree_2", "hier_clustering_1", "hier_clustering_2",
+            "neighbor_degree_mean", "neighbor_degree_std", "avg_shortest_path", "betweenness",
+        )
+        topo = NodeTopology(*range(8))
+        assert topo.as_vector() == list(range(8))
+
     def test_star_center(self):
         net = star_network(4)
         topo = node_topology(net, "hub")

@@ -121,6 +121,34 @@ class TestKnn:
             assert m.scores == {c: expected.get(c, 0) / votes for c in train.classes()}
 
 
+    def test_makes_no_pass_over_the_training_labels(self):
+        class CountingList(list):
+            passes = 0
+
+            def __iter__(self):
+                CountingList.passes += 1
+                return super().__iter__()
+
+        train = make_dataset([[0.0], [1.0], [2.0], [3.0]], [RED, RED, BLUE, BLUE])
+        train.labels = CountingList(train.labels)
+        for k in (1, 3, 9):
+            knn_predict(train, np.array([0.4]), k=k)
+        assert CountingList.passes == 0
+
+
+@pytest.mark.parametrize("train", [
+    lambda ds: (lambda x: knn_predict(ds, x, k=1)),
+    lambda ds: (lambda x: bayes_predict(bayes_train(ds), x)),
+    lambda ds: (lambda x: c45_predict(c45_train(ds), x)),
+], ids=["knn", "bayes", "c45"])
+def test_unlabeled_training_row_rejected(train):
+    # the unlabeled row is the query's nearest neighbor: kNN used to vote
+    # for no class ({1: 0.0, 2: 0.0}) and Bayes dropped it silently
+    ds = make_dataset([[0], [0.1], [5], [5.1], [0.05]], [RED, RED, BLUE, BLUE, None])
+    with pytest.raises(ValueError, match="training labels must all be set"):
+        train(ds)(np.array([0.05]))
+
+
 class TestBayes:
     def test_symmetric_classes_give_half_half(self):
         train = make_dataset([-2.0, -1.0, 1.0, 2.0], [RED, RED, BLUE, BLUE])

@@ -81,6 +81,45 @@ class TestFoldPlan:
             make_fold_plan([1, 1, 2, 2], n_folds)
 
 
+def reference_make_fold_plan(labels, n_folds=10, seed=0):
+    """``make_fold_plan`` as it grouped the labels itself, before the class index."""
+    by_class = {}
+    for i, lab in enumerate(labels):
+        if lab is None:
+            raise ValueError("cross-validation requires labeled instances")
+        by_class.setdefault(lab, []).append(i)
+    min_count = min(len(v) for v in by_class.values())
+    if min_count < 2:
+        raise InsufficientClassSize("every class needs at least 2 instances")
+    k = min(n_folds, min_count)
+    rng = np.random.default_rng(seed)
+    test_sets = [[] for _ in range(k)]
+    for class_id in sorted(by_class):
+        idx = np.array(by_class[class_id])
+        rng.shuffle(idx)
+        for f in range(k):
+            test_sets[f].extend(int(i) for i in idx[f::k])
+    everything = set(range(len(labels)))
+    return tuple(
+        (tuple(sorted(everything.difference(test_sets[f]))), tuple(sorted(test_sets[f])))
+        for f in range(k)
+    )
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_fold_plan_matches_its_own_label_grouping(seed):
+    rng = np.random.default_rng(seed)
+    family = [(-4, -1, 3), ("bank", "river", "shore", "money"), (0, 1)][seed % 3]
+    labels = [c for c in family for _ in range(int(rng.integers(2, 16)))]
+    labels = [labels[i] for i in rng.permutation(len(labels))]
+    for n_folds in (2, 5, 10):
+        plan = make_fold_plan(labels, n_folds, seed)
+        assert plan.folds == reference_make_fold_plan(labels, n_folds, seed)
+    labels[int(rng.integers(len(labels)))] = None
+    with pytest.raises(ValueError, match="requires labeled instances"):
+        make_fold_plan(labels, 5, seed)
+
+
 class TestPValue:
     def test_perfect_accuracy_two_balanced_classes(self):
         # random guessing matches 20/20 with probability 0.5^20
@@ -106,6 +145,20 @@ class TestPValue:
         exact = p_value(0.6, 100, counts)
         approx = p_value(0.6, 100, counts, method="montecarlo", seed=1, samples=40000)
         assert abs(exact - approx) < 0.02
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_montecarlo_holds_each_class_count_fixed(self, seed):
+        # it simulates Binomial(80, 0.8) + Binomial(20, 0.2), not the binomial
+        # tail of n = 100 trials at q = 0.8^2 + 0.2^2
+        from scipy import stats
+
+        counts = {1: 80, 2: 20}
+        pmf = np.convolve(stats.binom.pmf(np.arange(81), 80, 0.8),
+                          stats.binom.pmf(np.arange(21), 20, 0.2))
+        fixed_counts_tail = pmf[75:].sum()
+        approx = p_value(0.75, 100, counts, method="montecarlo", seed=seed)
+        assert abs(approx - fixed_counts_tail) < 0.005
+        assert p_value(0.75, 100, counts) - approx > 0.02
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -207,3 +209,42 @@ class TestDatasetCsv:
         path.write_text("a,b,label\n1,2,1\n3,nan,2\n")
         with pytest.raises(ValueError, match="row 1 .*column 1 "):
             Dataset.from_csv(path)
+
+
+def reference_class_counts(labels):
+    """The label grouping every consumer ran on its own before the class index."""
+    return dict(Counter(lab for lab in labels if lab is not None))
+
+
+def seeded_label_lists():
+    """Label lists in seeded random order: negative, positive, string and unlabeled."""
+    families = [(-3, -1, 0, 2, 7), ("bank", "river", "shore"), (-2, 5)]
+    cases = []
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        family = families[seed % len(families)]
+        pool = list(family) + [None]
+        cases.append([pool[i] for i in rng.integers(len(pool), size=int(rng.integers(1, 40)))])
+    return cases
+
+
+class TestClassIndex:
+    @pytest.mark.parametrize("labels", seeded_label_lists())
+    def test_matches_a_regrouping_of_the_labels(self, labels):
+        ds = Dataset(range(len(labels)), np.zeros((len(labels), 1)), labels, ["x"])
+        want = reference_class_counts(labels)
+        assert ds.class_counts == want
+        assert list(ds.class_counts) == list(want)  # first appearance, which p_value draws in
+        assert ds.classes() == sorted(want)
+        for c in ds.classes():
+            assert ds.class_rows[c] == [i for i, lab in enumerate(labels) if lab == c]
+
+    def test_unlabeled_rows_join_no_class(self):
+        ds = Dataset(range(4), np.zeros((4, 1)), [None, 2, None, -1], ["x"])
+        assert ds.class_rows == {2: [1], -1: [3]}
+        assert ds.classes() == [-1, 2]
+
+    def test_subset_and_standardize_rebuild_the_index(self):
+        ds = Dataset(range(5), np.arange(5.0)[:, None], [2, 1, 2, None, 1], ["x"])
+        assert ds.subset([4, 2, 3]).class_rows == {1: [0], 2: [1]}
+        assert standardize(ds).class_rows == ds.class_rows

@@ -387,6 +387,15 @@ class TestInsertionOverlay:
         with pytest.raises(ValueError):
             InsertionTrial(8, [graph], [InsertionView(0, ((0, 1.0),))])
 
+    @pytest.mark.parametrize("links", [((0, 1.0),), ()], ids=["linked", "unlinked"])
+    @pytest.mark.parametrize("test_id", [None, "p"], ids=["bare-vector", "string"])
+    def test_id_not_comparable_with_the_training_ids_rejected(self, test_id, links):
+        # None is what a bare feature vector carries; the id is checked
+        # before the views, so an unlinked test point gets the same error
+        graph = self._lattice()
+        with pytest.raises(ValueError, match="id comparable with the training ids"):
+            InsertionTrial(test_id, [graph], [InsertionView(0, links)])
+
 
 def _lattice_snap(positions, step=0.25):
     """Coordinates on a coarse binary lattice, so many distances tie exactly."""

@@ -119,8 +119,18 @@ def euclidean(A, B):
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
+_BLOCK_ROWS = 64  # bounds the difference tensor at 64 x n x d floats
+
+
 def _pairwise_distances(X):
-    return euclidean(X[:, None, :], X[None, :, :])
+    """The n x n distance matrix of the rows of ``X``, filled one row block
+    at a time; each pair still sums its d squared differences in one pass,
+    so the blocks give the one-shot tensor's bits."""
+    D = np.empty((len(X), len(X)))
+    for start in range(0, len(X), _BLOCK_ROWS):
+        block = X[start:start + _BLOCK_ROWS]
+        D[start:start + len(block)] = euclidean(block[:, None, :], X[None, :, :])
+    return D
 
 
 def _class_distances(dataset):

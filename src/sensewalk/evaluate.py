@@ -32,6 +32,7 @@ from .features import (
     rows_by_label,
     semantic_features,
     semantic_vocabulary,
+    sorted_labels,
     standardize,
     topological_features,
 )
@@ -71,7 +72,7 @@ def make_fold_plan(labels, n_folds=10, seed=0):
         log.warning("fold count reduced from %d to %d (smallest class)", n_folds, k)
     rng = np.random.default_rng(seed)
     test_sets = [[] for _ in range(k)]
-    for class_id in sorted(by_class):
+    for class_id in sorted_labels(by_class):
         idx = np.array(by_class[class_id])
         rng.shuffle(idx)
         for f in range(k):
@@ -173,28 +174,56 @@ def _accuracy(records, low_level, lam):
     return correct / len(records)
 
 
+def _trial_counts(class_counts, n):
+    """Split n trials by class share, rounding by largest remainder.
+
+    Each class gets the floor of its share n * count / total; the trials
+    left over go one each to the largest remainders, ties in
+    ``class_counts`` order, so the counts always add up to n.
+    """
+    if sum(class_counts.values()) <= 0:  # uniform priors, as ``normalize`` gives
+        class_counts = dict.fromkeys(class_counts, 1)
+    total = sum(class_counts.values())
+    floors, remainders = {}, {}
+    for c, count in class_counts.items():
+        whole, remainders[c] = divmod(count * n, total)
+        floors[c] = int(whole)
+    left = n - sum(floors.values())
+    for c in sorted(class_counts, key=lambda c: -remainders[c])[:left]:
+        floors[c] += 1
+    return floors
+
+
 def p_value(accuracy, n, class_counts, method="binomial", seed=0, samples=20000):
     """Probability that prior-matched random guessing does at least this well.
 
     A random classifier guesses class j with probability p(j) equal to its
-    prior, so each of the n trials succeeds with probability sum_j p(j)^2;
-    the p-value is the upper binomial tail at the observed correct count.
+    prior, so each of the n trials succeeds with probability
+    q = sum_j p(j)^2; the p-value is the upper binomial tail at the
+    observed correct count c, P(X >= c) = I_q(c, n - c + 1), the
+    regularized incomplete beta (1 when c <= 0, 0 when c > n).
     ``method="montecarlo"`` simulates another tail, each class's count held
-    at n_j = round(p(j) n): sum_j Binomial(n_j, p(j)), narrower than the
-    binomial unless the priors are equal, so its p-values are smaller.
+    at its share of the n trials: sum_j Binomial(n_j, p(j)), narrower than
+    the binomial unless the priors are equal, so its p-values are smaller.
+    The n_j are p(j) n rounded by largest remainder, so they add up to n.
     """
     priors = normalize(class_counts)
     q = sum(p ** 2 for p in priors.values())
     correct = int(round(accuracy * n))
     if method == "binomial":
-        from scipy import stats  # imported here: loading it dominates `import sensewalk`
+        if correct <= 0:
+            return 1.0
+        if correct > n:
+            return 0.0
+        from scipy.special import betainc  # imported here: it would dominate `import sensewalk`
 
-        return float(stats.binom.sf(correct - 1, n, q))
+        return float(betainc(correct, n - correct + 1, q))
     if method == "montecarlo":
         rng = np.random.default_rng(seed)
         hits = np.zeros(samples, dtype=int)
-        for p in priors.values():
-            hits += rng.binomial(int(round(p * n)), p, size=samples)
+        trials = _trial_counts(class_counts, n)
+        for c, p in priors.items():
+            hits += rng.binomial(trials[c], p, size=samples)
         return float((hits >= correct).mean())
     raise ValueError(f"unknown p-value method {method!r}")
 

@@ -9,6 +9,7 @@ downstream methods expect the features to be standardized first.
 """
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,26 @@ def rows_by_label(labels):
     return rows
 
 
+def sorted_labels(labels):
+    """The class labels ``labels`` (say a class index's keys), sorted.
+
+    Raises ``ValueError`` naming two labels that do not order against each
+    other (say ``1`` and ``"a"``), instead of Python's bare ``TypeError``.
+    """
+    try:
+        return sorted(labels)
+    except TypeError:
+        for a, b in itertools.combinations(labels, 2):
+            try:
+                sorted((a, b))
+            except TypeError:
+                raise ValueError(
+                    f"class labels {a!r} and {b!r} cannot be ordered; "
+                    "every label must compare with every other"
+                ) from None
+        raise
+
+
 class Dataset:
     """A fixed-order collection of feature vectors with optional labels.
 
@@ -60,7 +81,7 @@ class Dataset:
                 f"is {self.X[row, col]}; features must be finite"
             )
         self.class_rows = rows_by_label(self.labels)
-        self._classes = sorted(self.class_rows)
+        self._classes = sorted_labels(self.class_rows)
 
     def __len__(self):
         return len(self.ids)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from sensewalk.attgraph import (
     ClassTooSmall,
     GraphConfig,
     _bridges,
+    _pairwise_distances,
     build_training_graph,
     default_epsilon,
     insert_test,
@@ -474,6 +477,35 @@ def test_one_distance_matrix_per_class(monkeypatch):
     sizes.clear()
     build_training_graph(ds, GraphConfig(epsilon=1.0))
     assert sizes == [6, 9, 4]
+
+
+@pytest.mark.parametrize("shape, scale", [
+    ((2, 1), 1.0), ((63, 5), 1.0), ((64, 7), 1.0), ((65, 48), 1.0), ((99, 48), 1.0),
+    ((257, 3), 1.0), ((300, 48), 1e-3), ((1000, 48), 1e3),
+])
+def test_blocked_distances_equal_the_one_shot_tensor(shape, scale):
+    X = np.random.default_rng(shape[0]).normal(size=shape) * scale
+    D = _pairwise_distances(X)
+    # the first and last 160 rows cover every shape but the largest, whose
+    # full tensor would take 768 MB
+    for rows in (slice(0, 160), slice(-160, None)):
+        diff = X[rows, None, :] - X[None, :, :]
+        assert np.array_equal(D[rows], np.sqrt((diff * diff).sum(axis=-1)))
+
+
+def test_large_class_build_stays_in_row_blocks():
+    # one 600 x 48 class: the n x n x d difference tensor alone would be
+    # 138 MB (280 MB peak with its square); row blocks keep it near 15 MB
+    n, d = 600, 48
+    ds = make_dataset(np.random.default_rng(0).normal(size=(n, d)), [1] * n)
+    tracemalloc.start()
+    try:
+        graphs = build_training_graph(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graphs[0].vertex_count == n
+    assert peak < 80e6
 
 
 @pytest.mark.parametrize("labels", [[-1, 2], [-2, -3], ["bank", "shore"]],

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import sensewalk
 from sensewalk import adjacency, evaluate
@@ -25,6 +26,7 @@ from sensewalk.evaluate import (
     write_walk_curves,
 )
 from sensewalk.features import Dataset, feature_stats, standardize
+from sensewalk.tourist import normalize
 
 
 def blob_dataset(per_class=20, classes=(1, 2), gap=8.0, spread=0.6, seed=0, dim=2):
@@ -120,6 +122,11 @@ def test_fold_plan_matches_its_own_label_grouping(seed):
         make_fold_plan(labels, 5, seed)
 
 
+def test_fold_plan_refuses_labels_that_do_not_order():
+    with pytest.raises(ValueError, match=r"class labels 1 and 'a' cannot be ordered"):
+        make_fold_plan([1, "a", 1, "a"], 2)
+
+
 class TestPValue:
     def test_perfect_accuracy_two_balanced_classes(self):
         # random guessing matches 20/20 with probability 0.5^20
@@ -164,18 +171,70 @@ class TestPValue:
         with pytest.raises(ValueError):
             p_value(0.5, 10, {1: 5, 2: 5}, method="exactish")
 
-    def test_scipy_stats_loads_only_for_a_p_value(self):
+    @pytest.mark.parametrize("counts", [{1: 1}, {1: 10, 2: 10}, {1: 80, 2: 20},
+                                        {1: 3, 2: 5, 3: 7}, {"a": 1, "b": 1, "c": 1}])
+    def test_binomial_tail_matches_scipy_stats_bit_for_bit(self, counts):
+        from scipy import stats
+
+        q = sum(p ** 2 for p in normalize(counts).values())
+        for n in [0, 1, 2, 3, 7, 20, 99, 100, 1001]:
+            for correct in range(-1, n + 2):
+                accuracy = correct / n if n else correct
+                want = float(stats.binom.sf(int(round(accuracy * n)) - 1, n, q))
+                assert p_value(accuracy, n, counts) == want, (n, correct)
+
+    def test_out_of_support_counts(self):
+        assert p_value(0.0, 5, {1: 1, 2: 1}) == 1.0
+        assert p_value(1.2, 5, {1: 1, 2: 1}) == 0.0
+        assert p_value(1.0, 5, {1: 4}) == 1.0  # one class: q = 1
+
+    def test_montecarlo_simulates_all_n_trials(self):
+        # thirds of 4 instances: 1 + 1 + 1 trials could never reach 4 correct
+        counts = {1: 1, 2: 1, 3: 1}
+        tail = (1 / 3) ** 4  # with n_j = (2, 1, 1): P(all correct) = (1/3)^4
+        approx = p_value(1.0, 4, counts, method="montecarlo", seed=0, samples=200000)
+        assert abs(approx - tail) < 0.002
+
+    def test_montecarlo_whole_shares_draw_as_rounded_shares(self):
+        counts = {2: 30, 1: 50, 3: 20}
+        rng = np.random.default_rng(4)
+        hits = sum(rng.binomial(round(c / 100 * 200), c / 100, size=500) for c in counts.values())
+        want = float((hits >= 90).mean())
+        assert p_value(0.45, 200, counts, method="montecarlo", seed=4, samples=500) == want
+
+    @given(st.lists(st.integers(0, 50), min_size=1, max_size=6), st.integers(0, 500))
+    def test_trial_counts_add_up_to_n(self, counts, n):
+        class_counts = dict(enumerate(counts))
+        trials = evaluate._trial_counts(class_counts, n)
+        assert list(trials) == list(class_counts)
+        assert sum(trials.values()) == n
+        if sum(counts):
+            for c, count in class_counts.items():
+                assert abs(trials[c] - count * n / sum(counts)) < 1
+
+    def test_leftover_trials_go_to_largest_remainders_ties_in_order(self):
+        assert evaluate._trial_counts({3: 1, 1: 1, 2: 1}, 4) == {3: 2, 1: 1, 2: 1}
+        assert evaluate._trial_counts({3: 1, 1: 1, 2: 1}, 5) == {3: 2, 1: 2, 2: 1}
+        assert evaluate._trial_counts({1: 1, 2: 2}, 2) == {1: 1, 2: 1}
+
+    def test_p_values_never_load_scipy_stats(self):
         src = str(Path(sensewalk.__file__).resolve().parents[1])
         code = (
             "import sys, sensewalk\n"
-            "print('scipy.stats' in sys.modules)\n"
+            "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)\n"
             "sensewalk.p_value(1.0, 20, {1: 10, 2: 10})\n"
+            "sensewalk.p_value(0.5, 20, {1: 10, 2: 10}, method='montecarlo')\n"
+            "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)\n"
+            "X = [[0.1 * i, float(i % 2)] for i in range(12)]\n"
+            "ds = sensewalk.Dataset(range(12), X, [1, 2] * 6, ['a', 'b'])\n"
+            "plan = sensewalk.make_fold_plan(ds.labels, 3)\n"
+            "sensewalk.cv_sweep(ds, ('knn',), (0.0, 1.0), fold_plan=plan)\n"
             "print('scipy.stats' in sys.modules)\n"
         )
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={"PYTHONPATH": src})
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["False", "True"]
+        assert done.stdout.split() == ["False", "False", "True", "False", "False"]
 
 
 def cv_accuracy(ds, low_level, lam, plan=None, config=None):

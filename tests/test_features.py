@@ -244,6 +244,12 @@ class TestClassIndex:
         assert ds.class_rows == {2: [1], -1: [3]}
         assert ds.classes() == [-1, 2]
 
+    def test_labels_that_do_not_order_fail_with_a_domain_error(self):
+        with pytest.raises(ValueError, match=r"class labels 1 and 'a' cannot be ordered"):
+            Dataset(range(2), [[0], [1]], [1, "a"], ["x"])
+        with pytest.raises(ValueError, match=r"labels 2 and 'b' cannot be ordered"):
+            Dataset(range(4), np.zeros((4, 1)), [2, None, 2.5, "b"], ["x"])
+
     def test_subset_and_standardize_rebuild_the_index(self):
         ds = Dataset(range(5), np.arange(5.0)[:, None], [2, 1, 2, None, 1], ["x"])
         assert ds.subset([4, 2, 3]).class_rows == {1: [0], 2: [1]}

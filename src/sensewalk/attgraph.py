@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import sorted_values
+
 
 class ClassTooSmall(Exception):
     """A class must contribute at least 2 training instances."""
@@ -77,15 +79,19 @@ class ClassGraph:
 
     ``ids`` must be strictly increasing and ``positions`` holds row ``k``
     for ``ids[k]``. ``rows[k]`` lists vertex ``k``'s neighbors as
-    ``(distance, index)`` pairs in any order, each undirected edge in the
-    rows of both its ends; the constructor sorts every row.
+    ``(distance, index)`` pairs in any order, each undirected edge once in
+    the rows of both its ends; the constructor sorts every row.
+
+    ``rank``, read-only (n + 1) x (n + 1) int32, holds row positions:
+    ``rank[k, j]`` is ``j``'s position in ``rows[k]``, ``rank[k, n]`` is
+    ``len(rows[k])`` (a dead end) and every other entry, row n too, is -1.
 
     Immutable once built. The one mutable slot, ``_walks``, maps mu to a
     :class:`sensewalk.tourist.WalkDetail`: every start's transient and
     cycle, and its walk up to one period as a row of vertices beside a row
-    of the row positions its moves took, which lets an insertion resume
-    only the walks it deflects. :func:`sensewalk.tourist.walk_detail` is its
-    only reader and writer.
+    of the row positions its moves took, read from ``rank``, which lets an
+    insertion resume only the walks it deflects.
+    :func:`sensewalk.tourist.walk_detail` is its only reader and writer.
     """
 
     def __init__(self, class_id, ids, positions, rows, config):
@@ -97,6 +103,13 @@ class ClassGraph:
         self.positions.flags.writeable = False
         self.config = config
         self.rows = [sorted(row) for row in rows]
+        n = len(self.rows)
+        self.rank = np.full((n + 1, n + 1), -1, dtype=np.int32)
+        for k, row in enumerate(self.rows):  # n, past the last neighbor, marks a dead end
+            self.rank[k, [j for _, j in row] + [n]] = range(len(row) + 1)
+        if (self.rank >= 0).sum() != sum(len(row) + 1 for row in self.rows):
+            raise ValueError("a row lists one neighbor twice")  # rank would disagree with it
+        self.rank.flags.writeable = False
         self._walks = {}
 
     @property
@@ -142,7 +155,7 @@ def _class_distances(dataset):
     """
     classes = []
     for class_id in dataset.classes():
-        rows = sorted(dataset.class_rows[class_id], key=lambda r: dataset.ids[r])
+        rows = sorted_values(dataset.class_rows[class_id], "ids", key=dataset.ids.__getitem__)
         classes.append((class_id, rows, _pairwise_distances(dataset.X[rows])))
     return classes
 

@@ -282,7 +282,7 @@ def build_parser():
     corpus_in.add_argument("--stopwords", help="override the bundled stopword list")
     corpus_in.add_argument("--lemmas", help="override the bundled lemma table")
     features = _flags(corpus_in)
-    features.add_argument("--paradigm", choices=("semantic", "topological"), default="semantic")
+    features.add_argument("--paradigm", choices=ev.PARADIGMS, default="semantic")
     features.add_argument("--window", type=int, default=5,
                           help="context size for semantic features (5, 20 or 50)")
     graph = _flags()

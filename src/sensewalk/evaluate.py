@@ -10,6 +10,7 @@ classifier and every lambda from the same cached memberships.
 import csv
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -32,7 +33,7 @@ from .features import (
     rows_by_label,
     semantic_features,
     semantic_vocabulary,
-    sorted_labels,
+    sorted_values,
     standardize,
     topological_features,
 )
@@ -41,6 +42,7 @@ from .tourist import AllViewsEmpty, component_stats, normalize
 log = logging.getLogger(__name__)
 
 LAMBDA_GRID = tuple(round(0.05 * i, 2) for i in range(21))
+PARADIGMS = ("semantic", "topological")
 
 
 class InsufficientClassSize(Exception):
@@ -64,7 +66,7 @@ def make_fold_plan(labels, n_folds=10, seed=0):
     by_class = rows_by_label(labels)
     if sum(len(rows) for rows in by_class.values()) != len(labels):
         raise ValueError("cross-validation requires labeled instances")
-    min_count = min(len(v) for v in by_class.values())
+    min_count = min((len(v) for v in by_class.values()), default=0)  # 0: no instances
     if min_count < 2:
         raise InsufficientClassSize("every class needs at least 2 instances")
     k = min(n_folds, min_count)
@@ -72,7 +74,7 @@ def make_fold_plan(labels, n_folds=10, seed=0):
         log.warning("fold count reduced from %d to %d (smallest class)", n_folds, k)
     rng = np.random.default_rng(seed)
     test_sets = [[] for _ in range(k)]
-    for class_id in sorted_labels(by_class):
+    for class_id in sorted_values(by_class, "class labels"):
         idx = np.array(by_class[class_id])
         rng.shuffle(idx)
         for f in range(k):
@@ -101,13 +103,31 @@ class PipelineConfig:
 
 
 def _check_choices(low_levels, lambdas):
-    """Reject unknown low-level names and compliance terms outside [0, 1]."""
+    """Reject an empty or unknown low-level list, and an empty grid or
+    compliance terms outside [0, 1]."""
+    if not low_levels:
+        raise ValueError(f"give at least one low-level classifier of {LOW_LEVEL_NAMES}")
     for name in low_levels:
         if name not in LOW_LEVEL_NAMES:
             raise ValueError(f"low_level must be one of {LOW_LEVEL_NAMES}, got {name!r}")
+    if not lambdas:
+        raise ValueError("the lambda grid is empty; give at least one lambda in [0, 1]")
     for lam in lambdas:
         if not 0 <= lam <= 1:
             raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")
+
+
+def _check_walk_folds(dataset, fold_plan):
+    """Every class keeps 2 training rows in every fold, as its class graph
+    (and so any lambda > 0) needs; checked before any fold is fitted."""
+    for f, (train_idx, _) in enumerate(fold_plan.folds, start=1):
+        kept = Counter(dataset.labels[i] for i in train_idx)
+        for class_id in dataset.classes():
+            if kept[class_id] < 2:
+                raise InsufficientClassSize(
+                    f"class {class_id!r} keeps {kept[class_id]} training instance(s) in fold "
+                    f"{f} of {len(fold_plan.folds)}; lambda > 0 needs >= 2 per class"
+                )
 
 
 @dataclass(frozen=True)
@@ -236,9 +256,11 @@ def cv_sweep(dataset, low_levels, lambda_grid=None, config=None, fold_plan=None,
     _check_choices(low_levels, grid)
     if fold_plan is None:
         fold_plan = make_fold_plan(dataset.labels)
+    need_high = any(lam > 0 for lam in grid)
+    if need_high:
+        _check_walk_folds(dataset, fold_plan)
     records = _fold_records(
-        dataset, tuple(low_levels), config, fold_plan, fold_datasets,
-        need_high=any(lam > 0 for lam in grid),
+        dataset, tuple(low_levels), config, fold_plan, fold_datasets, need_high,
     )
     counts = {c: len(rows) for c, rows in rows_by_label([r.true for r in records]).items()}
     reports = {}
@@ -247,11 +269,7 @@ def cv_sweep(dataset, low_levels, lambda_grid=None, config=None, fold_plan=None,
         for lam in grid:
             acc = _accuracy(records, name, lam)
             rows.append((lam, acc, p_value(acc, len(records), counts)))
-        best_lambda = rows[0][0]
-        best_acc = rows[0][1]
-        for lam, acc, _ in rows:
-            if acc > best_acc:
-                best_lambda, best_acc = lam, acc
+        best_lambda = max(rows, key=lambda row: row[1])[0]  # the first of equal bests
         reports[name] = ExperimentReport(word, paradigm, name, tuple(rows), best_lambda)
     return reports
 
@@ -279,7 +297,10 @@ def run_word_experiments(token_streams, annotations, paradigm="semantic", window
     so no test-window lemma leaks into training features."""
     from .adjacency import build_network
 
-    _check_choices(low_levels, lambda_grid or ())
+    if paradigm not in PARADIGMS:
+        raise ValueError(f"paradigm must be one of {PARADIGMS}, got {paradigm!r}")
+    lambda_grid = tuple(lambda_grid) if lambda_grid is not None else LAMBDA_GRID
+    _check_choices(low_levels, lambda_grid)
     reports = []
     network = build_network(token_streams, annotations) if paradigm == "topological" else None
     for word in sorted({a.word for a in annotations}):
@@ -298,11 +319,9 @@ def run_word_experiments(token_streams, annotations, paradigm="semantic", window
                     semantic_features(token_streams, train, window, vocab),
                     semantic_features(token_streams, test, window, vocab),
                 )
-        elif paradigm == "topological":
+        else:
             base = topological_features(network, word_annots)
             fold_datasets = None
-        else:
-            raise ValueError(f"unknown paradigm {paradigm!r}")
         plan = make_fold_plan(base.labels, n_folds, seed)
         swept = cv_sweep(base, low_levels, lambda_grid, config, plan, fold_datasets,
                          word=word, paradigm=paradigm)

@@ -37,22 +37,24 @@ def rows_by_label(labels):
     return rows
 
 
-def sorted_labels(labels):
-    """The class labels ``labels`` (say a class index's keys), sorted.
+def sorted_values(values, what, key=None):
+    """``values`` sorted (by ``key`` when given), say a class index's labels.
 
-    Raises ``ValueError`` naming two labels that do not order against each
-    other (say ``1`` and ``"a"``), instead of Python's bare ``TypeError``.
+    Raises ``ValueError`` naming two sort keys that do not order against
+    each other (say ``1`` and ``"a"``) as ``what`` ("class labels", "ids"),
+    instead of Python's bare ``TypeError``.
     """
     try:
-        return sorted(labels)
+        return sorted(values, key=key)
     except TypeError:
-        for a, b in itertools.combinations(labels, 2):
+        keys = list(values) if key is None else [key(v) for v in values]
+        for a, b in itertools.combinations(keys, 2):
             try:
                 sorted((a, b))
             except TypeError:
                 raise ValueError(
-                    f"class labels {a!r} and {b!r} cannot be ordered; "
-                    "every label must compare with every other"
+                    f"{what} {a!r} and {b!r} cannot be ordered; "
+                    "each must compare with every other"
                 ) from None
         raise
 
@@ -61,8 +63,9 @@ class Dataset:
     """A fixed-order collection of feature vectors with optional labels.
 
     All rows share the feature ordering in ``feature_names``. Labels are
-    sense ids; unlabeled rows carry ``None``. Every feature must be finite.
-    The class index (read-only ``class_rows``, sorted ``classes()``) is built once.
+    sense ids; unlabeled rows carry ``None``. Ids must be unique and every
+    feature finite. The class index (read-only ``class_rows``, sorted
+    ``classes()``) is built once.
     """
 
     def __init__(self, ids, X, labels, feature_names):
@@ -74,6 +77,10 @@ class Dataset:
         self.feature_names = list(feature_names)
         if len(self.ids) != len(self.labels) or len(self.ids) != self.X.shape[0]:
             raise ValueError("ids, labels and feature rows must align")
+        if len(set(self.ids)) != len(self.ids):
+            seen = set()
+            twice = next(i for i in self.ids if i in seen or seen.add(i))
+            raise ValueError(f"id {twice!r} appears more than once; ids must be unique")
         if not np.isfinite(self.X).all():
             row, col = np.argwhere(~np.isfinite(self.X))[0]
             raise ValueError(
@@ -81,7 +88,7 @@ class Dataset:
                 f"is {self.X[row, col]}; features must be finite"
             )
         self.class_rows = rows_by_label(self.labels)
-        self._classes = sorted_labels(self.class_rows)
+        self._classes = sorted_values(self.class_rows, "class labels")
 
     def __len__(self):
         return len(self.ids)

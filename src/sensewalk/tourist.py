@@ -27,22 +27,23 @@ mapping each state a walk of the batch entered to that walk and step; the
 table lives only for the call. For fixed mu the walk is a map on states
 (a functional graph), so a walk that reaches a state an earlier walk
 entered goes on exactly as that walk did: it copies the earlier walk's
-remaining vertices and row positions (up to its dead end, or up to its
-repeated state plus the rest of one period when the state lies on its
-cycle), takes its cycle and reruns the vertex-level shrink on the joined
-sequence. That shrink returns the smallest index from which the vertices
-repeat with period ``c``, wherever in the periodic part it starts, so the
-join is exact. A resumed walk enters only its prefix's last state: a walk
-back into its prefix passes that state again and is caught there, with
-the same cycle and, after the shrink, the same transient.
+remaining vertices (up to its dead end, or up to its repeated state plus
+the rest of one period when the state lies on its cycle), takes its cycle
+and reruns the vertex-level shrink on the joined sequence. That shrink
+returns the smallest index from which the vertices repeat with period
+``c``, wherever in the periodic part it starts, so the join is exact. A
+resumed walk enters only its prefix's last state: a walk back into its
+prefix passes that state again and is caught there, with the same cycle
+and, after the shrink, the same transient.
 
 :func:`walk_detail` memoizes, per graph and mu, each start's transient
 ``t`` and cycle ``c``; row ``s`` of ``verts`` holds start ``s``'s first
 ``t + c`` vertices (``t + 1`` on a dead end), and row ``s`` of ``picks``
 the row position of each move out of them (``len(row)`` on a dead end).
-The vertex sequence is periodic from ``t`` with period ``c``, and a move's
-row position depends only on the vertices it joins, so every later move
-repeats one of these.
+A move's row position depends only on the vertices it joins, so walks
+record only vertices and ``picks`` is read from ``ClassGraph.rank``. The
+vertex sequence is periodic from ``t`` with period ``c``, so every later
+move repeats one of these.
 It is the memo's only writer; a race between two threads computing the
 same mu costs work but not consistency, because the walks are
 deterministic and the first stored result wins.
@@ -90,13 +91,12 @@ def _walk_indices(rows, prefixes, mu):
 
     A prefix is a walk's first states as vertex indices (a fresh walk is
     ``(start,)``) and must repeat no state; only its last state enters the
-    table. Returns, per prefix, (transient, cycle, traj, picks): ``traj``
-    is the prefix plus every vertex up to the walk's first return to a
-    state it entered, or to its dead end; ``picks`` is the row position of
-    each move made after the prefix (``len(row)`` for the dead end).
+    table. Returns, per prefix, (transient, cycle, traj): ``traj`` is the
+    prefix plus every vertex up to the walk's first return to a state it
+    entered, or to its dead end.
     """
     if mu == 0:
-        return [(0, 1, list(prefix), []) for prefix in prefixes]
+        return [(0, 1, list(prefix)) for prefix in prefixes]
     keep = mu - 1
     seen = {}  # window (its first entry is the vertex) -> serial, in entry order
     setdefault = seen.setdefault
@@ -110,22 +110,16 @@ def _walk_indices(rows, prefixes, mu):
         window = tuple(reversed(traj[-mu:]))
         off = len(traj) - 1
         first = serial = len(seen)
-        picks = []
         while True:  # v, window: the walk's last state, traj[-1] == v
             g = setdefault(window, serial)
             if g != serial:
                 break
             serial += 1
-            p = 0
             for _, j in rows[v]:
                 if j not in window:
                     break
-                p += 1
             else:
-                # dead end: every neighbor inside the memory window
-                picks.append(p)
-                break
-            picks.append(p)
+                break  # dead end: every neighbor inside the memory window
             traj.append(j)
             v = j
             window = (j,) + window[:keep]
@@ -137,22 +131,20 @@ def _walk_indices(rows, prefixes, mu):
             c = k - t
         else:  # the walk joins an earlier walk's state and copies its rest
             w = bisect_right(firsts, g) - 1
-            t_w, c, traj_w, picks_w = walks[w]
-            off_w, loop_w = offs[w], loops[w]
-            i = g - firsts[w] + off_w
+            t_w, c, traj_w = walks[w]
+            loop_w = loops[w]
+            i = g - firsts[w] + offs[w]
             # from state i the earlier walk runs to its end; if state i is
             # on its cycle (i > loop_w), the rest of one period leads back to i
             traj += traj_w[i + 1:]
             traj += traj_w[loop_w + 1:i + 1]
-            picks += picks_w[i - off_w:]
-            picks += picks_w[loop_w - off_w:i - off_w]
             # its vertices repeat from t_w on, so the joined ones from k + t_w - i
             t = k + max(t_w - i, 0)
         if c:
             # the vertex sequence may turn periodic before the state does
             while t > 0 and traj[t - 1] == traj[t - 1 + c]:
                 t -= 1
-        walks.append((t, c, traj, picks))
+        walks.append((t, c, traj))
         firsts.append(first)
         offs.append(off)
         loops.append(loop)
@@ -172,44 +164,41 @@ def walk(graph, start, mu):
     k = bisect_left(graph.ids, start)
     if k == len(graph.ids) or graph.ids[k] != start:
         raise VertexNotInComponent(repr(start))
-    t, c, traj, _ = _walk_indices(graph.rows, [(k,)], mu)[0]
+    t, c, traj = _walk_indices(graph.rows, [(k,)], mu)[0]
     return WalkResult(t, c, tuple(graph.ids[i] for i in traj[: _period_end(t, c)]))
 
 
 class WalkDetail(NamedTuple):
     """Base walks of one graph at one mu, as :func:`walk_detail` memoizes them."""
 
-    mean_t: float
-    mean_c: float
-    starts: tuple  # per start: (transient, cycle)
+    t: np.ndarray  # per start: its transient
+    c: np.ndarray  # per start: its cycle
     verts: np.ndarray  # n x width: row s is start s's first _period_end vertices, padded with n
     picks: np.ndarray  # n x width: the row position of each move out of them, padded with -1
-    total_t: int
+    total_t: int  # the sums of t and c, as Python ints
     total_c: int
 
+    @property
+    def means(self):
+        """(mean transient, mean cycle) over every start."""
+        n = len(self.t)
+        return self.total_t / n, self.total_c / n
 
-def _stats_for_mu(rows, mu):
-    """Walk every start of ``rows`` at one mu and lay out the kept moves."""
-    n = len(rows)
-    walks = _walk_indices(rows, [(s,) for s in range(n)], mu)
-    width = max(_period_end(t, c) for t, c, _, _ in walks)
+
+def _stats_for_mu(graph, mu):
+    """Walk every start of ``graph`` at one mu and lay out the kept moves."""
+    n = graph.vertex_count
+    walks = _walk_indices(graph.rows, [(s,) for s in range(n)], mu)
+    width = max(_period_end(t, c) for t, c, _ in walks)
     verts = np.full((n, width), n)
-    picks = np.full((n, width), -1)
-    for s, (t, c, traj, moves) in enumerate(walks):
+    after = np.full((n, width), n)  # where each kept move goes: n past a dead end
+    for s, (t, c, traj) in enumerate(walks):
         end = _period_end(t, c)
         verts[s, :end] = traj[:end]
-        picks[s, :len(moves[:end])] = moves[:end]  # mu 0 makes no move
-    total_t = sum(t for t, _, _, _ in walks)
-    total_c = sum(c for _, c, _, _ in walks)
-    return WalkDetail(
-        total_t / n,
-        total_c / n,
-        tuple((t, c) for t, c, _, _ in walks),
-        verts,
-        picks,
-        total_t,
-        total_c,
-    )
+        after[s, :end] = traj[1:end] + [traj[t] if c else n]  # the last move closes the period
+    t = np.array([t for t, _, _ in walks])
+    c = np.array([c for _, c, _ in walks])
+    return WalkDetail(t, c, verts, graph.rank[verts, after], int(t.sum()), int(c.sum()))
 
 
 def walk_detail(graph, mu):
@@ -217,7 +206,7 @@ def walk_detail(graph, mu):
     once per graph and mu."""
     found = graph._walks.get(mu)
     if found is None:
-        found = graph._walks.setdefault(mu, _stats_for_mu(graph.rows, mu))
+        found = graph._walks.setdefault(mu, _stats_for_mu(graph, mu))
     return found
 
 
@@ -228,7 +217,7 @@ def component_stats(graph, mu_critical):
         raise ValueError("mu_max must be >= 0")
     if graph.vertex_count == 0:
         raise ValueError("component is empty")
-    return {mu: walk_detail(graph, mu)[:2] for mu in range(mu_critical + 1)}
+    return {mu: walk_detail(graph, mu).means for mu in range(mu_critical + 1)}
 
 
 class InsertionTrial:
@@ -277,15 +266,14 @@ class InsertionTrial:
     def augmented_means(self, class_id, mu):
         graph, rows, floor = self._aug[class_id]
         base = walk_detail(graph, mu)
-        n = len(base.starts)
+        n = len(base.t)
         hit = base.picks >= floor[base.verts]  # moves that would take the test vertex
         deflected = np.flatnonzero(hit.any(axis=1)).tolist()
         steps = hit[deflected].argmax(axis=1).tolist()
         prefixes = [base.verts[s, :k + 1].tolist() for s, k in zip(deflected, steps)]
         walks = _walk_indices(rows, prefixes + [(n,)], mu)  # n's own walk last
-        old = [base.starts[s] for s in deflected]
-        total_t = base.total_t - sum(t for t, _ in old) + sum(w[0] for w in walks)
-        total_c = base.total_c - sum(c for _, c in old) + sum(w[1] for w in walks)
+        total_t = base.total_t - int(base.t[deflected].sum()) + sum(w[0] for w in walks)
+        total_c = base.total_c - int(base.c[deflected].sum()) + sum(w[1] for w in walks)
         return total_t / (n + 1), total_c / (n + 1)
 
     def variations(self, mu):
@@ -300,7 +288,7 @@ class InsertionTrial:
         for graph in self.class_graphs:
             class_id = graph.class_id
             if class_id in self._aug:
-                base_t, base_c = walk_detail(graph, mu)[:2]
+                base_t, base_c = walk_detail(graph, mu).means
                 new_t, new_c = self.augmented_means(class_id, mu)
                 raw_t[class_id] = abs(new_t - base_t)
                 raw_c[class_id] = abs(new_c - base_c)

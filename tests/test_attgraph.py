@@ -521,12 +521,54 @@ def test_epsilon_comes_from_every_labeled_class(labels):
     assert [g.config.epsilon for g in graphs] == [2.5, 2.5]
 
 
+def test_ids_that_do_not_order_fail_with_a_domain_error():
+    ds = make_dataset([[0], [1], [2], [3], [4]], [1, 1, 2, 2, 2], ids=[0, "a", 2, 3, 4])
+    with pytest.raises(ValueError, match=r"ids 0 and 'a' cannot be ordered"):
+        build_training_graph(ds)
+
+
 def test_round_trip_through_edges_keeps_the_graph():
     ds = _multi_blob_dataset(1, translated=False)
     for g in build_training_graph(ds, GraphConfig(epsilon=1.5, kappa=2)):
         rows = _rows_from_id_edges(g.ids, g.edges())
         copy = ClassGraph(g.class_id, g.ids, g.positions, rows, g.config)
         assert snapshot(copy) == snapshot(g)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rank_holds_each_neighbor_position_in_its_row(seed):
+    # rows handed over unsorted, some vertices isolated; rank[k, j] is j's
+    # position in the sorted row k, rank[k, n] that row's length, else -1
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    rows = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.3:
+                d = float(rng.integers(1, 5)) * 0.25  # exact ties, broken by index
+                rows[i].append((d, j))
+                rows[j].append((d, i))
+    for row in rows:
+        rng.shuffle(row)
+    graph = ClassGraph(0, range(n), np.zeros((n, 1)), rows, GraphConfig())
+    rank = graph.rank
+    assert rank.shape == (n + 1, n + 1) and rank.dtype == np.int32
+    for k in range(n):
+        order = [j for _, j in graph.rows[k]]
+        for j in range(n):
+            assert rank[k, j] == (order.index(j) if j in order else -1), (k, j)
+    assert rank[:n, n].tolist() == [len(row) for row in graph.rows]
+    assert rank[n].tolist() == [-1] * (n + 1)
+    assert not rank.flags.writeable
+    with pytest.raises(ValueError):
+        rank[0, 0] = 0
+
+
+def test_a_row_listing_a_neighbor_twice_is_refused():
+    # the walk takes the first copy, so one rank entry could not name both
+    rows = [[(1.0, 1), (2.0, 1), (3.0, 2)], [(1.0, 0), (2.0, 0)], [(3.0, 0)]]
+    with pytest.raises(ValueError, match="lists one neighbor twice"):
+        ClassGraph(0, [0, 1, 2], np.zeros((3, 1)), rows, GraphConfig())
 
 
 def test_graph_dump_format(tmp_path):

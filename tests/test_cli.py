@@ -392,6 +392,18 @@ def test_semantic_sweep_is_identical_across_hash_seeds(corpus_dir, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_two_row_class_is_one_line_naming_the_fold(tmp_path):
+    path = tmp_path / "two.csv"
+    rng = np.random.default_rng(3)
+    X = np.vstack([rng.normal(0.0, 1.0, (10, 2)), rng.normal(4.0, 1.0, (2, 2))])
+    Dataset(list(range(12)), X, [1] * 10 + [2] * 2, ["x", "y"]).to_csv(path)
+    done = run_module("sweep", "--features", path)
+    assert done.returncode == 1 and done.stdout == ""
+    errors = [line for line in done.stderr.splitlines() if line.startswith("sensewalk: error: ")]
+    assert len(errors) == 1 and "Traceback" not in done.stderr
+    assert "class 2 keeps 1 training instance(s) in fold 1 of 2" in errors[0]
+
+
 def test_duplicate_heavy_features_ask_for_epsilon(tmp_path):
     path = tmp_path / "dup.csv"
     X = np.array([[0.0, 0.0]] * 6 + [[1.0, 1.0]] * 6)

@@ -39,6 +39,13 @@ def blob_dataset(per_class=20, classes=(1, 2), gap=8.0, spread=0.6, seed=0, dim=
     return Dataset(list(range(len(X))), X, labels, [f"f{i}" for i in range(dim)])
 
 
+def two_row_class_dataset():
+    """Ten rows of class 1 and two of class 2."""
+    rng = np.random.default_rng(3)
+    X = np.vstack([rng.normal(0.0, 1.0, (10, 2)), rng.normal(4.0, 1.0, (2, 2))])
+    return Dataset(list(range(12)), X, [1] * 10 + [2] * 2, ["x", "y"])
+
+
 class TestFoldPlan:
     def test_partitions_disjoint_and_exhaustive(self):
         labels = [1] * 30 + [2] * 20
@@ -72,6 +79,10 @@ class TestFoldPlan:
     def test_singleton_class_rejected(self):
         with pytest.raises(InsufficientClassSize):
             make_fold_plan([1, 1, 1, 2], 10)
+
+    def test_no_instances_rejected(self):
+        with pytest.raises(InsufficientClassSize):
+            make_fold_plan([], 10)
 
     def test_unlabeled_rejected(self):
         with pytest.raises(ValueError):
@@ -342,6 +353,9 @@ class TestSweep:
         (("knn",), (0.0, 1.5)),
         (("knn", "bayes"), (-0.05, 0.5)),
         (("knn", "svm"), (0.0, 0.5)),
+        (("knn",), ()),
+        ((), (0.0, 0.5)),
+        ((), None),
     ])
     def test_bad_grid_rejected_before_any_fold(self, monkeypatch, low_levels, grid):
         def never(*args, **kwargs):
@@ -356,6 +370,31 @@ class TestSweep:
         with pytest.raises(ValueError):
             run_word_experiments(streams, annotations, paradigm="topological",
                                  low_levels=low_levels, lambda_grid=grid)
+
+    def test_unknown_paradigm_rejected_before_any_word(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("scoring started")
+
+        monkeypatch.setattr(evaluate, "cv_sweep", never)
+        for annotations in ([], make_synthetic_corpus(n_per_sense=6, n_docs=2)[1]):
+            with pytest.raises(ValueError, match="paradigm must be one of"):
+                run_word_experiments({}, annotations, paradigm="syntactic")
+
+    def test_two_row_class_rejected_before_any_fold_when_walks_score(self, monkeypatch):
+        # 2 folds, so each training fold keeps one row of class 2, too few
+        # for its class graph; lambda 0 alone builds no graph and runs
+        ds = two_row_class_dataset()
+        plan = make_fold_plan(ds.labels, 10, 0)
+        assert len(plan.folds) == 2
+        assert cv_sweep(ds, ("knn",), (0.0,), fold_plan=plan)["knn"].rows[0][0] == 0.0
+
+        def never(*args, **kwargs):
+            raise AssertionError("scoring started")
+
+        monkeypatch.setattr(evaluate, "_fold_records", never)
+        with pytest.raises(InsufficientClassSize,
+                           match=r"class 2 keeps 1 training instance\(s\) in fold 1 of 2"):
+            cv_sweep(ds, ("knn",), (0.0, 0.5), fold_plan=plan)
 
     def test_report_csv_format(self, tmp_path):
         ds = blob_dataset(per_class=8, gap=12.0, seed=2)

@@ -250,6 +250,14 @@ class TestClassIndex:
         with pytest.raises(ValueError, match=r"labels 2 and 'b' cannot be ordered"):
             Dataset(range(4), np.zeros((4, 1)), [2, None, 2.5, "b"], ["x"])
 
+    def test_duplicate_ids_fail_with_a_domain_error(self):
+        # a repeated id used to surface, fold by fold, as "vertex 3 already
+        # present" from the walk engine
+        with pytest.raises(ValueError, match=r"id 3 appears more than once"):
+            Dataset(list(range(19)) + [3], np.zeros((20, 2)), [1] * 10 + [2] * 10, ["x", "y"])
+        with pytest.raises(ValueError, match=r"id \('d', 1\) appears more than once"):
+            Dataset([("d", 0), ("d", 1), ("d", 1)], np.zeros((3, 1)), [1, 1, 1], ["x"])
+
     def test_subset_and_standardize_rebuild_the_index(self):
         ds = Dataset(range(5), np.arange(5.0)[:, None], [2, 1, 2, None, 1], ["x"])
         assert ds.subset([4, 2, 3]).class_rows == {1: [0], 2: [1]}

@@ -228,15 +228,15 @@ class TestComponentStats:
         stats = component_stats(graphs[0], 3)
         first = walk_detail(graphs[0], 3)
         assert walk_detail(graphs[0], 3) is first
-        assert stats[3] == first[:2]
-        assert len(first[2]) == graphs[0].vertex_count
+        assert stats[3] == first.means
+        assert len(first.t) == len(first.c) == graphs[0].vertex_count
 
     @pytest.mark.parametrize("seed", range(20))
     def test_memo_keeps_one_period_per_start(self, seed):
         # row s of the memo holds start s's walk up to one cycle period,
         # exactly as walk() reports it, and the row positions of the moves
-        # out of those vertices (none at mu 0, where no walk moves); the
-        # rows are padded to the longest with n and -1
+        # out of those vertices, read off the rows (none at mu 0, where no
+        # walk moves); the rows are padded to the longest with n and -1
         rng = random.Random(900 + seed)
         if seed % 4 == 3:
             n = rng.randint(3, 10)
@@ -250,18 +250,23 @@ class TestComponentStats:
         n = len(graph.ids)
         for mu in range(9):
             detail = walk_detail(graph, mu)
-            width = max(t + (c or 1) for t, c in detail.starts)
+            width = max(t + (c or 1) for t, c in zip(detail.t, detail.c))
             assert detail.verts.shape == detail.picks.shape == (n, width)
-            for s, (t, c) in enumerate(detail.starts):
+            assert (detail.total_t, detail.total_c) == (detail.t.sum(), detail.c.sum())
+            for s, (t, c) in enumerate(zip(detail.t.tolist(), detail.c.tolist())):
                 got = walk(graph, graph.ids[s], mu)
                 assert (t, c) == (got.transient, got.cycle)
                 end = len(got.trajectory)
                 verts = detail.verts[s].tolist()
                 assert [graph.ids[i] for i in verts[:end]] == list(got.trajectory)
                 assert verts[end:] == [n] * (width - end)
-                picks = _walk_indices(graph.rows, [(s,)], mu)[0][3][:end]
-                assert len(picks) == (0 if mu == 0 else end)
-                assert detail.picks[s].tolist() == picks + [-1] * (width - len(picks))
+                picks = detail.picks[s].tolist()
+                if mu:
+                    # one move past the kept vertices: the period's closing move
+                    traj = [graph.ids.index(v) for v in _trace(graph, graph.ids[s], mu, end)]
+                    _checked_picks(graph.rows, traj, picks[:end], 0)
+                    picks = picks[end:]
+                assert picks == [-1] * len(picks)
 
 
 def _blob_dataset(seed=5, per_class=8, classes=(1, 2), spread=0.5, gap=6.0):
@@ -488,10 +493,10 @@ class TestSharedStateTable:
             batch = _walk_indices(graph.rows, [(s,) for s in order], mu)
             for s, got in zip(order, batch):
                 assert got == _walk_indices(graph.rows, [(s,)], mu)[0], (s, mu)
-                t, c, traj, picks = got
+                t, c, traj = got
                 assert (t, c) == oracle_walk(positions, adj, graph.ids[s], mu), (s, mu)
-                if mu:
-                    _checked_picks(graph.rows, traj, picks, 0)
+                assert [graph.ids[i] for i in traj] == _trace(graph, graph.ids[s], mu,
+                                                              len(traj) - 1), (s, mu)
 
     @pytest.mark.parametrize("seed", range(24))
     def test_resumed_prefixes_in_one_batch(self, seed):
@@ -524,14 +529,11 @@ class TestSharedStateTable:
             batch = _walk_indices(rows, [prefixes[s] for s in order], mu)
             for s, got in zip(order, batch):
                 assert got == _walk_indices(rows, [prefixes[s]], mu)[0], (s, mu)
-                t, c, traj, picks = got
-                off = len(prefixes[s]) - 1
-                want_t, want_c, want_traj, want_picks = _walk_indices(rows, [(s,)], mu)[0]
+                t, c, traj = got
+                want_t, want_c, want_traj = _walk_indices(rows, [(s,)], mu)[0]
                 end = t + (c or 1)
                 assert (t, c, traj[:end]) == (want_t, want_c, want_traj[:end]), (s, mu)
-                assert picks[:end - off] == want_picks[off:end]
                 assert (t, c) == oracle_walk(full_positions, adj, ids[s], mu)
-                _checked_picks(rows, traj, picks, off)
 
     @pytest.mark.parametrize("seed", range(24))
     def test_resumes_exactly_the_first_deflections(self, seed, monkeypatch):
@@ -583,9 +585,10 @@ class TestSharedStateTable:
         graph = graph_from_edges({0: (0.0,), 1: (1.0,), 2: (3.0,)},
                                  [(0, 1, 1.0), (1, 2, 2.0)])
         got = _walk_indices(graph.rows, [(0,), (1,), (2,)], 2)
-        assert [r[:3] for r in got] == [(2, 0, [0, 1, 2]), (1, 0, [1, 0]), (2, 0, [2, 1, 0])]
+        assert got == [(2, 0, [0, 1, 2]), (1, 0, [1, 0]), (2, 0, [2, 1, 0])]
         assert _states(got[2][2], 2)[2] == _states(got[1][2], 2)[1]
-        assert [r[3] for r in got] == [[0, 1, 1], [0, 1], [0, 0, 1]]
+        # row positions of each move, the row's length at the dead end
+        assert walk_detail(graph, 2).picks.tolist() == [[0, 1, 1], [0, 1, -1], [0, 0, 1]]
 
     def test_join_onto_a_cycle_past_its_entry(self):
         # the triangle 0, 1, 2 at 1, 2 and 4 on a line; at mu 2 walk 1 runs
@@ -594,9 +597,9 @@ class TestSharedStateTable:
         graph = graph_from_edges({0: (1.0,), 1: (2.0,), 2: (4.0,)},
                                  [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)])
         got = _walk_indices(graph.rows, [(1,), (2,)], 2)
-        assert got[0][:3] == (0, 3, [1, 0, 2, 1, 0])
+        assert got[0] == (0, 3, [1, 0, 2, 1, 0])
         assert _states(got[1][2], 2)[1] == _states(got[0][2], 2)[3]
-        assert got[1][:3] == (0, 3, [2, 1, 0, 2, 1])
+        assert got[1] == (0, 3, [2, 1, 0, 2, 1])
         assert got == [_walk_indices(graph.rows, [(s,)], 2)[0] for s in (1, 2)]
 
     def test_join_into_a_transient(self):
@@ -608,9 +611,9 @@ class TestSharedStateTable:
             [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0), (2, 3, 6.0), (3, 4, 10.0)],
         )
         got = _walk_indices(graph.rows, [(3,), (4,)], 2)
-        assert got[0][:3] == (1, 3, [3, 2, 1, 0, 2, 1])
+        assert got[0] == (1, 3, [3, 2, 1, 0, 2, 1])
         assert _states(got[1][2], 2)[2] == _states(got[0][2], 2)[1]
-        assert got[1][:3] == (2, 3, [4, 3, 2, 1, 0, 2, 1])
+        assert got[1] == (2, 3, [4, 3, 2, 1, 0, 2, 1])
         assert got == [_walk_indices(graph.rows, [(s,)], 2)[0] for s in (3, 4)]
 
     def test_mu_one_walk_back_to_its_start_state(self):
@@ -619,7 +622,7 @@ class TestSharedStateTable:
         graph = graph_from_edges({0: (0.0,), 1: (1.0,), 2: (3.0,)},
                                  [(0, 1, 1.0), (1, 2, 2.0)])
         got = _walk_indices(graph.rows, [(0,), (2,), (1,)], 1)
-        assert [r[:3] for r in got] == [(0, 2, [0, 1, 0]), (1, 2, [2, 1, 0, 1]), (0, 2, [1, 0, 1])]
+        assert got == [(0, 2, [0, 1, 0]), (1, 2, [2, 1, 0, 1]), (0, 2, [1, 0, 1])]
         assert got == [_walk_indices(graph.rows, [(s,)], 1)[0] for s in (0, 2, 1)]
 
 

@@ -16,8 +16,8 @@ vertex ``k`` is ``ids[k]`` (ids sorted), ``positions[k]`` its feature
 vector and ``rows[k]`` its neighbors as ``(distance, index)`` pairs sorted
 ascending. Because indices follow id order, scanning a row front to back
 realizes the tourist walk's movement rule (nearest first, ties to the
-smallest id); the constructor takes unsorted index-space rows and is the
-one place that sorts them.
+smallest id); the constructor takes the n x n edge-length matrix and is the
+one place that sorts it, with one stable argsort of its rows.
 
 Test instances are inserted *virtually*: an :class:`InsertionView` lists
 the links a test point would make into one class component without ever
@@ -78,23 +78,26 @@ class ClassGraph:
     """One class's component in index space.
 
     ``ids`` must be strictly increasing and ``positions`` holds row ``k``
-    for ``ids[k]``. ``rows[k]`` lists vertex ``k``'s neighbors as
-    ``(distance, index)`` pairs in any order, each undirected edge once in
-    the rows of both its ends; the constructor sorts every row.
+    for ``ids[k]``. ``distances`` is the symmetric n x n matrix of edge
+    lengths, +inf where two vertices share no edge (the diagonal too).
+    One stable argsort of its rows gives every row at once: ``rows[k]``
+    lists vertex ``k``'s neighbors as ``(distance, index)`` pairs sorted
+    ascending, exact ties to the smaller index as a tuple sort gives them.
 
-    ``rank``, read-only (n + 1) x (n + 1) int32, holds row positions:
-    ``rank[k, j]`` is ``j``'s position in ``rows[k]``, ``rank[k, n]`` is
-    ``len(rows[k])`` (a dead end) and every other entry, row n too, is -1.
+    ``rank``, read-only (n + 1) x (n + 1) int32, holds row positions from
+    the same argsort: ``rank[k, j]`` is ``j``'s position in ``rows[k]``,
+    ``rank[k, n]`` is ``len(rows[k])`` (a dead end) and every other entry,
+    row n too, is -1.
 
-    Immutable once built. The one mutable slot, ``_walks``, maps mu to a
-    :class:`sensewalk.tourist.WalkDetail`: every start's transient and
-    cycle, and its walk up to one period as a row of vertices beside a row
-    of the row positions its moves took, read from ``rank``, which lets an
-    insertion resume only the walks it deflects.
-    :func:`sensewalk.tourist.walk_detail` is its only reader and writer.
+    Immutable once built. The one mutable slot, ``_walks``, holds a
+    :class:`sensewalk.tourist.WalkMemo` (or None): every start's walk at
+    every mu from 0 up to the largest mu asked so far, laid out flat with
+    the row position each kept move took, read from ``rank``, which lets
+    an insertion resume only the walks it deflects.
+    :func:`sensewalk.tourist.walk_memo` is its only reader and writer.
     """
 
-    def __init__(self, class_id, ids, positions, rows, config):
+    def __init__(self, class_id, ids, positions, distances, config):
         self.class_id = class_id
         self.ids = list(ids)
         if any(b <= a for a, b in zip(self.ids, self.ids[1:])):
@@ -102,15 +105,25 @@ class ClassGraph:
         self.positions = np.array(positions, dtype=float)
         self.positions.flags.writeable = False
         self.config = config
-        self.rows = [sorted(row) for row in rows]
-        n = len(self.rows)
+        n = len(self.ids)
+        W = np.asarray(distances, dtype=float)
+        if W.shape != (n, n):
+            raise ValueError(f"distances must be a {n} x {n} matrix, got shape {W.shape}")
+        order = np.argsort(W, axis=1, kind="stable")
+        linked = W < np.inf
+        degree = linked.sum(axis=1)
+        kept = np.arange(n) < degree[:, None]  # the leading entries of each sorted row
+        pairs = list(zip(np.take_along_axis(W, order, axis=1)[kept].tolist(),
+                         order[kept].tolist()))
+        ends = np.cumsum(degree).tolist()
+        self.rows = [pairs[a:b] for a, b in zip([0] + ends, ends)]
+        position = np.empty((n, n), dtype=np.int32)
+        np.put_along_axis(position, order, np.arange(n, dtype=np.int32)[None, :], axis=1)
         self.rank = np.full((n + 1, n + 1), -1, dtype=np.int32)
-        for k, row in enumerate(self.rows):  # n, past the last neighbor, marks a dead end
-            self.rank[k, [j for _, j in row] + [n]] = range(len(row) + 1)
-        if (self.rank >= 0).sum() != sum(len(row) + 1 for row in self.rows):
-            raise ValueError("a row lists one neighbor twice")  # rank would disagree with it
+        self.rank[:n, :n] = np.where(linked, position, -1)
+        self.rank[:n, n] = degree  # n, past the last neighbor, marks a dead end
         self.rank.flags.writeable = False
-        self._walks = {}
+        self._walks = None
 
     @property
     def vertex_count(self):
@@ -265,10 +278,9 @@ def build_training_graph(dataset, config=None):
         links = _local_links(D, epsilon, config.kappa)
         for i, j in _bridges(D, links):
             links[i, j] = links[j, i] = True
-        adjacency = [zip(D[k, row].tolist(), np.flatnonzero(row).tolist())
-                     for k, row in enumerate(links)]
         ids = [dataset.ids[r] for r in rows]
-        graphs.append(ClassGraph(class_id, ids, dataset.X[rows], adjacency, resolved))
+        distances = np.where(links, D, np.inf)
+        graphs.append(ClassGraph(class_id, ids, dataset.X[rows], distances, resolved))
     return graphs
 
 

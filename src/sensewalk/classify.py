@@ -373,7 +373,7 @@ def high_level_predict(test_instance, class_graphs, config, views):
     links into no class; callers fall back to the low-level membership.
     """
     trial = InsertionTrial(getattr(test_instance, "id", None), class_graphs, views)
-    variations = {mu: trial.variations(mu) for mu in range(config.mu_critical + 1)}
+    variations = trial.variation_curves(config.mu_critical)
     return combine_walk_variations(variations, class_priors(class_graphs), config)
 
 

@@ -110,6 +110,11 @@ def _check_choices(low_levels, lambdas):
     for name in low_levels:
         if name not in LOW_LEVEL_NAMES:
             raise ValueError(f"low_level must be one of {LOW_LEVEL_NAMES}, got {name!r}")
+    _check_lambdas(lambdas)
+
+
+def _check_lambdas(lambdas):
+    """Reject an empty grid or compliance terms outside [0, 1]."""
     if not lambdas:
         raise ValueError("the lambda grid is empty; give at least one lambda in [0, 1]")
     for lam in lambdas:
@@ -252,6 +257,7 @@ def cv_sweep(dataset, low_levels, lambda_grid=None, config=None, fold_plan=None,
              fold_datasets=None, word="", paradigm=""):
     """One fold pass, every classifier, every lambda; shared walk scores."""
     config = config or PipelineConfig()
+    low_levels = tuple(low_levels)  # read more than once
     grid = tuple(lambda_grid) if lambda_grid is not None else LAMBDA_GRID
     _check_choices(low_levels, grid)
     if fold_plan is None:
@@ -259,9 +265,7 @@ def cv_sweep(dataset, low_levels, lambda_grid=None, config=None, fold_plan=None,
     need_high = any(lam > 0 for lam in grid)
     if need_high:
         _check_walk_folds(dataset, fold_plan)
-    records = _fold_records(
-        dataset, tuple(low_levels), config, fold_plan, fold_datasets, need_high,
-    )
+    records = _fold_records(dataset, low_levels, config, fold_plan, fold_datasets, need_high)
     counts = {c: len(rows) for c, rows in rows_by_label([r.true for r in records]).items()}
     reports = {}
     for name in low_levels:
@@ -299,6 +303,7 @@ def run_word_experiments(token_streams, annotations, paradigm="semantic", window
 
     if paradigm not in PARADIGMS:
         raise ValueError(f"paradigm must be one of {PARADIGMS}, got {paradigm!r}")
+    low_levels = tuple(low_levels)  # read more than once
     lambda_grid = tuple(lambda_grid) if lambda_grid is not None else LAMBDA_GRID
     _check_choices(low_levels, lambda_grid)
     reports = []
@@ -467,6 +472,7 @@ def toy_experiment(lambda_grid=None, mu_critical=10, epsilon=0.02, kappa=3):
     term pulls it back as lambda grows.
     """
     grid = tuple(lambda_grid) if lambda_grid is not None else LAMBDA_GRID
+    _check_lambdas(grid)
     structured, unstructured, probe = load_toy_points()
     X = np.vstack([structured, unstructured])
     labels = [1] * len(structured) + [2] * len(unstructured)

@@ -20,9 +20,9 @@ movement rule takes.
 
 One loop, :func:`_walk_indices`, runs a batch of walks on the same rows
 at one mu, each on from a prefix of states (a fresh walk is the prefix
-``(start,)``). A batch is every start of one graph when the memo below is
-filled, or the resumed starts plus the test vertex's own walk of one
-:meth:`InsertionTrial.augmented_means` call. It shares one state table,
+``(start,)``). A batch is every start of one graph at one mu when the memo
+below is filled, or the resumed starts at one mu plus the test vertex's
+own walk in :meth:`InsertionTrial.augmented_means`. It shares one state table,
 mapping each state a walk of the batch entered to that walk and step; the
 table lives only for the call. For fixed mu the walk is a map on states
 (a functional graph), so a walk that reaches a state an earlier walk
@@ -36,17 +36,20 @@ resumed walk enters only its prefix's last state: a walk back into its
 prefix passes that state again and is caught there, with the same cycle
 and, after the shrink, the same transient.
 
-:func:`walk_detail` memoizes, per graph and mu, each start's transient
-``t`` and cycle ``c``; row ``s`` of ``verts`` holds start ``s``'s first
-``t + c`` vertices (``t + 1`` on a dead end), and row ``s`` of ``picks``
-the row position of each move out of them (``len(row)`` on a dead end).
-A move's row position depends only on the vertices it joins, so walks
-record only vertices and ``picks`` is read from ``ClassGraph.rank``. The
-vertex sequence is periodic from ``t`` with period ``c``, so every later
-move repeats one of these.
-It is the memo's only writer; a race between two threads computing the
-same mu costs work but not consistency, because the walks are
-deterministic and the first stored result wins.
+:func:`walk_memo` keeps one :class:`WalkMemo` per graph, covering every
+mu from 0 to the largest asked so far; a larger mu extends it, so no mu is
+walked twice. Row ``r = mu * n + s`` holds start ``s`` at ``mu``: its
+transient ``t``, its cycle ``c`` and its first ``t + c`` vertices
+(``t + 1`` on a dead end). The vertex sequence is periodic from ``t`` with
+period ``c``, so every later move repeats one of these. The rows' vertices
+are concatenated into one flat array with row offsets, filled in one
+pass, beside ``picks``, the row position of each move out of them
+(``len(row)`` on a dead end). A move's row position depends only on the
+vertices it joins, so walks record only vertices and ``picks`` is one
+gather from ``ClassGraph.rank``. The memo's arrays are
+read-only and an extension replaces the memo whole; a race between two
+threads extending it costs work but not consistency, because the walks
+are deterministic.
 
 :class:`InsertionTrial` scores a virtual insertion without copying the
 graph: the augmented rows share every base row except the touched ones,
@@ -59,8 +62,10 @@ walk up to the first move out of a touched vertex ``u`` whose row position
 is at or behind ``p_u``, the test vertex's entry in ``u``'s augmented row;
 there the test vertex becomes the next choice. ``picks >= floor[verts]``
 marks those moves, ``floor`` being ``p_u`` at each touched ``u`` and the
-int64 maximum elsewhere. Only starts with a marked move are walked again,
-on the augmented rows from the first; the rest keep their memoized
+int64 maximum elsewhere. One such comparison over the flat memo marks the
+moves of every row at every mu, and the first mark per row is its
+deflection. Only rows with a mark are walked again, one batch per mu, on
+the augmented rows from the first; the rest keep their memoized
 (transient, cycle). At mu 0 no walk moves, so none is deflected.
 """
 
@@ -168,66 +173,110 @@ def walk(graph, start, mu):
     return WalkResult(t, c, tuple(graph.ids[i] for i in traj[: _period_end(t, c)]))
 
 
-class WalkDetail(NamedTuple):
-    """Base walks of one graph at one mu, as :func:`walk_detail` memoizes them."""
+class WalkMemo(NamedTuple):
+    """Base walks of one graph at every mu in 0..mu_max, as :func:`walk_memo`
+    keeps them. Row ``r = mu * n + s`` is start ``s`` at ``mu``; every array
+    is read-only."""
 
-    t: np.ndarray  # per start: its transient
-    c: np.ndarray  # per start: its cycle
-    verts: np.ndarray  # n x width: row s is start s's first _period_end vertices, padded with n
-    picks: np.ndarray  # n x width: the row position of each move out of them, padded with -1
-    total_t: int  # the sums of t and c, as Python ints
-    total_c: int
+    t: np.ndarray  # per row: its transient
+    c: np.ndarray  # per row: its cycle
+    total_t: tuple  # per mu: the sums of t and c over its rows, as Python ints
+    total_c: tuple
+    offsets: np.ndarray  # per row, and one past the last: where its kept vertices start
+    verts: np.ndarray  # each row's first _period_end vertices, rows concatenated
+    vertex_list: tuple  # verts as Python ints, sliced into resumed walks' prefixes
+    picks: np.ndarray  # per entry of verts: the row position of the move out of it
 
     @property
-    def means(self):
-        """(mean transient, mean cycle) over every start."""
-        n = len(self.t)
-        return self.total_t / n, self.total_c / n
+    def mu_max(self):
+        return len(self.total_t) - 1
+
+    def means(self, mu):
+        """(mean transient, mean cycle) over every start at one mu."""
+        n = len(self.t) // len(self.total_t)
+        return self.total_t[mu] / n, self.total_c[mu] / n
 
 
-def _stats_for_mu(graph, mu):
-    """Walk every start of ``graph`` at one mu and lay out the kept moves."""
+def _frozen(memo):
+    for part in memo:
+        if isinstance(part, np.ndarray):
+            part.flags.writeable = False
+    return memo
+
+
+_NO_WALKS = _frozen(WalkMemo(np.empty(0, np.int64), np.empty(0, np.int64), (), (),
+                             np.zeros(1, np.intp), np.empty(0, np.int32), (),
+                             np.empty(0, np.int32)))
+
+
+def _extended(graph, memo, mu_max):
+    """``memo`` with the walks of every start at each mu past its own up to
+    ``mu_max`` appended, their rows filled in one pass."""
     n = graph.vertex_count
-    walks = _walk_indices(graph.rows, [(s,) for s in range(n)], mu)
-    width = max(_period_end(t, c) for t, c, _ in walks)
-    verts = np.full((n, width), n)
-    after = np.full((n, width), n)  # where each kept move goes: n past a dead end
-    for s, (t, c, traj) in enumerate(walks):
-        end = _period_end(t, c)
-        verts[s, :end] = traj[:end]
-        after[s, :end] = traj[1:end] + [traj[t] if c else n]  # the last move closes the period
-    t = np.array([t for t, _, _ in walks])
-    c = np.array([c for _, c, _ in walks])
-    return WalkDetail(t, c, verts, graph.rank[verts, after], int(t.sum()), int(c.sum()))
+    mus = range(memo.mu_max + 1, mu_max + 1)
+    t, c, kept, closes = [], [], [], []
+    for mu in mus:  # one mu's full trajectories alive at a time
+        for w_t, w_c, traj in _walk_indices(graph.rows, [(s,) for s in range(n)], mu):
+            t.append(w_t)
+            c.append(w_c)
+            kept += traj[:_period_end(w_t, w_c)]
+            closes.append(traj[w_t] if w_c else n)  # where a period's last move goes
+    t = np.array(t, dtype=np.int64)
+    c = np.array(c, dtype=np.int64)
+    verts = np.array(kept, dtype=np.int32)  # as rank's entries
+    ends = np.cumsum(t + np.maximum(c, 1))
+    after = np.empty_like(verts)  # where each kept move goes: n past a dead end
+    after[:-1] = verts[1:]
+    after[ends - 1] = closes
+    added = WalkMemo(
+        t,
+        c,
+        tuple(t.reshape(len(mus), n).sum(axis=1).tolist()),
+        tuple(c.reshape(len(mus), n).sum(axis=1).tolist()),
+        memo.offsets[-1] + ends,
+        verts,
+        tuple(kept),
+        graph.rank[verts, after],
+    )
+    return _frozen(WalkMemo(*(old + new if isinstance(old, tuple) else np.concatenate((old, new))
+                              for old, new in zip(memo, added))))
 
 
-def walk_detail(graph, mu):
-    """The memoized :class:`WalkDetail` of every start at one mu, computed
-    once per graph and mu."""
-    found = graph._walks.get(mu)
-    if found is None:
-        found = graph._walks.setdefault(mu, _stats_for_mu(graph, mu))
-    return found
+def walk_memo(graph, mu_max):
+    """The :class:`WalkMemo` of ``graph`` covering at least 0..mu_max.
+
+    A graph keeps one memo, extended to a larger mu_max when one is asked
+    for, so no mu is walked twice. The memo is replaced whole, never
+    changed: two threads extending it at once each walk the missing mu and
+    the last one stored stays, a shorter one costing a later extension
+    work but not consistency, since the walks are deterministic.
+    """
+    if mu_max < 0:
+        raise ValueError("mu_max must be >= 0")
+    memo = graph._walks or _NO_WALKS
+    if memo.mu_max < mu_max:
+        memo = graph._walks = _extended(graph, memo, mu_max)
+    return memo
 
 
 def component_stats(graph, mu_critical):
     """``{mu: (mean transient, mean cycle)}`` over walks from every vertex,
     for each mu in [0, mu_critical]."""
-    if mu_critical < 0:
-        raise ValueError("mu_max must be >= 0")
     if graph.vertex_count == 0:
         raise ValueError("component is empty")
-    return {mu: walk_detail(graph, mu).means for mu in range(mu_critical + 1)}
+    memo = walk_memo(graph, mu_critical)
+    return {mu: memo.means(mu) for mu in range(mu_critical + 1)}
 
 
 class InsertionTrial:
     """Walk bookkeeping for one test instance virtually joining the components.
 
     Builds each linked class's augmented rows once, with the position
-    ``p_u`` of the test vertex's entry in each touched row ``u``. Per mu, a
-    start is walked again only if its base walk moves out of some touched
-    ``u`` from row position ``p_u`` or later, and then only from the first
-    such step; the means start from the memoized base totals.
+    ``p_u`` of the test vertex's entry in each touched row ``u``. A start is
+    walked again at a mu only if its base walk there moves out of some
+    touched ``u`` from row position ``p_u`` or later, and then only from
+    the first such step; one comparison over a class's memo finds those
+    steps at every mu, and the means start from the memoized base totals.
     """
 
     def __init__(self, test_id, class_graphs, views):
@@ -263,44 +312,64 @@ class InsertionTrial:
             rows.append(sorted(own))
             self._aug[graph.class_id] = (graph, rows, floor)
 
-    def augmented_means(self, class_id, mu):
+    def augmented_means(self, class_id, mu_max):
+        """(mean transient, mean cycle) of the augmented graph at each mu in
+        0..mu_max, from one deflection pass over the class's memo."""
         graph, rows, floor = self._aug[class_id]
-        base = walk_detail(graph, mu)
-        n = len(base.t)
-        hit = base.picks >= floor[base.verts]  # moves that would take the test vertex
-        deflected = np.flatnonzero(hit.any(axis=1)).tolist()
-        steps = hit[deflected].argmax(axis=1).tolist()
-        prefixes = [base.verts[s, :k + 1].tolist() for s, k in zip(deflected, steps)]
-        walks = _walk_indices(rows, prefixes + [(n,)], mu)  # n's own walk last
-        total_t = base.total_t - int(base.t[deflected].sum()) + sum(w[0] for w in walks)
-        total_c = base.total_c - int(base.c[deflected].sum()) + sum(w[1] for w in walks)
-        return total_t / (n + 1), total_c / (n + 1)
+        memo = walk_memo(graph, mu_max)
+        n = graph.vertex_count
+        stop = memo.offsets[(mu_max + 1) * n]  # the entries of rows at mu <= mu_max
+        hits = np.flatnonzero(memo.picks[:stop] >= floor[memo.verts[:stop]])
+        hit_rows = np.searchsorted(memo.offsets, hits, side="right") - 1
+        first = np.ones(len(hits), dtype=bool)  # a row's hits are adjacent and ascending
+        first[1:] = hit_rows[1:] != hit_rows[:-1]
+        deflected = hit_rows[first]
+        ends = (hits[first] + 1).tolist()
+        prefixes = [memo.vertex_list[a:b] for a, b in zip(memo.offsets[deflected].tolist(), ends)]
+        bounds = np.searchsorted(deflected, np.arange(mu_max + 2) * n).tolist()
+        dropped_t = [0] + np.cumsum(memo.t[deflected]).tolist()
+        dropped_c = [0] + np.cumsum(memo.c[deflected]).tolist()
+        means = []
+        for mu, lo, hi in zip(range(mu_max + 1), bounds, bounds[1:]):
+            walks = _walk_indices(rows, prefixes[lo:hi] + [(n,)], mu)  # n's own walk last
+            total_t = memo.total_t[mu] - (dropped_t[hi] - dropped_t[lo]) + sum(w[0] for w in walks)
+            total_c = memo.total_c[mu] - (dropped_c[hi] - dropped_c[lo]) + sum(w[1] for w in walks)
+            means.append((total_t / (n + 1), total_c / (n + 1)))
+        return means
 
-    def variations(self, mu):
-        """Normalized per-class variations (delta_t, delta_c) at one mu.
+    def variation_curves(self, mu_max):
+        """``{mu: (delta_t, delta_c)}``, the normalized per-class variations
+        at each mu in 0..mu_max, with one :meth:`augmented_means` call per
+        linked class.
 
         Unlinked classes receive twice the largest linked variation (1.0
         when every linked variation is zero); if everything is zero the
         deltas are uniform so they still sum to one.
         """
-        raw_t = {}
-        raw_c = {}
+        base, new = {}, {}
         for graph in self.class_graphs:
-            class_id = graph.class_id
-            if class_id in self._aug:
-                base_t, base_c = walk_detail(graph, mu).means
-                new_t, new_c = self.augmented_means(class_id, mu)
-                raw_t[class_id] = abs(new_t - base_t)
-                raw_c[class_id] = abs(new_c - base_c)
-        max_t = max(raw_t.values())
-        max_c = max(raw_c.values())
-        high_t = 2.0 * max_t if max_t > 0 else 1.0
-        high_c = 2.0 * max_c if max_c > 0 else 1.0
-        for graph in self.class_graphs:
-            if graph.class_id not in self._aug:
-                raw_t[graph.class_id] = high_t
-                raw_c[graph.class_id] = high_c
-        return normalize(raw_t), normalize(raw_c)
+            if graph.class_id in self._aug:
+                memo = walk_memo(graph, mu_max)
+                base[graph.class_id] = [memo.means(mu) for mu in range(mu_max + 1)]
+                new[graph.class_id] = self.augmented_means(graph.class_id, mu_max)
+        curves = {}
+        for mu in range(mu_max + 1):
+            raw_t = {k: abs(new[k][mu][0] - base[k][mu][0]) for k in new}
+            raw_c = {k: abs(new[k][mu][1] - base[k][mu][1]) for k in new}
+            max_t = max(raw_t.values())
+            max_c = max(raw_c.values())
+            high_t = 2.0 * max_t if max_t > 0 else 1.0
+            high_c = 2.0 * max_c if max_c > 0 else 1.0
+            for graph in self.class_graphs:
+                if graph.class_id not in self._aug:
+                    raw_t[graph.class_id] = high_t
+                    raw_c[graph.class_id] = high_c
+            curves[mu] = normalize(raw_t), normalize(raw_c)
+        return curves
+
+    def variations(self, mu):
+        """Normalized per-class variations (delta_t, delta_c) at one mu."""
+        return self.variation_curves(mu)[mu]
 
 
 def normalize(raw):

@@ -527,48 +527,57 @@ def test_ids_that_do_not_order_fail_with_a_domain_error():
         build_training_graph(ds)
 
 
+def _distances_from_rows(rows):
+    """The n x n edge-length matrix of index-space rows, +inf off the edges."""
+    distances = np.full((len(rows), len(rows)), np.inf)
+    for k, row in enumerate(rows):
+        for d, j in row:
+            distances[k, j] = d
+    return distances
+
+
 def test_round_trip_through_edges_keeps_the_graph():
     ds = _multi_blob_dataset(1, translated=False)
     for g in build_training_graph(ds, GraphConfig(epsilon=1.5, kappa=2)):
-        rows = _rows_from_id_edges(g.ids, g.edges())
-        copy = ClassGraph(g.class_id, g.ids, g.positions, rows, g.config)
+        distances = _distances_from_rows(_rows_from_id_edges(g.ids, g.edges()))
+        copy = ClassGraph(g.class_id, g.ids, g.positions, distances, g.config)
         assert snapshot(copy) == snapshot(g)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_rank_holds_each_neighbor_position_in_its_row(seed):
-    # rows handed over unsorted, some vertices isolated; rank[k, j] is j's
-    # position in the sorted row k, rank[k, n] that row's length, else -1
+@pytest.mark.parametrize("seed", range(16))
+def test_rows_and_rank_equal_a_per_row_sort(seed):
+    # exact distance ties and duplicate points (distance 0), vertex 0
+    # isolated on odd seeds; the argsort-built rows equal sorted() of each
+    # row's (distance, index) pairs, rank[k, j] is j's position in row k,
+    # rank[k, n] that row's length, and every other entry -1
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 30))
-    rows = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.3:
-                d = float(rng.integers(1, 5)) * 0.25  # exact ties, broken by index
-                rows[i].append((d, j))
-                rows[j].append((d, i))
-    for row in rows:
-        rng.shuffle(row)
-    graph = ClassGraph(0, range(n), np.zeros((n, 1)), rows, GraphConfig())
+    n = int(rng.integers(10, 30))
+    X = rng.integers(0, 3, size=(n, 2)) * 0.5  # more points than the 9 lattice sites
+    D = _reference_distances(X)
+    links = np.triu(rng.random((n, n)) < 0.4, k=1)
+    links |= links.T
+    links[0] &= seed % 2 == 0
+    links[:, 0] &= seed % 2 == 0
+    graph = ClassGraph(0, range(n), X, np.where(links, D, np.inf), GraphConfig())
+    want = [sorted((D[k, j], j) for j in range(n) if links[k, j]) for k in range(n)]
+    assert [[(d.hex(), j) for d, j in row] for row in graph.rows] == \
+        [[(float(d).hex(), j) for d, j in row] for row in want]
     rank = graph.rank
     assert rank.shape == (n + 1, n + 1) and rank.dtype == np.int32
     for k in range(n):
-        order = [j for _, j in graph.rows[k]]
+        order = [j for _, j in want[k]]
         for j in range(n):
             assert rank[k, j] == (order.index(j) if j in order else -1), (k, j)
-    assert rank[:n, n].tolist() == [len(row) for row in graph.rows]
+    assert rank[:n, n].tolist() == [len(row) for row in want]
     assert rank[n].tolist() == [-1] * (n + 1)
     assert not rank.flags.writeable
     with pytest.raises(ValueError):
         rank[0, 0] = 0
 
 
-def test_a_row_listing_a_neighbor_twice_is_refused():
-    # the walk takes the first copy, so one rank entry could not name both
-    rows = [[(1.0, 1), (2.0, 1), (3.0, 2)], [(1.0, 0), (2.0, 0)], [(3.0, 0)]]
-    with pytest.raises(ValueError, match="lists one neighbor twice"):
-        ClassGraph(0, [0, 1, 2], np.zeros((3, 1)), rows, GraphConfig())
+def test_distance_matrix_of_the_wrong_shape_is_refused():
+    with pytest.raises(ValueError, match="must be a 3 x 3 matrix"):
+        ClassGraph(0, [0, 1, 2], np.zeros((3, 1)), np.full((2, 2), np.inf), GraphConfig())
 
 
 def test_graph_dump_format(tmp_path):

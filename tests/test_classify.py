@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sensewalk import classify
+from sensewalk import classify, tourist
 from sensewalk.attgraph import GraphConfig, build_training_graph, insert_test
 from sensewalk.classify import (
     DecisionTree,
@@ -566,6 +566,39 @@ class TestHighLevel:
         for bare in (probe, Instance("p", probe, None)):
             with pytest.raises(ValueError, match="id comparable with the training ids"):
                 high_level_predict(bare, graphs, HighLevelConfig(mu_critical=2), views)
+
+    def test_one_deflection_pass_per_linked_class(self, monkeypatch):
+        # each prediction makes one augmented_means call, so one deflection
+        # comparison, per linked class, covering every mu at once; each
+        # graph's memo is walked once for all of them
+        rng = np.random.default_rng(3)
+        X = np.vstack([rng.normal(c, 0.4, (10, 2)) for c in (0.0, 1.5, 9.0)])
+        ds = Dataset(list(range(30)), X, [1] * 10 + [2] * 10 + [3] * 10, ["x", "y"])
+        graphs = build_training_graph(ds, GraphConfig(epsilon=1.0, kappa=3))
+        config = HighLevelConfig(mu_critical=5)
+        calls, extended = [], []
+        real_means = tourist.InsertionTrial.augmented_means
+        real_extended = tourist._extended
+
+        def means(trial, class_id, mu_max):
+            calls.append((class_id, mu_max))
+            return real_means(trial, class_id, mu_max)
+
+        def extend(graph, memo, mu_max):
+            extended.append((graph.class_id, memo.mu_max, mu_max))
+            return real_extended(graph, memo, mu_max)
+
+        monkeypatch.setattr(tourist.InsertionTrial, "augmented_means", means)
+        monkeypatch.setattr(tourist, "_extended", extend)
+        for k, point in enumerate(([0.7, 0.3], [0.2, 0.0], [1.2, 0.9])):
+            probe = Instance(100 + k, np.array(point), None)
+            views = insert_test(probe.features, graphs)
+            linked = [v.class_id for v in views if v.linked]
+            assert 3 not in linked and linked
+            calls.clear()
+            high_level_predict(probe, graphs, config, views)
+            assert calls == [(c, 5) for c in linked]
+        assert sorted(extended) == [(c, -1, 5) for c in sorted({c for c, _, _ in extended})]
 
     def test_concurrent_scoring_on_cold_graphs_matches_serial(self):
         # predictions fill the graphs' walk memos; threads racing to fill

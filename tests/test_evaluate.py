@@ -371,6 +371,22 @@ class TestSweep:
             run_word_experiments(streams, annotations, paradigm="topological",
                                  low_levels=low_levels, lambda_grid=grid)
 
+    def test_generator_of_classifiers_gives_the_list_reports(self):
+        # the names are read more than once; a generator used to come back empty
+        ds = blob_dataset(per_class=10, gap=10.0, seed=6)
+        config = PipelineConfig(high=HighLevelConfig(mu_critical=3))
+        plan = make_fold_plan(ds.labels, 5, 0)
+        names = ["knn", "c45"]
+        want = cv_sweep(ds, names, (0.0, 0.5), config, plan)
+        assert cv_sweep(ds, (n for n in names), (0.0, 0.5), config, plan) == want
+        assert list(want) == names
+        docs, annotations = make_synthetic_corpus(n_per_sense=8, n_docs=2)
+        streams = {doc_id: d.content_lemmas() for doc_id, d in docs.items()}
+        sweep = dict(paradigm="semantic", lambda_grid=(0.0, 1.0), config=config, n_folds=4)
+        want = run_word_experiments(streams, annotations, low_levels=names, **sweep)
+        assert len(want) == 2
+        assert run_word_experiments(streams, annotations, low_levels=iter(names), **sweep) == want
+
     def test_unknown_paradigm_rejected_before_any_word(self, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("scoring started")
@@ -479,3 +495,16 @@ class TestToyExperiment:
     def test_monotone_after_flip(self):
         report = toy_experiment()
         assert report.monotone_after_flip
+
+    @pytest.mark.parametrize("grid, message", [
+        ((), "the lambda grid is empty"),
+        ((0.0, 1.5), "lambda must lie in"),
+        ((-0.05,), "lambda must lie in"),
+    ])
+    def test_bad_grid_rejected_before_any_walk(self, monkeypatch, grid, message):
+        def never(*args, **kwargs):
+            raise AssertionError("scoring started")
+
+        monkeypatch.setattr(evaluate, "build_training_graph", never)
+        with pytest.raises(ValueError, match=message):
+            toy_experiment(lambda_grid=grid)

@@ -19,7 +19,7 @@ from sensewalk.tourist import (
     _walk_indices,
     component_stats,
     walk,
-    walk_detail,
+    walk_memo,
 )
 
 from walk_oracle import oracle_neighbors, oracle_walk, random_geometric_graph
@@ -27,19 +27,15 @@ from walk_oracle import oracle_neighbors, oracle_walk, random_geometric_graph
 
 def graph_from_edges(positions, weighted_edges):
     """ClassGraph over explicit coordinates and (id_a, id_b, distance) edges;
-    a pair listed twice is kept once."""
+    a pair listed twice keeps its last distance."""
     ids = sorted(positions)
     coords = np.array([positions[v] for v in ids], dtype=float)
     index = {v: k for k, v in enumerate(ids)}
-    pairs = {}
+    distances = np.full((len(ids), len(ids)), np.inf)
     for a, b, d in weighted_edges:
         i, j = index[a], index[b]
-        pairs[min(i, j), max(i, j)] = float(d)
-    rows = [[] for _ in ids]
-    for (i, j), d in pairs.items():
-        rows[i].append((d, j))
-        rows[j].append((d, i))
-    return ClassGraph(0, ids, coords, rows, GraphConfig())
+        distances[i, j] = distances[j, i] = float(d)
+    return ClassGraph(0, ids, coords, distances, GraphConfig())
 
 
 def snapshot(graph):
@@ -226,17 +222,18 @@ class TestComponentStats:
         ds = _blob_dataset()
         graphs = build_training_graph(ds, GraphConfig(epsilon=1.0, kappa=2))
         stats = component_stats(graphs[0], 3)
-        first = walk_detail(graphs[0], 3)
-        assert walk_detail(graphs[0], 3) is first
-        assert stats[3] == first.means
-        assert len(first.t) == len(first.c) == graphs[0].vertex_count
+        first = walk_memo(graphs[0], 3)
+        assert walk_memo(graphs[0], 3) is first
+        assert walk_memo(graphs[0], 1) is first  # a smaller mu_max is covered
+        assert [stats[mu] for mu in range(4)] == [first.means(mu) for mu in range(4)]
+        assert len(first.t) == len(first.c) == 4 * graphs[0].vertex_count
 
     @pytest.mark.parametrize("seed", range(20))
     def test_memo_keeps_one_period_per_start(self, seed):
-        # row s of the memo holds start s's walk up to one cycle period,
-        # exactly as walk() reports it, and the row positions of the moves
-        # out of those vertices, read off the rows (none at mu 0, where no
-        # walk moves); the rows are padded to the longest with n and -1
+        # row (mu, s) of the flat memo holds start s's walk at mu up to one
+        # cycle period, exactly as walk() reports it and with the oracle's
+        # transient and cycle, and the row position of each move out of
+        # those vertices, read off the rows (-1 at mu 0, where no walk moves)
         rng = random.Random(900 + seed)
         if seed % 4 == 3:
             n = rng.randint(3, 10)
@@ -247,26 +244,81 @@ class TestComponentStats:
             if seed % 2:
                 positions = _lattice_snap(positions)
         graph = component_from_points(positions, edges)
+        adj = oracle_neighbors(positions, edges)
         n = len(graph.ids)
+        memo = walk_memo(graph, 8)
+        assert memo.mu_max == 8 and len(memo.t) == len(memo.c) == 9 * n
+        assert memo.offsets[0] == 0 and len(memo.offsets) == 9 * n + 1
+        size = memo.offsets[-1]
+        assert len(memo.verts) == len(memo.picks) == size
+        assert memo.vertex_list == tuple(memo.verts.tolist())
         for mu in range(9):
-            detail = walk_detail(graph, mu)
-            width = max(t + (c or 1) for t, c in zip(detail.t, detail.c))
-            assert detail.verts.shape == detail.picks.shape == (n, width)
-            assert (detail.total_t, detail.total_c) == (detail.t.sum(), detail.c.sum())
-            for s, (t, c) in enumerate(zip(detail.t.tolist(), detail.c.tolist())):
-                got = walk(graph, graph.ids[s], mu)
-                assert (t, c) == (got.transient, got.cycle)
-                end = len(got.trajectory)
-                verts = detail.verts[s].tolist()
-                assert [graph.ids[i] for i in verts[:end]] == list(got.trajectory)
-                assert verts[end:] == [n] * (width - end)
-                picks = detail.picks[s].tolist()
+            rows = _memo_rows(memo, mu)
+            assert memo.total_t[mu] == sum(t for t, _, _, _ in rows)
+            assert memo.total_c[mu] == sum(c for _, c, _, _ in rows)
+            for s, (t, c, verts, picks) in enumerate(rows):
+                start = graph.ids[s]
+                got = walk(graph, start, mu)
+                assert (t, c) == (got.transient, got.cycle), (s, mu)
+                assert (t, c) == oracle_walk(positions, adj, start, mu), (s, mu)
+                assert [graph.ids[i] for i in verts] == list(got.trajectory)
                 if mu:
                     # one move past the kept vertices: the period's closing move
-                    traj = [graph.ids.index(v) for v in _trace(graph, graph.ids[s], mu, end)]
-                    _checked_picks(graph.rows, traj, picks[:end], 0)
-                    picks = picks[end:]
-                assert picks == [-1] * len(picks)
+                    traj = [graph.ids.index(v) for v in _trace(graph, start, mu, len(verts))]
+                    _checked_picks(graph.rows, traj, picks, 0)
+                else:
+                    assert picks == [-1]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_extended_memo_equals_a_fresh_one(self, seed, monkeypatch):
+        # a memo built to mu 3 and extended to 12 walks only mu 4..12 and
+        # equals a memo built to 12 at once, field for field
+        rng = random.Random(950 + seed)
+        positions, edges = _random_graph(rng, seed)
+        graph = component_from_points(positions, edges)
+        small = walk_memo(graph, 3)
+        walked = []
+
+        def spy(rows, prefixes, mu):
+            walked.append(mu)
+            return _walk_indices(rows, prefixes, mu)
+
+        monkeypatch.setattr("sensewalk.tourist._walk_indices", spy)
+        grown = walk_memo(graph, 12)
+        assert walked == list(range(4, 13))
+        assert graph._walks is grown
+        monkeypatch.undo()
+        fresh = walk_memo(component_from_points(positions, edges), 12)
+        for name, got, want in zip(fresh._fields, grown, fresh):
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            else:
+                assert got == want, name
+        size = small.offsets[-1]
+        assert np.array_equal(grown.verts[:size], small.verts), "extension keeps the old rows"
+
+    def test_memo_arrays_are_read_only(self):
+        graphs = build_training_graph(_blob_dataset(), GraphConfig(epsilon=1.0, kappa=2))
+        for mu_max in (2, 5):  # a fresh memo, then an extended one
+            memo = walk_memo(graphs[0], mu_max)
+            for name, part in zip(memo._fields, memo):
+                if isinstance(part, np.ndarray):
+                    assert not part.flags.writeable, name
+                    with pytest.raises(ValueError):
+                        part[0] = 0
+                else:
+                    assert isinstance(part, tuple), name
+
+
+def _memo_rows(memo, mu):
+    """Per start, ``(t, c, kept vertices, picks)`` of a memo's rows at one mu."""
+    n = len(memo.t) // len(memo.total_t)
+    rows = []
+    for r in range(mu * n, (mu + 1) * n):
+        kept = slice(memo.offsets[r], memo.offsets[r + 1])
+        rows.append((int(memo.t[r]), int(memo.c[r]),
+                     memo.verts[kept].tolist(), memo.picks[kept].tolist()))
+    return rows
 
 
 def _blob_dataset(seed=5, per_class=8, classes=(1, 2), spread=0.5, gap=6.0):
@@ -337,9 +389,8 @@ class TestInsertionVariation:
         view = next(v for v in views if v.linked)
         graph = next(g for g in graphs if g.class_id == view.class_id)
         full = _rebuilt_with(graph, 99, [0.5, -0.1], view.links)
-        for mu in range(5):
-            want_t, want_c, _ = _means_bruteforce(full, mu)
-            assert trial.augmented_means(view.class_id, mu) == (want_t, want_c)
+        want = [_means_bruteforce(full, mu)[:2] for mu in range(5)]
+        assert trial.augmented_means(view.class_id, 4) == want
 
     def test_insertion_leaves_graphs_unchanged(self):
         graphs, views = self._setup([0.3, 0.2])
@@ -383,9 +434,9 @@ class TestInsertionOverlay:
                 links = tuple((vid, 1.0) for vid in linked)
                 trial = InsertionTrial(test_id, [graph], [InsertionView(0, links)])
                 full = _rebuilt_with(graph, test_id, (1.0, 1.0), links)
-                for mu in range(6):
-                    want = component_stats(full, mu)[mu]
-                    assert trial.augmented_means(0, mu) == want, (test_id, linked, mu)
+                want = component_stats(full, 5)
+                got = trial.augmented_means(0, 5)
+                assert got == [want[mu] for mu in range(6)], (test_id, linked)
 
     def test_existing_id_rejected(self):
         graph = self._lattice()
@@ -427,9 +478,11 @@ class TestResumedWalks:
         graph = component_from_points(positions, edges)
         trial = InsertionTrial(test_id, [graph], [InsertionView(0, links)])
         full = _rebuilt_with(graph, test_id, point, links)
+        # every mu's means from one call, each equal to a full re-walk
+        got = trial.augmented_means(0, 8)
         for mu in range(9):
             want_t, want_c, _ = _means_bruteforce(full, mu)
-            assert trial.augmented_means(0, mu) == (want_t, want_c), (test_id, linked, mu)
+            assert got[mu] == (want_t, want_c), (test_id, linked, mu)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_geometric_graphs(self, seed):
@@ -516,10 +569,10 @@ class TestSharedStateTable:
         ids = graph.ids + [test_id]  # index n is the test vertex
         full_positions = {**positions, test_id: point}
         adj = oracle_neighbors(full_positions, edges + [(test_id, v) for v in linked])
+        memo = walk_memo(graph, 8)
         for mu in range(1, 9):
             prefixes = {}
-            for s, row in enumerate(walk_detail(graph, mu).verts.tolist()):
-                traj = [v for v in row if v < n]
+            for s, (_, _, traj, _) in enumerate(_memo_rows(memo, mu)):
                 k = _first_deflection(rows, traj, mu, n)
                 if k is not None:
                     prefixes[s] = traj[:k + 1]
@@ -537,9 +590,10 @@ class TestSharedStateTable:
 
     @pytest.mark.parametrize("seed", range(24))
     def test_resumes_exactly_the_first_deflections(self, seed, monkeypatch):
-        # augmented_means resumes each start whose base walk moves onto the
-        # test vertex n, from its first such move, and no other start; a
-        # brute-force scan of every base walk finds those moves
+        # one augmented_means call runs one batch per mu; each resumes every
+        # start whose base walk at that mu moves onto the test vertex n,
+        # from its first such move, and no other start; a brute-force scan
+        # of every base walk finds those moves
         rng = random.Random(9000 + seed)
         points, pairs = _random_graph(rng, seed)
         positions = {2 * v: p for v, p in points.items()}
@@ -553,16 +607,17 @@ class TestSharedStateTable:
         trial = InsertionTrial(test_id, [graph], [InsertionView(0, links)])
         _, rows, _ = trial._aug[0]
         n = len(graph.ids)
-        for mu in range(9):
-            walk_detail(graph, mu)  # the memo's own batch is not spied on
+        walk_memo(graph, 8)  # the memo's own batches are not spied on
         batches = []
 
         def spy(rows, prefixes, mu):
-            batches.append([tuple(p) for p in prefixes])
+            batches.append((mu, [tuple(p) for p in prefixes]))
             return _walk_indices(rows, prefixes, mu)
 
         monkeypatch.setattr("sensewalk.tourist._walk_indices", spy)
-        for mu in range(9):
+        trial.augmented_means(0, 8)
+        assert [mu for mu, _ in batches] == list(range(9))
+        for mu, batch in batches:
             want = []
             for start in graph.ids if mu else ():
                 t, c = oracle_walk(positions, adj, start, mu)
@@ -570,9 +625,6 @@ class TestSharedStateTable:
                 k = _first_deflection(rows, traj, mu, n)
                 if k is not None:
                     want.append(tuple(traj[:k + 1]))
-            batches.clear()
-            trial.augmented_means(0, mu)
-            [batch] = batches
             assert batch[-1] == (n,)
             assert sorted(batch[:-1]) == want, mu
 
@@ -588,7 +640,8 @@ class TestSharedStateTable:
         assert got == [(2, 0, [0, 1, 2]), (1, 0, [1, 0]), (2, 0, [2, 1, 0])]
         assert _states(got[2][2], 2)[2] == _states(got[1][2], 2)[1]
         # row positions of each move, the row's length at the dead end
-        assert walk_detail(graph, 2).picks.tolist() == [[0, 1, 1], [0, 1, -1], [0, 0, 1]]
+        picks = [p for _, _, _, p in _memo_rows(walk_memo(graph, 2), 2)]
+        assert picks == [[0, 1, 1], [0, 1], [0, 0, 1]]
 
     def test_join_onto_a_cycle_past_its_entry(self):
         # the triangle 0, 1, 2 at 1, 2 and 4 on a line; at mu 2 walk 1 runs

@@ -164,12 +164,23 @@ def _class_distances(dataset):
 
     ``rows`` are the class's dataset rows in id order and ``D`` their
     pairwise distance matrix, the one distance computation per class of a
-    build.
+    build. Raises ``ValueError`` naming two ids whose distance overflows
+    to infinity (features near 1e154 or larger), as no graph rule can
+    order or link such a pair.
     """
     classes = []
     for class_id in dataset.classes():
         rows = sorted_values(dataset.class_rows[class_id], "ids", key=dataset.ids.__getitem__)
-        classes.append((class_id, rows, _pairwise_distances(dataset.X[rows])))
+        with np.errstate(over="ignore"):  # reported below with the ids
+            D = _pairwise_distances(dataset.X[rows])
+        overflowed = np.argwhere(~np.isfinite(D))
+        if len(overflowed):
+            i, j = overflowed[0]
+            raise ValueError(
+                f"the distance between ids {dataset.ids[rows[i]]!r} and "
+                f"{dataset.ids[rows[j]]!r} is not finite; rescale the features"
+            )
+        classes.append((class_id, rows, D))
     return classes
 
 

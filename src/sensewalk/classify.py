@@ -13,9 +13,10 @@ component's tourist-walk statistics, and ``lam`` trades the two off.
 At ``lam == 0`` the hybrid reduces exactly to the low-level classifier.
 
 The tree sorts each feature once at the root and carries the sorted
-orders down to its children; every node scores all features and
-boundaries in one array pass, ties going to the smallest feature index,
-then the smallest threshold. Trees grow from an explicit stack, so their
+orders down to its children; every node scores, in one array pass, only
+the boundaries a split can fall on (between two distinct consecutive
+values of a feature), ties going to the smallest feature index, then the
+smallest threshold. Trees grow from an explicit stack, so their
 depth is not limited by the recursion limit.
 
 The low-level classifiers read the training set's class index
@@ -81,7 +82,9 @@ class HighLevelConfig:
 
 
 def _training_classes(train_dataset):
-    """The sorted classes of a training set whose every row is labeled."""
+    """The sorted classes of a non-empty training set whose every row is labeled."""
+    if len(train_dataset) == 0:
+        raise ValueError("the training set has no rows")
     if sum(len(rows) for rows in train_dataset.class_rows.values()) != len(train_dataset):
         raise ValueError("training labels must all be set")
     return train_dataset.classes()
@@ -235,28 +238,24 @@ def _best_split(xs, one_hot, base):
 
     ``xs`` holds the node's values sorted along each feature's row (F, m)
     and ``one_hot`` the matching class indicators (F, m, C), ``base`` the
-    node's label entropy. A split after position b is admissible where the
-    value changes; gains come for every feature and position at once, with
-    the same float operations as a per-feature scan. Ties favor the
-    smallest feature index, then the smallest threshold: the first argmax
-    across features of the first argmax along each feature.
+    node's label entropy. Gains are computed only where a split can fall,
+    after a position whose value changes, with the same float operations
+    as a per-feature scan; a node with no such pair gets None. The pairs
+    come feature-major with positions ascending, so the first argmax is the
+    tie rule: smallest feature index, then smallest threshold.
     """
-    n_features, m = xs.shape
-    if n_features == 0:
+    f, at = np.nonzero(xs[:, :-1] < xs[:, 1:])
+    if len(f) == 0:
         return None
+    m = xs.shape[1]
     cum = one_hot.cumsum(axis=1, dtype=float)
-    left = cum[:, :-1]
-    right = cum[:, -1:] - left
-    nl = np.arange(1.0, m)
+    left = cum[f, at]
+    right = cum[f, -1] - left
+    nl = at + 1.0
     nr = m - nl
-    h = _entropies_by_row(np.stack([left, right]), np.stack([nl, nr])[:, None])
-    cond = (nl / m) * h[0] + (nr / m) * h[1]
-    gains = np.where(xs[:, :-1] < xs[:, 1:], base - cond, -np.inf)
-    at = gains.argmax(axis=1)
-    f = int(gains[np.arange(n_features), at].argmax())
-    if gains[f, at[f]] == -np.inf:
-        return None
-    return f, int(at[f])
+    cond = (nl / m) * _entropies_by_row(left, nl) + (nr / m) * _entropies_by_row(right, nr)
+    best = int((base - cond).argmax())
+    return int(f[best]), int(at[best])
 
 
 def c45_train(train_dataset, min_size=2):

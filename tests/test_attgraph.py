@@ -527,6 +527,18 @@ def test_ids_that_do_not_order_fail_with_a_domain_error():
         build_training_graph(ds)
 
 
+@pytest.mark.parametrize("config", [GraphConfig(epsilon=1.0, kappa=1), GraphConfig()],
+                         ids=["given-epsilon", "median-epsilon"])
+def test_overflowing_distance_fails_with_the_ids(config):
+    # ids 0 and 1 of class 1 are 1e200 apart, whose square overflows: the
+    # build used to give vertex 0 a self-loop and leave 1 and 2 isolated
+    ds = make_dataset([[0, 0], [1e200, 0], [3e200, 0], [0, 1], [1, 1], [2, 1]], [1, 1, 1, 2, 2, 2])
+    with pytest.raises(ValueError, match="distance between ids 0 and 1 is not finite"):
+        build_training_graph(ds, config)
+    with pytest.raises(ValueError, match="distance between ids 0 and 1 is not finite"):
+        default_epsilon(ds)
+
+
 def _distances_from_rows(rows):
     """The n x n edge-length matrix of index-space rows, +inf off the edges."""
     distances = np.full((len(rows), len(rows)), np.inf)

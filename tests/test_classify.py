@@ -136,17 +136,29 @@ class TestKnn:
         assert CountingList.passes == 0
 
 
-@pytest.mark.parametrize("train", [
+each_low_level = pytest.mark.parametrize("train", [
     lambda ds: (lambda x: knn_predict(ds, x, k=1)),
     lambda ds: (lambda x: bayes_predict(bayes_train(ds), x)),
     lambda ds: (lambda x: c45_predict(c45_train(ds), x)),
 ], ids=["knn", "bayes", "c45"])
+
+
+@each_low_level
 def test_unlabeled_training_row_rejected(train):
     # the unlabeled row is the query's nearest neighbor: kNN used to vote
     # for no class ({1: 0.0, 2: 0.0}) and Bayes dropped it silently
     ds = make_dataset([[0], [0.1], [5], [5.1], [0.05]], [RED, RED, BLUE, BLUE, None])
     with pytest.raises(ValueError, match="training labels must all be set"):
         train(ds)(np.array([0.05]))
+
+
+@each_low_level
+def test_empty_training_set_rejected(train):
+    # kNN and C4.5 used to return an empty membership and Bayes failed in
+    # max() with "max() arg is an empty sequence"
+    ds = make_dataset(np.zeros((0, 1)), [])
+    with pytest.raises(ValueError, match="the training set has no rows"):
+        train(ds)(np.array([0.0]))
 
 
 class TestBayes:
@@ -476,6 +488,58 @@ class TestSplitSearchEquivalence:
         tree = c45_train(train, min_size=1)
         assert (tree.root.feature, tree.root.threshold) == (1, 0.5)
         _assert_same_tree(tree, reference_c45_train(train, min_size=1))
+
+
+class TestAdmissibleSplits:
+    """The split search scores only boundaries between two distinct values."""
+
+    def test_entropies_only_at_value_changes(self, monkeypatch):
+        searches = []  # per split search: (value changes, rows of each entropy call)
+        search, entropies = classify._best_split, classify._entropies_by_row
+
+        def spied_search(xs, one_hot, base):
+            searches.append((int(np.count_nonzero(xs[:, :-1] < xs[:, 1:])), []))
+            return search(xs, one_hot, base)
+
+        def spied_entropies(counts, totals):
+            searches[-1][1].append(len(counts))
+            return entropies(counts, totals)
+
+        monkeypatch.setattr(classify, "_best_split", spied_search)
+        monkeypatch.setattr(classify, "_entropies_by_row", spied_entropies)
+        rng = np.random.default_rng(3)
+        X = rng.integers(0, 4, size=(120, 3)).astype(float)
+        X[:, 2] = 1.0
+        c45_train(make_dataset(X, rng.integers(1, 4, size=120).tolist()), min_size=1)
+        assert searches[0][0] == 6  # values 0..3 on two features, one constant feature
+        assert any(changes == 0 for changes, _ in searches)
+        for changes, rows in searches:
+            assert set(rows) == ({changes} if changes else set())
+
+    def test_impure_node_with_constant_features_is_a_leaf(self):
+        # the root splits off row 0; its right child has mixed labels and
+        # the same value on every feature
+        train = make_dataset([[0, 0], [1, 1], [1, 1], [1, 1]], [RED, RED, BLUE, BLUE])
+        tree = c45_train(train, min_size=1)
+        assert (tree.root.feature, tree.root.threshold) == (0, 0.5)
+        assert tree.root.left.counts == {RED: 1}
+        assert tree.root.right.is_leaf and tree.root.right.counts == {RED: 1, BLUE: 2}
+        _assert_same_tree(tree, reference_c45_train(train, min_size=1))
+
+    def test_zero_features_give_a_root_leaf(self):
+        tree = c45_train(make_dataset(np.zeros((4, 0)), [RED, BLUE, BLUE, RED]))
+        assert tree.root.is_leaf and tree.root.counts == {RED: 2, BLUE: 2}
+        assert c45_predict(tree, np.zeros(0)).scores == {RED: 0.5, BLUE: 0.5}
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_large_tied_case_with_many_classes(self, seed):
+        # 900 x 8 on six values per feature with nine classes: from 8
+        # classes on numpy sums the class axis pairwise, not in sequence
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 6, size=(900, 8)) / 2
+        train = make_dataset(X, rng.integers(1, 10, size=900).tolist())
+        for min_size in (1, 2, 5):
+            _assert_same_tree(c45_train(train, min_size), reference_c45_train(train, min_size))
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,6 +12,14 @@ tree), H scores how little the test instance perturbs each class
 component's tourist-walk statistics, and ``lam`` trades the two off.
 At ``lam == 0`` the hybrid reduces exactly to the low-level classifier.
 
+Naive Bayes keeps, per class, one Parzen kernel per distinct (feature,
+training value) pair and an (n, d) index from each training entry to its
+kernel. It scores test rows in blocks: each kernel is evaluated once per
+row of the block, then gathered back to the (n, d) layout, so every
+density sums the same floats in the same order as a per-entry evaluation.
+A block gathers at most ``_BLOCK_FLOATS`` kernels, or one row's n x d when
+that is more.
+
 The tree sorts each feature once at the root and carries the sorted
 orders down to its children; every node scores, in one array pass, only
 the boundaries a split can fall on (between two distinct consecutive
@@ -90,6 +98,19 @@ def _training_classes(train_dataset):
     return train_dataset.classes()
 
 
+def _test_vectors(x, n_features, ndim=1):
+    """``x`` as a float array: one test vector (``ndim`` 1) or one per row
+    (``ndim`` 2). Every classifier refuses a wrong length or a non-finite
+    value with the same ValueError."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != ndim or x.shape[-1] != n_features:
+        raise ValueError(f"test vectors must have {n_features} values, "
+                         f"got an array of shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("test vectors must be finite")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # k-nearest neighbors
 
@@ -100,7 +121,7 @@ def knn_predict(train_dataset, x, k=1):
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
     classes = _training_classes(train_dataset)
-    d = euclidean(train_dataset.X, np.asarray(x, dtype=float))
+    d = euclidean(train_dataset.X, _test_vectors(x, train_dataset.X.shape[1]))
     near = range(len(d))
     if k < len(d):  # only rows within the k-th smallest distance can be among the k nearest
         near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1]).tolist()
@@ -113,21 +134,62 @@ def knn_predict(train_dataset, x, k=1):
 # naive Bayes with Parzen-window likelihoods
 
 _BANDWIDTH_FLOOR = 1e-6
+_BLOCK_FLOATS = 2**16  # bounds a block's gathered kernels at rows x n x d floats
+
+
+@dataclass(frozen=True, eq=False)
+class KernelTable:
+    """One class's Parzen kernels, one per distinct (feature, value) pair.
+
+    ``values`` holds each feature's distinct training values in ascending
+    order, the features one after another; ``features``, ``widths`` and
+    ``log_norms`` give each value's feature, bandwidth h and log(h * sqrt(2 pi)),
+    and ``starts`` the position of each feature's first value. Training
+    entry (i, j) is the kernel at ``entries[i, j]``.
+    """
+
+    values: np.ndarray
+    features: np.ndarray
+    widths: np.ndarray
+    log_norms: np.ndarray
+    starts: np.ndarray
+    entries: np.ndarray
 
 
 @dataclass(frozen=True)
 class BayesModel:
     classes: tuple
     log_priors: dict
-    values: dict  # class -> (n, d) training array
+    kernels: dict  # class -> KernelTable
     bandwidths: dict  # class -> per-feature bandwidth array
     feature_names: tuple = field(default=())
+
+    @property
+    def n_features(self):
+        return next(iter(self.bandwidths.values())).shape[0]
 
 
 def _silverman(values):
     n = len(values)
     sigma = values.std(axis=0)
     return 1.06 * sigma * n ** (-1 / 5)
+
+
+def _kernel_table(values, h):
+    """The distinct values of each column of ``values`` (n, d) and the index
+    of every entry among them; -0.0 and 0.0 share a kernel, which gives
+    both the same z * z."""
+    n, d = values.shape
+    order = np.argsort(values, axis=0, kind="stable")
+    ranked = np.take_along_axis(values, order, axis=0).T  # (d, n), each row ascending
+    new = np.ones((d, n), dtype=bool)
+    new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    entries = np.empty((n, d), dtype=np.intp)
+    entries[order, np.arange(d)] = (np.cumsum(new) - 1).reshape(d, n).T
+    features = np.nonzero(new)[0]
+    log_norms = np.log(h[None, :] * math.sqrt(2 * math.pi))[0]
+    return KernelTable(ranked[new], features, h[features], log_norms[features],
+                       np.searchsorted(features, np.arange(d)), entries)
 
 
 def bayes_train(train_dataset):
@@ -137,41 +199,55 @@ def bayes_train(train_dataset):
     classes stay well-defined.
     """
     classes = tuple(_training_classes(train_dataset))
-    log_priors, values, bandwidths = {}, {}, {}
+    log_priors, kernels, bandwidths = {}, {}, {}
     for c in classes:
         V = train_dataset.X[train_dataset.class_rows[c]]
-        values[c] = V
         bandwidths[c] = np.maximum(_silverman(V), _BANDWIDTH_FLOOR)
+        kernels[c] = _kernel_table(V, bandwidths[c])
         log_priors[c] = math.log(len(V) / len(train_dataset))
-    return BayesModel(classes, log_priors, values, bandwidths, tuple(train_dataset.feature_names))
+    return BayesModel(classes, log_priors, kernels, bandwidths, tuple(train_dataset.feature_names))
 
 
-def _log_kde(x, values, h):
-    """Per-feature log density of x under Gaussian kernels (log-sum-exp)."""
-    z = (x[None, :] - values) / h[None, :]  # (n, d)
-    logk = -0.5 * z * z - np.log(h[None, :] * math.sqrt(2 * math.pi))
-    m = logk.max(axis=0)
-    return m + np.log(np.exp(logk - m[None, :]).sum(axis=0)) - math.log(len(values))
+def _log_kde_rows(table, X):
+    """Each row's summed per-feature log density under one class's
+    kernels (log-sum-exp), a block of rows at a time."""
+    n = len(table.entries)
+    out = np.empty(len(X))
+    step = max(1, _BLOCK_FLOATS // max(1, table.entries.size))
+    for start in range(0, len(X), step):
+        z = (X[start:start + step, table.features] - table.values) / table.widths
+        logk = -0.5 * z * z - table.log_norms
+        m = np.maximum.reduceat(logk, table.starts, axis=1)  # (rows, d)
+        kernels = np.exp(logk - m[:, table.features])
+        density = np.take(kernels, table.entries, axis=1).sum(axis=1)  # (rows, n, d) -> (rows, d)
+        out[start:start + step] = (m + np.log(density) - math.log(n)).sum(axis=1)
+    return out
+
+
+def bayes_predict_rows(model, X):
+    """Posterior memberships of each row of ``X`` under the
+    attribute-independence hypothesis."""
+    X = _test_vectors(X, model.n_features, ndim=2)
+    log_scores = {c: (model.log_priors[c] + _log_kde_rows(model.kernels[c], X)).tolist()
+                  for c in model.classes}
+    memberships = []
+    for row in range(len(X)):
+        shift = max(log_scores[c][row] for c in model.classes)
+        raw = {c: math.exp(log_scores[c][row] - shift) for c in model.classes}
+        memberships.append(MembershipVector.normalized(raw))
+    return memberships
 
 
 def bayes_predict(model, x):
-    """Posterior memberships under the attribute-independence hypothesis."""
-    x = np.asarray(x, dtype=float)
-    log_scores = {}
-    for c in model.classes:
-        log_scores[c] = model.log_priors[c] + _log_kde(x, model.values[c], model.bandwidths[c]).sum()
-    shift = max(log_scores.values())
-    raw = {c: math.exp(s - shift) for c, s in log_scores.items()}
-    return MembershipVector.normalized(raw)
+    """Posterior memberships of one test vector."""
+    return bayes_predict_rows(model, _test_vectors(x, model.n_features)[None, :])[0]
 
 
 def bayes_bandwidths_csv(model):
     """Introspection dump: ``class,feature,bandwidth`` rows."""
     out = io.StringIO()
     out.write("class,feature,bandwidth\n")
-    names = model.feature_names or tuple(
-        f"f{i}" for i in range(next(iter(model.bandwidths.values())).shape[0])
-    )
+    names = model.feature_names or tuple(f"f{i}" for i in range(model.n_features))
     for c in model.classes:
         for name, h in zip(names, model.bandwidths[c]):
             out.write(f"{c},{name},{float(h)!r}\n")
@@ -199,6 +275,7 @@ class TreeNode:
 class DecisionTree:
     root: TreeNode
     classes: tuple
+    n_features: int  # the length of a test vector
 
 
 def _entropy(counts):
@@ -221,10 +298,16 @@ def information_gain(y, x, threshold):
     return entropy(y) - h
 
 
+def _midpoint(a, b):
+    """(a + b) / 2 of two floats, or a / 2 + b / 2 where the sum overflows."""
+    total = a + b
+    return a / 2 + b / 2 if math.isinf(total) else total / 2
+
+
 def candidate_thresholds(x):
     """Midpoints between consecutive distinct sorted feature values."""
     vals = sorted(set(float(v) for v in x))
-    return [(a + b) / 2 for a, b in zip(vals, vals[1:])]
+    return [_midpoint(a, b) for a, b in zip(vals, vals[1:])]
 
 
 def _entropies_by_row(counts, totals):
@@ -295,7 +378,7 @@ def c45_train(train_dataset, min_size=2):
             found = _best_split(xs, one_hot, _entropy(list(counts.values())))
         if found is not None:
             f, at = found
-            thr = float((xs[f, at] + xs[f, at + 1]) / 2)
+            thr = _midpoint(float(xs[f, at]), float(xs[f, at + 1]))
             left = X[rows, f] <= thr
             # a midpoint rounded onto the upper value can leave one side empty
             if 0 < np.count_nonzero(left) < len(rows):
@@ -307,12 +390,12 @@ def c45_train(train_dataset, min_size=2):
                 stack.append((node.left, rows[left], order[keep].reshape(len(order), -1)))
                 continue
         node.counts = counts
-    return DecisionTree(root, classes)
+    return DecisionTree(root, classes, X.shape[1])
 
 
 def c45_predict(tree, x):
     """Walk threshold tests to a leaf; membership = leaf class proportions."""
-    x = np.asarray(x, dtype=float)
+    x = _test_vectors(x, tree.n_features)
     node = tree.root
     while not node.is_leaf:
         node = node.left if x[node.feature] <= node.threshold else node.right
@@ -393,14 +476,35 @@ def hybrid_predict(low, high, lam):
     return membership, membership.argmax()
 
 
+@dataclass(frozen=True)
+class LowLevelPredictor:
+    """A trained low-level classifier. Call it with one test vector, or
+    give ``rows`` a matrix with one test vector per row for a list of
+    memberships; Bayes scores a block of rows at a time, kNN and C4.5 one
+    row at a time."""
+
+    one: object
+    rows: object
+
+    def __call__(self, x):
+        return self.one(x)
+
+
+def _row_by_row(one, n_features):
+    """A predictor whose ``rows`` calls ``one`` on each row in turn."""
+    return LowLevelPredictor(one, lambda X: [one(x) for x in _test_vectors(X, n_features, ndim=2)])
+
+
 def train_low_level(name, train_dataset, knn_k=1, min_size=2):
     """Uniform handle over the three low-level classifiers."""
     if name == "knn":
-        return lambda x: knn_predict(train_dataset, x, k=knn_k)
+        return _row_by_row(lambda x: knn_predict(train_dataset, x, k=knn_k),
+                           train_dataset.X.shape[1])
     if name == "bayes":
         model = bayes_train(train_dataset)
-        return lambda x: bayes_predict(model, x)
+        return LowLevelPredictor(lambda x: bayes_predict(model, x),
+                                 lambda X: bayes_predict_rows(model, X))
     if name == "c45":
         tree = c45_train(train_dataset, min_size=min_size)
-        return lambda x: c45_predict(tree, x)
+        return _row_by_row(lambda x: c45_predict(tree, x), tree.n_features)
     raise ValueError(f"unknown low-level classifier {name!r}")

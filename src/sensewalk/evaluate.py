@@ -178,9 +178,10 @@ def _fold_records(dataset, low_levels, config, fold_plan, fold_datasets=None, ne
             name: train_low_level(name, train_z, knn_k=config.knn_k, min_size=config.min_leaf)
             for name in low_levels
         }
+        fold_lows = {name: predictors[name].rows(test_z.X) for name in low_levels}
         for row, orig_index in enumerate(test_idx):
             inst = test_z.instance(row)
-            lows = {name: predictors[name](inst.features) for name in low_levels}
+            lows = {name: fold_lows[name][row] for name in low_levels}
             high = None
             if need_high:
                 views = insert_test(inst.features, graphs)

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -16,6 +17,7 @@ from sensewalk.classify import (
     TreeNode,
     bayes_bandwidths_csv,
     bayes_predict,
+    bayes_predict_rows,
     bayes_train,
     c45_predict,
     c45_train,
@@ -161,6 +163,39 @@ def test_empty_training_set_rejected(train):
         train(ds)(np.array([0.0]))
 
 
+@each_low_level
+@pytest.mark.parametrize("x", [[0.5], [0.5, 1.0, 2.0], [[0.5, 1.0]], 0.5,
+                               [0.5, np.nan], [np.inf, 1.0], [-np.inf, 1.0]],
+                         ids=["short", "long", "two-d", "scalar", "nan", "inf", "-inf"])
+def test_bad_test_vector_rejected(train, x):
+    # Bayes used to broadcast [0.5] over both features, C4.5 to raise
+    # IndexError, kNN a broadcast error, and a NaN gave kNN a uniform vote
+    ds = make_dataset([[0, 0], [0.1, 1], [5, 0], [5.1, 1]], [RED, RED, BLUE, BLUE])
+    with pytest.raises(ValueError, match="test vectors must"):
+        train(ds)(x)
+
+
+@pytest.mark.parametrize("name", ["knn", "bayes", "c45"])
+@pytest.mark.parametrize("X", [np.zeros((3, 1)), np.zeros(2), [[0.0, np.nan]]],
+                         ids=["narrow", "one-d", "nan"])
+def test_bad_test_rows_rejected(name, X):
+    ds = make_dataset([[0, 0], [0.1, 1], [5, 0], [5.1, 1]], [RED, RED, BLUE, BLUE])
+    with pytest.raises(ValueError, match="test vectors must"):
+        train_low_level(name, ds).rows(X)
+
+
+@pytest.mark.parametrize("name", ["knn", "bayes", "c45"])
+def test_rows_equal_one_vector_calls(name):
+    rng = np.random.default_rng(11)
+    X = rng.integers(0, 5, size=(40, 3)) / 2
+    ds = make_dataset(X, rng.integers(1, 4, size=40).tolist())
+    predict = train_low_level(name, ds, knn_k=3)
+    queries = np.vstack([X[:5], rng.normal(1, 1, size=(30, 3))])
+    rows = predict.rows(queries)
+    assert [repr(m.scores) for m in rows] == [repr(predict(q).scores) for q in queries]
+    assert predict.rows(np.zeros((0, 3))) == []
+
+
 class TestBayes:
     def test_symmetric_classes_give_half_half(self):
         train = make_dataset([-2.0, -1.0, 1.0, 2.0], [RED, RED, BLUE, BLUE])
@@ -226,6 +261,131 @@ class TestBayes:
             assert float(h) >= 1e-6
 
 
+def reference_bayes_predict(train_dataset, x):
+    """Naive Bayes as first written: for each test vector, the Gaussian
+    kernel of every training entry of a class in one (n, d) array."""
+
+    def _log_kde(x, values, h):
+        """Per-feature log density of x under Gaussian kernels (log-sum-exp)."""
+        z = (x[None, :] - values) / h[None, :]  # (n, d)
+        logk = -0.5 * z * z - np.log(h[None, :] * math.sqrt(2 * math.pi))
+        m = logk.max(axis=0)
+        return m + np.log(np.exp(logk - m[None, :]).sum(axis=0)) - math.log(len(values))
+
+    x = np.asarray(x, dtype=float)
+    log_scores = {}
+    for c in train_dataset.classes():
+        values = train_dataset.X[train_dataset.class_rows[c]]
+        h = np.maximum(1.06 * values.std(axis=0) * len(values) ** (-1 / 5), 1e-6)
+        log_prior = math.log(len(values) / len(train_dataset))
+        log_scores[c] = log_prior + _log_kde(x, values, h).sum()
+    shift = max(log_scores.values())
+    raw = {c: math.exp(s - shift) for c, s in log_scores.items()}
+    return MembershipVector.normalized(raw)
+
+
+def _bayes_case(kind, rng):
+    """(training set, test rows) of one kind of bit-identity case."""
+    if kind == "ties":
+        X = rng.integers(0, 4, size=(60, 5)) / 2
+    elif kind == "continuous":
+        X = rng.normal(size=(50, 4)) * np.array([1e-3, 1.0, 10.0, 1e4])
+    elif kind == "signed-zeros":
+        X = rng.choice([-0.0, 0.0, 1.5], size=(30, 3))
+    elif kind == "near-binary":  # standardized counts, as the semantic features are
+        X = np.where(rng.random(size=(80, 12)) < 0.1, 3.0, -0.33)
+    elif kind == "zero-features":
+        X = np.zeros((12, 0))
+    else:  # "wide": d much larger than n
+        X = np.round(rng.normal(size=(7, 300)), 1)
+    labels = rng.integers(1, 4, size=len(X))
+    labels[:3] = [1, 2, 3]
+    labels[3:][labels[3:] == 3] = 2  # class 3 keeps one row: the bandwidth floor
+    queries = np.vstack([
+        X[:4],
+        np.zeros((1, X.shape[1])),
+        -np.zeros((1, X.shape[1])),
+        rng.normal(size=(6, X.shape[1])) * (np.abs(X).max(axis=0, initial=0.0) + 1),
+    ])
+    return make_dataset(X, labels.tolist()), queries
+
+
+class TestBayesKernelTable:
+    """Kernels evaluated once per distinct training value, a block of rows
+    at a time, give the first formula's memberships bit for bit."""
+
+    @staticmethod
+    def _assert_bits(train, queries):
+        want = [repr(reference_bayes_predict(train, q).scores) for q in queries]
+        model = bayes_train(train)
+        assert [repr(bayes_predict(model, q).scores) for q in queries] == want
+        assert [repr(m.scores) for m in bayes_predict_rows(model, queries)] == want
+        assert [repr(m.scores) for m in train_low_level("bayes", train).rows(queries)] == want
+
+    @pytest.mark.parametrize("kind", ["ties", "continuous", "signed-zeros", "near-binary",
+                                      "zero-features", "wide"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cases(self, kind, seed):
+        self._assert_bits(*_bayes_case(kind, np.random.default_rng(seed)))
+
+    def test_signed_zeros_share_a_kernel(self):
+        train = make_dataset([[-0.0], [0.0], [0.0], [-0.0], [1.0]], [RED] * 4 + [BLUE])
+        table = bayes_train(train).kernels[RED]
+        assert table.values.tolist() == [0.0] and table.entries.tolist() == [[0]] * 4
+        self._assert_bits(train, np.array([[-0.0], [0.0], [1e-300], [0.5]]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(0, 6),
+           st.sampled_from([0.5, 1e-3, 1e6]))
+    def test_random_lattices(self, seed, n, dim, scale):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(-3, 4, size=(n, dim)) * scale
+        train = make_dataset(X, rng.integers(1, 3, size=n).tolist())
+        self._assert_bits(train, rng.integers(-4, 5, size=(5, dim)) * scale)
+
+    def test_kernel_table_indexes_every_entry(self):
+        rng = np.random.default_rng(2)
+        V = rng.integers(0, 3, size=(20, 4)) / 4
+        V[:, 3] = 1.0
+        table = classify._kernel_table(V, np.ones(4))
+        assert table.values[table.entries].tolist() == V.tolist()
+        assert (table.features[table.entries] == np.arange(4)).all()
+        assert table.starts.tolist() == [0, 3, 6, 9] and len(table.values) == 10
+        for f in range(4):  # each feature's distinct values, ascending
+            assert table.values[table.features == f].tolist() == sorted(set(V[:, f]))
+
+    @pytest.mark.parametrize("shape", [(40, 64), (30, 20), (300, 400)])
+    def test_row_counts_around_the_block(self, shape, monkeypatch):
+        # one class of n rows and one of n // 2 + 1: two block sizes; every
+        # gathered block stays within the budget unless one row exceeds it
+        n, d = shape
+        rng = np.random.default_rng(n)
+        X = np.round(rng.normal(size=(n + n // 2 + 1, d)), 2)
+        train = make_dataset(X, [RED] * n + [BLUE] * (n // 2 + 1))
+        model = bayes_train(train)
+        gathered, take = [], np.take
+
+        def spied_take(a, indices, axis=None):
+            out = take(a, indices, axis=axis)
+            gathered.append(out.size)
+            return out
+
+        monkeypatch.setattr(np, "take", spied_take)
+        steps = sorted({max(1, classify._BLOCK_FLOATS // model.kernels[c].entries.size)
+                        for c in model.classes})
+        counts = sorted({1, *(k for step in steps for k in (step - 1, step, step + 1) if k)})
+        if n * d <= classify._BLOCK_FLOATS:
+            assert steps[0] > 1
+        queries = rng.normal(size=(max(counts), d))
+        want = [repr(reference_bayes_predict(train, q).scores) for q in queries]
+        for count in counts:
+            gathered.clear()
+            got = bayes_predict_rows(model, queries[:count])
+            assert [repr(m.scores) for m in got] == want[:count]
+            assert max(gathered) <= max(classify._BLOCK_FLOATS, n * d)
+            assert sum(gathered) == count * d * len(X)
+
+
 class TestC45:
     def test_perfectly_separable_depth_one(self):
         train = make_dataset([0.0, 0.1, 0.9, 1.0], [RED, RED, BLUE, BLUE])
@@ -269,7 +429,7 @@ class TestC45:
             ),
             right=TreeNode(counts={s1: 3}),
         )
-        tree = DecisionTree(root, (s1, s2, s3))
+        tree = DecisionTree(root, (s1, s2, s3), 3)
         m = c45_predict(tree, np.array([-0.23, +0.29, +0.38]))
         assert m.argmax() == s3
         assert m.scores[s3] == 1.0
@@ -314,7 +474,7 @@ class TestC45:
                           left=TreeNode(counts={RED: 2}), right=TreeNode(counts={BLUE: 1})),
             right=TreeNode(counts={BLUE: 3, RED: 1}),
         )
-        assert tree_to_text(DecisionTree(root, (RED, BLUE)), ["a", "b"]).splitlines() == [
+        assert tree_to_text(DecisionTree(root, (RED, BLUE), 2), ["a", "b"]).splitlines() == [
             "if a <= 0.5:",
             "  if b <= 2:",
             "    leaf [1:2]",
@@ -353,6 +513,19 @@ class TestC45:
         assert (lo + hi) / 2 == hi
         tree = c45_train(make_dataset([lo, hi], [RED, BLUE]))
         assert tree.root.is_leaf and tree.root.counts == {RED: 1, BLUE: 1}
+
+
+    def test_midpoint_of_values_near_the_float_maximum(self):
+        # (1.2e308 + 1.5e308) / 2 overflows to inf: the split sent every row
+        # left and the root became a leaf
+        train = make_dataset([[1e308], [1.2e308], [1.5e308], [1.7e308]], [RED, RED, BLUE, BLUE])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = c45_train(train)
+        assert (tree.root.feature, tree.root.threshold) == (0, 1.35e308)
+        assert tree.root.left.counts == {RED: 2} and tree.root.right.counts == {BLUE: 2}
+        assert candidate_thresholds([1.5e308, 1.2e308, 1e308]) == [1.1e308, 1.35e308]
+        assert candidate_thresholds([-1.7e308, -1.5e308]) == [-1.6e308]
 
 
 def reference_c45_train(train_dataset, min_size=2):
@@ -416,7 +589,7 @@ def reference_c45_train(train_dataset, min_size=2):
         node.right = grow([i for i in rows if X[i, f] > thr])
         return node
 
-    return DecisionTree(grow(list(range(len(y)))), tuple(sorted(set(y))))
+    return DecisionTree(grow(list(range(len(y)))), tuple(sorted(set(y))), X.shape[1])
 
 
 def _preorder(tree):

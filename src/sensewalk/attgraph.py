@@ -34,7 +34,7 @@ import numpy as np
 from .features import sorted_values
 
 
-class ClassTooSmall(Exception):
+class ClassTooSmall(ValueError):
     """A class must contribute at least 2 training instances."""
 
 
@@ -91,7 +91,7 @@ class ClassGraph:
 
     Immutable once built. The one mutable slot, ``_walks``, holds a
     :class:`sensewalk.tourist.WalkMemo` (or None): every start's walk at
-    every mu from 0 up to the largest mu asked so far, laid out flat with
+    every mu from 0 to the memo's ``mu_max``, laid out flat with
     the row position each kept move took, read from ``rank``, which lets
     an insertion resume only the walks it deflects.
     :func:`sensewalk.tourist.walk_memo` is its only reader and writer.

@@ -20,18 +20,15 @@ import sys
 from pathlib import Path
 
 from . import adjacency, corpus, evaluate as ev
-from .attgraph import ClassTooSmall, GraphConfig, build_training_graph, write_class_graphs
+from .attgraph import GraphConfig, build_training_graph, write_class_graphs
 from .classify import (
     LOW_LEVEL_NAMES, HighLevelConfig, bayes_bandwidths_csv, bayes_train, c45_train, tree_to_text,
 )
-from .features import Dataset, MissingNode, semantic_features, standardize, topological_features
+from .features import Dataset, semantic_features, standardize, topological_features
 
-# failures caused by the input, reported as one line instead of a traceback
-_INPUT_ERRORS = (
-    ValueError, OSError, corpus.MissingStopwordList, corpus.MissingLemmaDictionary,
-    corpus.ParseError, corpus.PositionMismatch, MissingNode, ClassTooSmall,
-    ev.InsufficientClassSize,
-)
+# failures caused by the input, reported as one line instead of a traceback;
+# every domain input error subclasses one of them
+_INPUT_ERRORS = (ValueError, OSError)
 
 # config keys follow the flag names; two flags have differing argparse dests
 _CONFIG_ALIASES = {"lambda": "lam", "in": "in_dir"}

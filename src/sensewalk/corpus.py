@@ -37,15 +37,15 @@ AMBIGUOUS_SENSES = {
 }
 
 
-class MissingStopwordList(Exception):
+class MissingStopwordList(OSError):
     """Stopword resource could not be located."""
 
 
-class MissingLemmaDictionary(Exception):
+class MissingLemmaDictionary(OSError):
     """Lemma lookup table could not be located."""
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """Malformed annotation row; carries the 1-based line number."""
 
     def __init__(self, message, line_no):
@@ -53,7 +53,7 @@ class ParseError(Exception):
         self.line_no = line_no
 
 
-class PositionMismatch(Exception):
+class PositionMismatch(ValueError):
     """Annotation does not resolve to a content token with the right lemma."""
 
 

@@ -10,6 +10,7 @@ classifier and every lambda from the same cached memberships.
 import csv
 import json
 import logging
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
@@ -45,7 +46,7 @@ LAMBDA_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 PARADIGMS = ("semantic", "topological")
 
 
-class InsufficientClassSize(Exception):
+class InsufficientClassSize(ValueError):
     """Cross-validation needs every class to appear at least twice."""
 
 
@@ -61,6 +62,10 @@ def make_fold_plan(labels, n_folds=10, seed=0):
     """Stratified folds: each class's shuffled indices are dealt round-robin,
     so per-class proportions match within one instance. Classes smaller
     than ``n_folds`` shrink the fold count to the smallest class size."""
+    try:
+        operator.index(seed)
+    except TypeError:
+        raise ValueError(f"the fold seed must be an integer, got {seed!r}") from None
     if n_folds < 2:
         raise ValueError(f"cross-validation needs at least 2 folds, got {n_folds!r}")
     by_class = rows_by_label(labels)

@@ -17,7 +17,7 @@ import numpy as np
 from .adjacency import NodeTopology, node_topology
 
 
-class MissingNode(Exception):
+class MissingNode(ValueError):
     """An annotation has no occurrence node in the network."""
 
 
@@ -218,11 +218,17 @@ def topological_features(network, annotations):
 
 
 def feature_stats(dataset):
-    """Per-feature mean and population standard deviation."""
+    """Per-feature mean and population standard deviation; a feature whose
+    mean or deviation overflows is refused."""
     if len(dataset) < 2:
         raise ValueError("standardization needs at least 2 instances")
-    mean = dataset.X.mean(axis=0)
-    std = dataset.X.std(axis=0)  # population convention (divide by N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = dataset.X.mean(axis=0)
+        std = dataset.X.std(axis=0)  # population convention (divide by N)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if len(bad):
+        raise ValueError(f"feature {dataset.feature_names[bad[0]]!r} is too large to "
+                         f"standardize: its mean or standard deviation overflows")
     return mean, std
 
 

@@ -36,20 +36,17 @@ resumed walk enters only its prefix's last state: a walk back into its
 prefix passes that state again and is caught there, with the same cycle
 and, after the shrink, the same transient.
 
-:func:`walk_memo` keeps one :class:`WalkMemo` per graph, covering every
-mu from 0 to the largest asked so far; a larger mu extends it, so no mu is
-walked twice. Row ``r = mu * n + s`` holds start ``s`` at ``mu``: its
-transient ``t``, its cycle ``c`` and its first ``t + c`` vertices
-(``t + 1`` on a dead end). The vertex sequence is periodic from ``t`` with
-period ``c``, so every later move repeats one of these. The rows' vertices
-are concatenated into one flat array with row offsets, filled in one
-pass, beside ``picks``, the row position of each move out of them
-(``len(row)`` on a dead end). A move's row position depends only on the
-vertices it joins, so walks record only vertices and ``picks`` is one
-gather from ``ClassGraph.rank``. The memo's arrays are
-read-only and an extension replaces the memo whole; a race between two
-threads extending it costs work but not consistency, because the walks
-are deterministic.
+:func:`walk_memo` keeps one :class:`WalkMemo` per graph, built in one
+call over every mu from 0 to ``mu_max``. Row ``r = mu * n + s`` holds
+start ``s`` at ``mu``: its transient ``t``, its cycle ``c`` and its first
+``t + c`` vertices (``t + 1`` on a dead end). The vertex sequence is
+periodic from ``t`` with period ``c``, so every later move repeats one of
+these. The rows' vertices are concatenated into one flat array with row
+offsets, filled in one pass, beside ``picks``, the row position of each
+move out of them (``len(row)`` on a dead end). A move's row position
+depends only on the vertices it joins, so walks record only vertices and
+``picks`` is one gather from ``ClassGraph.rank``. The memo's arrays are
+read-only.
 
 :class:`InsertionTrial` scores a virtual insertion without copying the
 graph: the augmented rows share every base row except the touched ones,
@@ -197,25 +194,12 @@ class WalkMemo(NamedTuple):
         return self.total_t[mu] / n, self.total_c[mu] / n
 
 
-def _frozen(memo):
-    for part in memo:
-        if isinstance(part, np.ndarray):
-            part.flags.writeable = False
-    return memo
-
-
-_NO_WALKS = _frozen(WalkMemo(np.empty(0, np.int64), np.empty(0, np.int64), (), (),
-                             np.zeros(1, np.intp), np.empty(0, np.int32), (),
-                             np.empty(0, np.int32)))
-
-
-def _extended(graph, memo, mu_max):
-    """``memo`` with the walks of every start at each mu past its own up to
-    ``mu_max`` appended, their rows filled in one pass."""
+def _build_memo(graph, mu_max):
+    """The :class:`WalkMemo` of every start at each mu in 0..mu_max, its
+    rows filled in one pass."""
     n = graph.vertex_count
-    mus = range(memo.mu_max + 1, mu_max + 1)
     t, c, kept, closes = [], [], [], []
-    for mu in mus:  # one mu's full trajectories alive at a time
+    for mu in range(mu_max + 1):  # one mu's full trajectories alive at a time
         for w_t, w_c, traj in _walk_indices(graph.rows, [(s,) for s in range(n)], mu):
             t.append(w_t)
             c.append(w_c)
@@ -228,34 +212,33 @@ def _extended(graph, memo, mu_max):
     after = np.empty_like(verts)  # where each kept move goes: n past a dead end
     after[:-1] = verts[1:]
     after[ends - 1] = closes
-    added = WalkMemo(
+    memo = WalkMemo(
         t,
         c,
-        tuple(t.reshape(len(mus), n).sum(axis=1).tolist()),
-        tuple(c.reshape(len(mus), n).sum(axis=1).tolist()),
-        memo.offsets[-1] + ends,
+        tuple(t.reshape(mu_max + 1, n).sum(axis=1).tolist()),
+        tuple(c.reshape(mu_max + 1, n).sum(axis=1).tolist()),
+        np.concatenate(([0], ends)),
         verts,
         tuple(kept),
         graph.rank[verts, after],
     )
-    return _frozen(WalkMemo(*(old + new if isinstance(old, tuple) else np.concatenate((old, new))
-                              for old, new in zip(memo, added))))
+    for part in memo:
+        if isinstance(part, np.ndarray):
+            part.flags.writeable = False
+    return memo
 
 
 def walk_memo(graph, mu_max):
     """The :class:`WalkMemo` of ``graph`` covering at least 0..mu_max.
 
-    A graph keeps one memo, extended to a larger mu_max when one is asked
-    for, so no mu is walked twice. The memo is replaced whole, never
-    changed: two threads extending it at once each walk the missing mu and
-    the last one stored stays, a shorter one costing a later extension
-    work but not consistency, since the walks are deterministic.
+    A graph keeps one memo: the stored one when it covers mu_max, else a
+    new one over 0..mu_max, built in one call, that replaces it whole.
     """
     if mu_max < 0:
         raise ValueError("mu_max must be >= 0")
-    memo = graph._walks or _NO_WALKS
-    if memo.mu_max < mu_max:
-        memo = graph._walks = _extended(graph, memo, mu_max)
+    memo = graph._walks
+    if memo is None or memo.mu_max < mu_max:
+        memo = graph._walks = _build_memo(graph, mu_max)
     return memo
 
 

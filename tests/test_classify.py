@@ -813,20 +813,20 @@ class TestHighLevel:
         ds = Dataset(list(range(30)), X, [1] * 10 + [2] * 10 + [3] * 10, ["x", "y"])
         graphs = build_training_graph(ds, GraphConfig(epsilon=1.0, kappa=3))
         config = HighLevelConfig(mu_critical=5)
-        calls, extended = [], []
+        calls, built = [], []
         real_means = tourist.InsertionTrial.augmented_means
-        real_extended = tourist._extended
+        real_build = tourist._build_memo
 
         def means(trial, class_id, mu_max):
             calls.append((class_id, mu_max))
             return real_means(trial, class_id, mu_max)
 
-        def extend(graph, memo, mu_max):
-            extended.append((graph.class_id, memo.mu_max, mu_max))
-            return real_extended(graph, memo, mu_max)
+        def build(graph, mu_max):
+            built.append((graph.class_id, mu_max))
+            return real_build(graph, mu_max)
 
         monkeypatch.setattr(tourist.InsertionTrial, "augmented_means", means)
-        monkeypatch.setattr(tourist, "_extended", extend)
+        monkeypatch.setattr(tourist, "_build_memo", build)
         for k, point in enumerate(([0.7, 0.3], [0.2, 0.0], [1.2, 0.9])):
             probe = Instance(100 + k, np.array(point), None)
             views = insert_test(probe.features, graphs)
@@ -835,7 +835,7 @@ class TestHighLevel:
             calls.clear()
             high_level_predict(probe, graphs, config, views)
             assert calls == [(c, 5) for c in linked]
-        assert sorted(extended) == [(c, -1, 5) for c in sorted({c for c, _, _ in extended})]
+        assert sorted(built) == [(c, 5) for c in sorted({c for c, _ in built})]
 
     def test_concurrent_scoring_on_cold_graphs_matches_serial(self):
         # predictions fill the graphs' walk memos; threads racing to fill

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import sensewalk
-from sensewalk import adjacency
+from sensewalk import adjacency, corpus
+from sensewalk.attgraph import ClassTooSmall
 from sensewalk.cli import main, parse_config_file
-from sensewalk.evaluate import make_synthetic_corpus
-from sensewalk.features import Dataset
+from sensewalk.evaluate import InsufficientClassSize, make_synthetic_corpus
+from sensewalk.features import Dataset, MissingNode
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +350,43 @@ def test_missing_features_file_is_one_line(tmp_path):
     assert done.returncode == 1
     assert done.stderr.startswith("sensewalk: error: ") and done.stderr.count("\n") == 1
     assert "absent.csv" in done.stderr
+
+
+def test_overflowing_features_file_is_one_line(tmp_path):
+    # standardizing columns of about 1e160 overflowed; the run then scored
+    # every row as 0 and printed accuracy=0.5000 instead of refusing it
+    rng = np.random.default_rng(6)
+    X = np.vstack([rng.normal(0.0, 1.0, (20, 2)), rng.normal(3.0, 1.0, (20, 2))])
+    path = tmp_path / "huge.csv"
+    Dataset(list(range(40)), X * 1e160, [1] * 20 + [2] * 20, ["x", "y"]).to_csv(path)
+    done = run_module("evaluate", "--features", path, "--lambda", "0", "--low-level", "knn")
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("sensewalk: error: feature 'x' is too large to standardize")
+
+
+@pytest.mark.parametrize("error, args, builtin", [
+    (ClassTooSmall, ("too small",), ValueError),
+    (InsufficientClassSize, ("too few",), ValueError),
+    (MissingNode, ("no node",), ValueError),
+    (corpus.ParseError, ("bad row", 3), ValueError),
+    (corpus.PositionMismatch, ("no lemma",), ValueError),
+    (corpus.MissingStopwordList, ("stop.txt",), OSError),
+    (corpus.MissingLemmaDictionary, ("lemmas.txt",), OSError),
+])
+def test_domain_input_errors_are_their_builtin_errors(monkeypatch, capsys, error, args, builtin):
+    # the CLI reports any ValueError or OSError as one line, and these with it
+    try:
+        raise error(*args)
+    except builtin as exc:
+        message = str(exc)
+
+    def fail(**kwargs):
+        raise error(*args)
+
+    monkeypatch.setattr(sensewalk.evaluate, "toy_experiment", fail)
+    assert main(["toy"]) == 1
+    assert capsys.readouterr().err == f"sensewalk: error: {message}\n"
 
 
 def test_module_entry_runs_toy():

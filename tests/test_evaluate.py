@@ -94,6 +94,15 @@ class TestFoldPlan:
             make_fold_plan([1, 1, 2, 2], n_folds)
 
 
+    @pytest.mark.parametrize("seed", ["a", 1.5, [1, 2]])
+    def test_seed_that_is_not_an_integer_rejected_at_entry(self, seed, caplog):
+        # the fold-count warning (10 folds, classes of 2) must not come first
+        with pytest.raises(ValueError, match="the fold seed must be an integer"):
+            make_fold_plan([1, 1, 2, 2], seed=seed)
+        assert caplog.records == []
+        assert make_fold_plan([1, 1, 2, 2], 2, np.int64(3)) == make_fold_plan([1, 1, 2, 2], 2, 3)
+
+
 def reference_make_fold_plan(labels, n_folds=10, seed=0):
     """``make_fold_plan`` as it grouped the labels itself, before the class index."""
     by_class = {}

@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -146,6 +147,22 @@ class TestStandardize:
         ds = Dataset([0], np.array([[1.0]]), [1], ["f"])
         with pytest.raises(ValueError):
             standardize(ds)
+
+    def test_overflowing_column_is_refused_by_name(self):
+        # squares of values near 1e160 overflow, and an infinite deviation
+        # used to map the whole column to 0 without an error
+        rng = np.random.default_rng(5)
+        X = np.column_stack([rng.normal(0.0, 1.0, 6), rng.normal(3.0, 1.0, 6)])
+        ds = Dataset(range(6), X * [1.0, 1e160], [1, 1, 1, 2, 2, 2], ["small", "big"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="feature 'big' is too large to standardize"):
+                feature_stats(ds)
+            with pytest.raises(ValueError, match="feature 'big'"):
+                standardize(ds)
+        plain = Dataset(range(6), X, ds.labels, ds.feature_names)
+        wide = Dataset(range(6), X * 1e150, ds.labels, ds.feature_names)  # squares stay finite
+        assert np.allclose(standardize(wide).X, standardize(plain).X)
 
     @given(st.integers(0, 2**32 - 1))
     def test_idempotence_property(self, seed):

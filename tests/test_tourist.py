@@ -271,12 +271,13 @@ class TestComponentStats:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_extended_memo_equals_a_fresh_one(self, seed, monkeypatch):
-        # a memo built to mu 3 and extended to 12 walks only mu 4..12 and
-        # equals a memo built to 12 at once, field for field
+        # asking a graph with a memo to 3 for mu 12 rebuilds its memo in one
+        # pass over mu 0..12, equal to a memo built to 12 at once, field for
+        # field; a smaller mu then returns the stored memo itself
         rng = random.Random(950 + seed)
         positions, edges = _random_graph(rng, seed)
         graph = component_from_points(positions, edges)
-        small = walk_memo(graph, 3)
+        walk_memo(graph, 3)
         walked = []
 
         def spy(rows, prefixes, mu):
@@ -285,8 +286,9 @@ class TestComponentStats:
 
         monkeypatch.setattr("sensewalk.tourist._walk_indices", spy)
         grown = walk_memo(graph, 12)
-        assert walked == list(range(4, 13))
+        assert walked == list(range(13))
         assert graph._walks is grown
+        assert walk_memo(graph, 5) is grown and walked == list(range(13))
         monkeypatch.undo()
         fresh = walk_memo(component_from_points(positions, edges), 12)
         for name, got, want in zip(fresh._fields, grown, fresh):
@@ -294,12 +296,10 @@ class TestComponentStats:
                 assert got.dtype == want.dtype and np.array_equal(got, want), name
             else:
                 assert got == want, name
-        size = small.offsets[-1]
-        assert np.array_equal(grown.verts[:size], small.verts), "extension keeps the old rows"
 
     def test_memo_arrays_are_read_only(self):
         graphs = build_training_graph(_blob_dataset(), GraphConfig(epsilon=1.0, kappa=2))
-        for mu_max in (2, 5):  # a fresh memo, then an extended one
+        for mu_max in (2, 5):  # a fresh memo, then a rebuilt one
             memo = walk_memo(graphs[0], mu_max)
             for name, part in zip(memo._fields, memo):
                 if isinstance(part, np.ndarray):

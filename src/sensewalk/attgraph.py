@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import sorted_values
+from .features import as_int, sorted_values, test_vectors
 
 
 class ClassTooSmall(ValueError):
@@ -56,7 +56,7 @@ class GraphConfig:
     def __post_init__(self):
         if self.epsilon is not None and not self.epsilon > 0:  # NaN too
             raise ValueError("epsilon must be > 0")
-        if self.kappa < 1:
+        if as_int(self.kappa, "kappa") < 1:
             raise ValueError("kappa must be >= 1")
         if not self.fallback_factor > 0:
             raise ValueError("fallback_factor must be > 0")
@@ -164,23 +164,12 @@ def _class_distances(dataset):
 
     ``rows`` are the class's dataset rows in id order and ``D`` their
     pairwise distance matrix, the one distance computation per class of a
-    build. Raises ``ValueError`` naming two ids whose distance overflows
-    to infinity (features near 1e154 or larger), as no graph rule can
-    order or link such a pair.
+    build.
     """
     classes = []
     for class_id in dataset.classes():
         rows = sorted_values(dataset.class_rows[class_id], "ids", key=dataset.ids.__getitem__)
-        with np.errstate(over="ignore"):  # reported below with the ids
-            D = _pairwise_distances(dataset.X[rows])
-        overflowed = np.argwhere(~np.isfinite(D))
-        if len(overflowed):
-            i, j = overflowed[0]
-            raise ValueError(
-                f"the distance between ids {dataset.ids[rows[i]]!r} and "
-                f"{dataset.ids[rows[j]]!r} is not finite; rescale the features"
-            )
-        classes.append((class_id, rows, D))
+        classes.append((class_id, rows, _pairwise_distances(dataset.X[rows])))
     return classes
 
 
@@ -301,13 +290,13 @@ def insert_test(instance_features, class_graphs):
     Links are the component vertices strictly within epsilon of the test
     point; if none qualify but the component lies within
     ``epsilon * fallback_factor``, the kappa nearest vertices are linked
-    instead; beyond that the view stays empty.
+    instead; beyond that the view stays empty. The test vector must hold
+    one value per feature, each within the feature range.
     """
-    x = np.asarray(instance_features, dtype=float)
     views = []
     for graph in class_graphs:
         cfg = graph.config
-        d = euclidean(graph.positions, x)
+        d = euclidean(graph.positions, test_vectors(instance_features, graph.positions.shape[-1]))
         within = np.nonzero(d < cfg.epsilon)[0]
         if len(within) > 0:
             links = tuple((graph.ids[int(i)], float(d[i])) for i in within)

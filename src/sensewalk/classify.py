@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attgraph import euclidean
+from .features import as_int, test_vectors
 from .tourist import InsertionTrial, normalize
 
 log = logging.getLogger(__name__)
@@ -81,7 +82,7 @@ class HighLevelConfig:
     def __post_init__(self):
         if not 0 <= self.alpha_t <= 1:
             raise ValueError("alpha_t must lie in [0, 1]")
-        if self.mu_critical < 0:
+        if as_int(self.mu_critical, "mu_critical") < 0:
             raise ValueError("mu_critical must be >= 0")
 
     @property
@@ -98,19 +99,6 @@ def _training_classes(train_dataset):
     return train_dataset.classes()
 
 
-def _test_vectors(x, n_features, ndim=1):
-    """``x`` as a float array: one test vector (``ndim`` 1) or one per row
-    (``ndim`` 2). Every classifier refuses a wrong length or a non-finite
-    value with the same ValueError."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != ndim or x.shape[-1] != n_features:
-        raise ValueError(f"test vectors must have {n_features} values, "
-                         f"got an array of shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("test vectors must be finite")
-    return x
-
-
 # ---------------------------------------------------------------------------
 # k-nearest neighbors
 
@@ -118,10 +106,10 @@ def _test_vectors(x, n_features, ndim=1):
 def knn_predict(train_dataset, x, k=1):
     """Vote fractions among the k nearest training instances (Euclidean);
     all of them when there are no more than k."""
-    if k < 1:
+    if as_int(k, "k") < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
     classes = _training_classes(train_dataset)
-    d = euclidean(train_dataset.X, _test_vectors(x, train_dataset.X.shape[1]))
+    d = euclidean(train_dataset.X, test_vectors(x, train_dataset.X.shape[1]))
     near = range(len(d))
     if k < len(d):  # only rows within the k-th smallest distance can be among the k nearest
         near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1]).tolist()
@@ -227,7 +215,7 @@ def _log_kde_rows(table, X):
 def bayes_predict_rows(model, X):
     """Posterior memberships of each row of ``X`` under the
     attribute-independence hypothesis."""
-    X = _test_vectors(X, model.n_features, ndim=2)
+    X = test_vectors(X, model.n_features, ndim=2)
     log_scores = {c: (model.log_priors[c] + _log_kde_rows(model.kernels[c], X)).tolist()
                   for c in model.classes}
     memberships = []
@@ -240,7 +228,7 @@ def bayes_predict_rows(model, X):
 
 def bayes_predict(model, x):
     """Posterior memberships of one test vector."""
-    return bayes_predict_rows(model, _test_vectors(x, model.n_features)[None, :])[0]
+    return bayes_predict_rows(model, test_vectors(x, model.n_features)[None, :])[0]
 
 
 def bayes_bandwidths_csv(model):
@@ -298,16 +286,11 @@ def information_gain(y, x, threshold):
     return entropy(y) - h
 
 
-def _midpoint(a, b):
-    """(a + b) / 2 of two floats, or a / 2 + b / 2 where the sum overflows."""
-    total = a + b
-    return a / 2 + b / 2 if math.isinf(total) else total / 2
-
-
 def candidate_thresholds(x):
     """Midpoints between consecutive distinct sorted feature values."""
-    vals = sorted(set(float(v) for v in x))
-    return [_midpoint(a, b) for a, b in zip(vals, vals[1:])]
+    x = np.asarray(x, dtype=float)
+    vals = sorted(set(test_vectors(x, x.size).tolist()))
+    return [(a + b) / 2 for a, b in zip(vals, vals[1:])]
 
 
 def _entropies_by_row(counts, totals):
@@ -378,7 +361,7 @@ def c45_train(train_dataset, min_size=2):
             found = _best_split(xs, one_hot, _entropy(list(counts.values())))
         if found is not None:
             f, at = found
-            thr = _midpoint(float(xs[f, at]), float(xs[f, at + 1]))
+            thr = (float(xs[f, at]) + float(xs[f, at + 1])) / 2
             left = X[rows, f] <= thr
             # a midpoint rounded onto the upper value can leave one side empty
             if 0 < np.count_nonzero(left) < len(rows):
@@ -395,7 +378,7 @@ def c45_train(train_dataset, min_size=2):
 
 def c45_predict(tree, x):
     """Walk threshold tests to a leaf; membership = leaf class proportions."""
-    x = _test_vectors(x, tree.n_features)
+    x = test_vectors(x, tree.n_features)
     node = tree.root
     while not node.is_leaf:
         node = node.left if x[node.feature] <= node.threshold else node.right
@@ -492,7 +475,7 @@ class LowLevelPredictor:
 
 def _row_by_row(one, n_features):
     """A predictor whose ``rows`` calls ``one`` on each row in turn."""
-    return LowLevelPredictor(one, lambda X: [one(x) for x in _test_vectors(X, n_features, ndim=2)])
+    return LowLevelPredictor(one, lambda X: [one(x) for x in test_vectors(X, n_features, ndim=2)])
 
 
 def train_low_level(name, train_dataset, knn_k=1, min_size=2):

@@ -10,7 +10,6 @@ classifier and every lambda from the same cached memberships.
 import csv
 import json
 import logging
-import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
@@ -30,6 +29,7 @@ from .corpus import SenseAnnotation, preprocess_document
 from .features import (
     Dataset,
     Instance,
+    as_int,
     feature_stats,
     rows_by_label,
     semantic_features,
@@ -62,11 +62,8 @@ def make_fold_plan(labels, n_folds=10, seed=0):
     """Stratified folds: each class's shuffled indices are dealt round-robin,
     so per-class proportions match within one instance. Classes smaller
     than ``n_folds`` shrink the fold count to the smallest class size."""
-    try:
-        operator.index(seed)
-    except TypeError:
-        raise ValueError(f"the fold seed must be an integer, got {seed!r}") from None
-    if n_folds < 2:
+    as_int(seed, "the fold seed")
+    if as_int(n_folds, "the fold count") < 2:
         raise ValueError(f"cross-validation needs at least 2 folds, got {n_folds!r}")
     by_class = rows_by_label(labels)
     if sum(len(rows) for rows in by_class.values()) != len(labels):
@@ -103,7 +100,7 @@ class PipelineConfig:
     min_leaf: int = 2
 
     def __post_init__(self):
-        if self.knn_k < 1:
+        if as_int(self.knn_k, "knn_k") < 1:
             raise ValueError(f"knn_k must be >= 1, got {self.knn_k!r}")
 
 

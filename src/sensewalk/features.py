@@ -6,15 +6,56 @@ the eight structural measurements of its node in the word-adjacency
 network. Both produce a :class:`Dataset`, which owns the class index (any
 label but ``None`` is a class; unlabeled rows join none). Distance-based
 downstream methods expect the features to be standardized first.
+
+Every feature value and test-vector entry must lie within ±2^480
+(``FEATURE_BOUND``): :class:`Dataset` (so :func:`standardize` too) and
+:func:`test_vectors` refuse anything else, NaN and infinities included,
+so no later stage guards against overflow.
 """
 
 import csv
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adjacency import NodeTopology, node_topology
+
+
+# Within ±2^480 nothing derived overflows: differences are at most 2^481 and
+# squares 2^962, so sums over fewer than 2^60 rows or features stay finite; a
+# positive deviation is at least 2^-537 (the root of the least subnormal), so
+# z-scores stay below 2^1018; a Bayes z is below 2^481 / 1e-6 < 2^501, so z * z
+# < 2^1002, and a log-likelihood over fewer than 2^22 features stays finite.
+FEATURE_BOUND = 2.0 ** 480
+
+
+def _in_range(X):
+    """Where ``X`` lies within ``±FEATURE_BOUND``; False at NaN and infinities."""
+    return np.abs(X) <= FEATURE_BOUND
+
+
+def test_vectors(x, n_features, ndim=1):
+    """``x`` as a float array: one test vector (``ndim`` 1) or one per row
+    (``ndim`` 2). Refuses a wrong shape or a value outside the feature
+    range with the same ValueError wherever a test vector enters."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != ndim or x.shape[-1] != n_features:
+        raise ValueError(f"test vectors must have {n_features} values, "
+                         f"got an array of shape {x.shape}")
+    if not _in_range(x).all():
+        raise ValueError("test vectors must hold values within ±2^480")
+    return x
+
+
+def as_int(value, name):
+    """``value`` as an int; a ValueError naming ``name`` when it is no
+    integer (numpy integers and bools are)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class MissingNode(ValueError):
@@ -64,7 +105,7 @@ class Dataset:
 
     All rows share the feature ordering in ``feature_names``. Labels are
     sense ids; unlabeled rows carry ``None``. Ids must be unique and every
-    feature finite. The class index (read-only ``class_rows``, sorted
+    feature within ``±FEATURE_BOUND``. The class index (read-only ``class_rows``, sorted
     ``classes()``) is built once.
     """
 
@@ -77,15 +118,18 @@ class Dataset:
         self.feature_names = list(feature_names)
         if len(self.ids) != len(self.labels) or len(self.ids) != self.X.shape[0]:
             raise ValueError("ids, labels and feature rows must align")
+        if self.X.ndim != 2 or self.X.shape[1] != len(self.feature_names):
+            raise ValueError(f"feature rows must hold one value per feature name "
+                             f"({len(self.feature_names)}), got an array of shape {self.X.shape}")
         if len(set(self.ids)) != len(self.ids):
             seen = set()
             twice = next(i for i in self.ids if i in seen or seen.add(i))
             raise ValueError(f"id {twice!r} appears more than once; ids must be unique")
-        if not np.isfinite(self.X).all():
-            row, col = np.argwhere(~np.isfinite(self.X))[0]
+        if not _in_range(self.X).all():
+            row, col = np.argwhere(~_in_range(self.X))[0]
             raise ValueError(
-                f"feature row {row} (id {self.ids[row]!r}), column {col} "
-                f"is {self.X[row, col]}; features must be finite"
+                f"feature {self.feature_names[col]!r} in row {row} (id {self.ids[row]!r}), "
+                f"column {col} is {float(self.X[row, col])!r}; features must lie within ±2^480"
             )
         self.class_rows = rows_by_label(self.labels)
         self._classes = sorted_values(self.class_rows, "class labels")
@@ -155,7 +199,7 @@ def window_lemmas(stream, position, window):
     after, while occurrences near a document edge draw the shortfall from
     the other side.
     """
-    if window < 1:
+    if as_int(window, "the semantic window") < 1:
         raise ValueError(f"the semantic window must be >= 1, got {window!r}")
     chosen = []
     left = position - 1
@@ -218,25 +262,18 @@ def topological_features(network, annotations):
 
 
 def feature_stats(dataset):
-    """Per-feature mean and population standard deviation; a feature whose
-    mean or deviation overflows is refused."""
+    """Per-feature mean and population standard deviation."""
     if len(dataset) < 2:
         raise ValueError("standardization needs at least 2 instances")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = dataset.X.mean(axis=0)
-        std = dataset.X.std(axis=0)  # population convention (divide by N)
-    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
-    if len(bad):
-        raise ValueError(f"feature {dataset.feature_names[bad[0]]!r} is too large to "
-                         f"standardize: its mean or standard deviation overflows")
-    return mean, std
+    return dataset.X.mean(axis=0), dataset.X.std(axis=0)  # std divides by N
 
 
 def standardize(dataset, stats=None):
     """Z-score the features; constant columns map to zero.
 
     Pass ``stats`` fitted on a training fold to transform held-out data
-    with the training statistics.
+    with the training statistics; a z-score outside the feature range is
+    refused by name, as :class:`Dataset` refuses any feature.
     """
     mean, std = feature_stats(dataset) if stats is None else stats
     safe = np.where(std > 0, std, 1.0)

@@ -72,6 +72,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .features import as_int
+
 
 class VertexNotInComponent(Exception):
     pass
@@ -161,7 +163,7 @@ def _period_end(t, c):
 
 def walk(graph, start, mu):
     """One tourist walk from vertex id ``start`` with memory length ``mu``."""
-    if mu < 0:
+    if as_int(mu, "mu") < 0:
         raise ValueError("mu must be >= 0")
     k = bisect_left(graph.ids, start)
     if k == len(graph.ids) or graph.ids[k] != start:
@@ -247,7 +249,7 @@ def component_stats(graph, mu_critical):
     for each mu in [0, mu_critical]."""
     if graph.vertex_count == 0:
         raise ValueError("component is empty")
-    memo = walk_memo(graph, mu_critical)
+    memo = walk_memo(graph, as_int(mu_critical, "mu_critical"))
     return {mu: memo.means(mu) for mu in range(mu_critical + 1)}
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,30 @@ class TestInsertTest:
         insert_test(np.array([0.1, 0.1]), graphs)
         insert_test(np.array([100.0, 100.0]), graphs)
         assert [snapshot(g) for g in graphs] == before
+
+    @pytest.mark.parametrize("x", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]], [np.nan, 0.0],
+                                   [np.inf, 0.0], [0.0, -np.inf], [np.nextafter(2.0**480, np.inf), 0.0]],
+                             ids=["short", "long", "two-d", "nan", "inf", "-inf", "past-bound"])
+    def test_bad_test_vector_rejected(self, x):
+        # [0.5] used to broadcast to [0.5, 0.5] and link; a NaN gave empty
+        # views, which the classifier took for an instance linking nowhere
+        graphs, _ = self._two_class_graphs()
+        with pytest.raises(ValueError, match="test vectors must"):
+            insert_test(x, graphs)
+
+    def test_vector_at_the_feature_bound_links_without_warnings(self):
+        top = 2.0**480
+        ds = make_dataset([[-top, 0], [-top, 1], [-top, 2], [top, 0], [top, 1], [top, 2]],
+                          [1, 1, 1, 2, 2, 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graphs = build_training_graph(ds, GraphConfig(kappa=1))
+            near = insert_test([top, 1.5], graphs)
+            far = insert_test([-top, top], graphs)
+        assert not near[0].linked and near[1].links == ((4, 0.5), (5, 0.5))
+        assert not far[0].linked and not far[1].linked
+        with pytest.raises(ValueError, match="features must lie within"):
+            make_dataset([[np.nextafter(top, np.inf), 0], [top, 1]], [1, 1])
 
     def test_mirrored_components_symmetric_views(self):
         rng = np.random.default_rng(7)
@@ -531,12 +556,18 @@ def test_ids_that_do_not_order_fail_with_a_domain_error():
                          ids=["given-epsilon", "median-epsilon"])
 def test_overflowing_distance_fails_with_the_ids(config):
     # ids 0 and 1 of class 1 are 1e200 apart, whose square overflows: the
-    # build used to give vertex 0 a self-loop and leave 1 and 2 isolated
-    ds = make_dataset([[0, 0], [1e200, 0], [3e200, 0], [0, 1], [1, 1], [2, 1]], [1, 1, 1, 2, 2, 2])
-    with pytest.raises(ValueError, match="distance between ids 0 and 1 is not finite"):
-        build_training_graph(ds, config)
-    with pytest.raises(ValueError, match="distance between ids 0 and 1 is not finite"):
-        default_epsilon(ds)
+    # build used to give vertex 0 a self-loop and leave 1 and 2 isolated.
+    # Such rows now lie outside the feature range, so no dataset holds them.
+    with pytest.raises(ValueError, match=r"row 1 \(id 1\), column 0 is 1e\+200"):
+        make_dataset([[0, 0], [1e200, 0], [3e200, 0], [0, 1], [1, 1], [2, 1]], [1, 1, 1, 2, 2, 2])
+    # the widest rows the range admits build, and their distances are finite
+    ds = make_dataset([[0, 0], [2.0**480, 0], [-2.0**480, 0], [0, 1], [1, 1], [2, 1]],
+                      [1, 1, 1, 2, 2, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        graphs = build_training_graph(ds, config)
+        assert default_epsilon(ds) > 0
+    assert all(np.isfinite(d) for g in graphs for _, _, d in g.edges())
 
 
 def _distances_from_rows(rows):

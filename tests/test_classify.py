@@ -175,6 +175,24 @@ def test_bad_test_vector_rejected(train, x):
         train(ds)(x)
 
 
+@each_low_level
+def test_values_at_the_feature_bound_score_without_warnings(train):
+    # the widest rows and test vectors the range admits: every distance,
+    # kernel exponent and split midpoint stays finite; one step past it is refused
+    top = 2.0**480
+    ds = make_dataset([[-top, 0], [-top, top], [top, 0], [top, -top]], [RED, RED, BLUE, BLUE])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        predict = train(ds)
+        for x, label in [([-top, top], RED), ([top, -top], BLUE), ([top / 2, 0.0], BLUE)]:
+            membership = predict([float(v) for v in x])
+            assert membership.argmax() == label
+            assert all(math.isfinite(v) for v in membership.scores.values())
+            assert math.isclose(sum(membership.scores.values()), 1.0)
+    with pytest.raises(ValueError, match="test vectors must hold values within"):
+        predict([np.nextafter(top, np.inf), 0.0])
+
+
 @pytest.mark.parametrize("name", ["knn", "bayes", "c45"])
 @pytest.mark.parametrize("X", [np.zeros((3, 1)), np.zeros(2), [[0.0, np.nan]]],
                          ids=["narrow", "one-d", "nan"])
@@ -515,17 +533,20 @@ class TestC45:
         assert tree.root.is_leaf and tree.root.counts == {RED: 1, BLUE: 1}
 
 
-    def test_midpoint_of_values_near_the_float_maximum(self):
-        # (1.2e308 + 1.5e308) / 2 overflows to inf: the split sent every row
-        # left and the root became a leaf
-        train = make_dataset([[1e308], [1.2e308], [1.5e308], [1.7e308]], [RED, RED, BLUE, BLUE])
+    def test_values_at_the_feature_bound_split_at_their_midpoint(self):
+        # (a + b) / 2 stays finite across the feature range, so no split
+        # needs an overflow branch; values near 1e308 lie outside the range
+        top = 2.0**480
+        train = make_dataset([[-top], [-top / 2], [top / 2], [top]], [RED, RED, BLUE, BLUE])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tree = c45_train(train)
-        assert (tree.root.feature, tree.root.threshold) == (0, 1.35e308)
+            assert candidate_thresholds([top, -top]) == [0.0]
+            assert candidate_thresholds([top / 2, top]) == [0.75 * top]
+        assert (tree.root.feature, tree.root.threshold) == (0, 0.0)
         assert tree.root.left.counts == {RED: 2} and tree.root.right.counts == {BLUE: 2}
-        assert candidate_thresholds([1.5e308, 1.2e308, 1e308]) == [1.1e308, 1.35e308]
-        assert candidate_thresholds([-1.7e308, -1.5e308]) == [-1.6e308]
+        with pytest.raises(ValueError, match="test vectors must hold values within"):
+            candidate_thresholds([1e308, 1.5e308])
 
 
 def reference_c45_train(train_dataset, min_size=2):

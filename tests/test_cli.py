@@ -355,14 +355,35 @@ def test_missing_features_file_is_one_line(tmp_path):
 def test_overflowing_features_file_is_one_line(tmp_path):
     # standardizing columns of about 1e160 overflowed; the run then scored
     # every row as 0 and printed accuracy=0.5000 instead of refusing it
+    # (no dataset holds such values now, so the file is written as text)
     rng = np.random.default_rng(6)
-    X = np.vstack([rng.normal(0.0, 1.0, (20, 2)), rng.normal(3.0, 1.0, (20, 2))])
+    X = np.vstack([rng.normal(0.0, 1.0, (20, 2)), rng.normal(3.0, 1.0, (20, 2))]) * 1e160
     path = tmp_path / "huge.csv"
-    Dataset(list(range(40)), X * 1e160, [1] * 20 + [2] * 20, ["x", "y"]).to_csv(path)
+    path.write_text("x,y,label\n" + "".join(f"{a!r},{b!r},{1 + i // 20}\n"
+                                            for i, (a, b) in enumerate(X.tolist())))
     done = run_module("evaluate", "--features", path, "--lambda", "0", "--low-level", "knn")
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.count("\n") == 1
-    assert done.stderr.startswith("sensewalk: error: feature 'x' is too large to standardize")
+    assert done.stderr.startswith("sensewalk: error: feature 'x' in row 0 ")
+
+
+@pytest.mark.parametrize("low_level", ["knn", "bayes"])
+def test_z_score_outside_the_range_is_one_line(tmp_path, low_level):
+    # every value is at most 1e10, but column x is 0 in training save two
+    # rows at 1e-150, so row 30's held-out z-score is about 1e160: Bayes
+    # used to score NaN memberships and kNN tie every distance at inf,
+    # both exiting 0 with an accuracy
+    lines = ["x,y,label"]
+    for i in range(40):
+        x = 1e-150 if i in (1, 25) else 1e10 if i == 30 else 0.0
+        lines.append(f"{x!r},{float(i % 7)!r},{1 + i % 2}")
+    path = tmp_path / "tiny-spread.csv"
+    path.write_text("\n".join(lines) + "\n")
+    done = run_module("evaluate", "--features", path, "--lambda", "0", "--low-level", low_level)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("sensewalk: error: feature 'x' in row ")
+    assert "(id 30)" in done.stderr
 
 
 @pytest.mark.parametrize("error, args, builtin", [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sensewalk
-from sensewalk import adjacency, evaluate
+from sensewalk import adjacency, evaluate, tourist
 from sensewalk.attgraph import GraphConfig, build_training_graph
 from sensewalk.classify import HighLevelConfig, knn_predict
 from sensewalk.evaluate import (
@@ -25,7 +25,7 @@ from sensewalk.evaluate import (
     write_report_csv,
     write_walk_curves,
 )
-from sensewalk.features import Dataset, feature_stats, standardize
+from sensewalk.features import Dataset, feature_stats, standardize, window_lemmas
 from sensewalk.tourist import normalize
 
 
@@ -101,6 +101,38 @@ class TestFoldPlan:
             make_fold_plan([1, 1, 2, 2], seed=seed)
         assert caplog.records == []
         assert make_fold_plan([1, 1, 2, 2], 2, np.int64(3)) == make_fold_plan([1, 1, 2, 2], 2, 3)
+
+
+def _integer_parameter_calls():
+    """(name, call(value)) for each integer parameter checked at entry."""
+    ds = blob_dataset(per_class=4)
+    graph = build_training_graph(ds, GraphConfig(kappa=1))[0]
+    return [
+        ("mu_critical", lambda v: cv_sweep(ds, ["knn"], [0.5],
+                                           PipelineConfig(high=HighLevelConfig(mu_critical=v)))),
+        ("kappa", lambda v: GraphConfig(kappa=v)),
+        ("k", lambda v: knn_predict(ds, ds.X[0], k=v)),
+        ("knn_k", lambda v: PipelineConfig(knn_k=v)),
+        ("the fold count", lambda v: make_fold_plan(ds.labels, v)),
+        ("the fold seed", lambda v: make_fold_plan(ds.labels, 2, v)),
+        ("mu", lambda v: tourist.walk(graph, graph.ids[0], v)),
+        ("mu_critical", lambda v: tourist.component_stats(graph, v)),
+        ("the semantic window", lambda v: window_lemmas(["a", "b", "c", "d", "e", "f"], 4, v)),
+    ]
+
+
+@pytest.mark.parametrize("at", range(9), ids=["HighLevelConfig", "GraphConfig", "knn_predict",
+                                              "PipelineConfig", "n_folds", "seed", "walk",
+                                              "component_stats", "window_lemmas"])
+def test_integer_parameters_refuse_a_float_by_name(at):
+    # each float used to fail deep in numpy or range() with a TypeError, and
+    # window_lemmas(stream, 4, 2.5) returned 3 lemmas
+    name, call = _integer_parameter_calls()[at]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
+        call(2.5)
+    call(np.int64(2))  # numpy integers and bools are integers
+    if name != "the fold count":  # True is 1, too few folds
+        call(True)
 
 
 def reference_make_fold_plan(labels, n_folds=10, seed=0):

@@ -17,7 +17,6 @@ from .attgraph import (
     GraphConfig,
     InsertionView,
     build_training_graph,
-    default_epsilon,
     insert_test,
     write_class_graphs,
 )

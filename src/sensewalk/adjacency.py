@@ -82,8 +82,7 @@ def build_network(token_streams, annotations=()):
     occurrence_nodes = {}
     occurrence_counter = {}
 
-    items = token_streams.items() if hasattr(token_streams, "items") else token_streams
-    for doc_id, lemmas in items:
+    for doc_id, lemmas in token_streams.items():
         node_seq = []
         for position, lemma in enumerate(lemmas):
             ann = annotated.get((doc_id, position))

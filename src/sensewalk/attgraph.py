@@ -187,15 +187,6 @@ def _median_distance(classes):
     return epsilon
 
 
-def default_epsilon(dataset):
-    """Median Euclidean distance over all labeled same-class pairs.
-
-    Raises ``ValueError`` when that median is 0, which happens when at
-    least half of the same-class pairs coincide.
-    """
-    return _median_distance(_class_distances(dataset))
-
-
 def _local_links(D, epsilon, kappa):
     """The combined rule as a symmetric boolean adjacency matrix.
 

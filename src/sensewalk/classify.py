@@ -23,7 +23,9 @@ that is more.
 The tree sorts each feature once at the root and carries the sorted
 orders down to its children; every node scores, in one array pass, only
 the boundaries a split can fall on (between two distinct consecutive
-values of a feature), ties going to the smallest feature index, then the
+values of a feature) and splits at the least conditional entropy, which
+is the largest information gain since the node's own entropy is the same
+for every split; ties go to the smallest feature index, then the
 smallest threshold. Trees grow from an explicit stack, so their
 depth is not limited by the recursion limit.
 
@@ -37,7 +39,7 @@ import io
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,7 +152,7 @@ class BayesModel:
     log_priors: dict
     kernels: dict  # class -> KernelTable
     bandwidths: dict  # class -> per-feature bandwidth array
-    feature_names: tuple = field(default=())
+    feature_names: tuple
 
     @property
     def n_features(self):
@@ -235,9 +237,8 @@ def bayes_bandwidths_csv(model):
     """Introspection dump: ``class,feature,bandwidth`` rows."""
     out = io.StringIO()
     out.write("class,feature,bandwidth\n")
-    names = model.feature_names or tuple(f"f{i}" for i in range(model.n_features))
     for c in model.classes:
-        for name, h in zip(names, model.bandwidths[c]):
+        for name, h in zip(model.feature_names, model.bandwidths[c]):
             out.write(f"{c},{name},{float(h)!r}\n")
     return out.getvalue()
 
@@ -266,31 +267,28 @@ class DecisionTree:
     n_features: int  # the length of a test vector
 
 
-def _entropy(counts):
-    """Entropy in bits of a sequence of class counts, summed in its order."""
-    n = sum(counts)
-    return -sum((k / n) * math.log2(k / n) for k in counts if k)
-
-
 def entropy(labels):
-    return _entropy(list(Counter(labels).values()))
+    """Entropy in bits of a label sequence; 0.0 when it is empty."""
+    counts = np.array([list(Counter(labels).values())], dtype=float)
+    return float(_entropies_by_row(counts, np.maximum(counts.sum(axis=1), 1.0))[0])
 
 
 def information_gain(y, x, threshold):
-    """Entropy drop from splitting labels ``y`` on feature values ``x``."""
-    h = 0.0
-    for side in ([lab for lab, v in zip(y, x) if v <= threshold],
-                 [lab for lab, v in zip(y, x) if v > threshold]):
-        if side:
-            h += len(side) / len(y) * entropy(side)
-    return entropy(y) - h
+    """Entropy drop from splitting labels ``y`` on feature values ``x``,
+    one per label, at ``threshold``."""
+    y = list(y)
+    left = (test_vectors(x, len(y)) <= threshold).tolist()
+    sides = ([lab for lab, go in zip(y, left) if go], [lab for lab, go in zip(y, left) if not go])
+    return entropy(y) - sum(len(side) / len(y) * entropy(side) for side in sides if side)
 
 
 def candidate_thresholds(x):
-    """Midpoints between consecutive distinct sorted feature values."""
+    """Midpoints between consecutive distinct sorted feature values: the
+    thresholds the tree scores."""
     x = np.asarray(x, dtype=float)
-    vals = sorted(set(test_vectors(x, x.size).tolist()))
-    return [(a + b) / 2 for a, b in zip(vals, vals[1:])]
+    xs = np.sort(test_vectors(x, x.size))
+    below, above = xs[:-1], xs[1:]
+    return ((below + above) / 2)[below < above].tolist()
 
 
 def _entropies_by_row(counts, totals):
@@ -299,16 +297,17 @@ def _entropies_by_row(counts, totals):
     return -(p * np.log2(np.where(counts > 0, p, 1.0))).sum(axis=-1)
 
 
-def _best_split(xs, one_hot, base):
-    """(feature, position) of the best split of one node, or None.
+def _best_split(xs, one_hot):
+    """(feature, position) of the split of one node with the least
+    conditional entropy (the largest information gain), or None.
 
     ``xs`` holds the node's values sorted along each feature's row (F, m)
-    and ``one_hot`` the matching class indicators (F, m, C), ``base`` the
-    node's label entropy. Gains are computed only where a split can fall,
-    after a position whose value changes, with the same float operations
-    as a per-feature scan; a node with no such pair gets None. The pairs
-    come feature-major with positions ascending, so the first argmax is the
-    tie rule: smallest feature index, then smallest threshold.
+    and ``one_hot`` the matching class indicators (F, m, C). Conditional
+    entropies are computed only where a split can fall, after a position
+    whose value changes, with the same float operations as a per-feature
+    scan; a node with no such pair gets None. The pairs come feature-major
+    with positions ascending, so the first argmin is the tie rule: smallest
+    feature index, then smallest threshold.
     """
     f, at = np.nonzero(xs[:, :-1] < xs[:, 1:])
     if len(f) == 0:
@@ -320,12 +319,12 @@ def _best_split(xs, one_hot, base):
     nl = at + 1.0
     nr = m - nl
     cond = (nl / m) * _entropies_by_row(left, nl) + (nr / m) * _entropies_by_row(right, nr)
-    best = int((base - cond).argmax())
+    best = int(cond.argmin())
     return int(f[best]), int(at[best])
 
 
 def c45_train(train_dataset, min_size=2):
-    """Grow a binary tree by best-gain splits.
+    """Grow a binary tree by best-gain (least conditional entropy) splits.
 
     A node becomes a leaf when it is pure, smaller than ``min_size``, or
     offers no admissible split (all feature values equal). Splits with
@@ -349,8 +348,7 @@ def c45_train(train_dataset, min_size=2):
     stack = [(root, np.arange(len(X)), np.argsort(X, axis=0, kind="stable").T)]
     while stack:
         node, rows, order = stack.pop()
-        # class counts in order of first appearance along the (ascending)
-        # rows, as Counter gives them: the base entropy sums in this order
+        # class counts in order of first appearance along the (ascending) rows
         node_codes = codes[rows]
         sizes = np.bincount(node_codes, minlength=len(classes))
         counts = {classes[c]: int(sizes[c]) for c in dict.fromkeys(node_codes.tolist())}
@@ -358,7 +356,7 @@ def c45_train(train_dataset, min_size=2):
         if len(counts) > 1 and len(rows) >= min_size:
             xs = XT[features, order]
             one_hot = codes[order][..., None] == np.flatnonzero(sizes)
-            found = _best_split(xs, one_hot, _entropy(list(counts.values())))
+            found = _best_split(xs, one_hot)
         if found is not None:
             f, at = found
             thr = (float(xs[f, at]) + float(xs[f, at + 1])) / 2
@@ -461,33 +459,29 @@ def hybrid_predict(low, high, lam):
 
 @dataclass(frozen=True)
 class LowLevelPredictor:
-    """A trained low-level classifier. Call it with one test vector, or
-    give ``rows`` a matrix with one test vector per row for a list of
-    memberships; Bayes scores a block of rows at a time, kNN and C4.5 one
-    row at a time."""
+    """A trained low-level classifier. ``rows`` maps a matrix with one test
+    vector per row to a list of memberships; calling the predictor with
+    one test vector scores it as a one-row matrix. Bayes scores a block of
+    rows at a time, kNN and C4.5 one row at a time."""
 
-    one: object
     rows: object
+    n_features: int
 
     def __call__(self, x):
-        return self.one(x)
-
-
-def _row_by_row(one, n_features):
-    """A predictor whose ``rows`` calls ``one`` on each row in turn."""
-    return LowLevelPredictor(one, lambda X: [one(x) for x in test_vectors(X, n_features, ndim=2)])
+        return self.rows(test_vectors(x, self.n_features)[None, :])[0]
 
 
 def train_low_level(name, train_dataset, knn_k=1, min_size=2):
     """Uniform handle over the three low-level classifiers."""
+    d = train_dataset.X.shape[1]
     if name == "knn":
-        return _row_by_row(lambda x: knn_predict(train_dataset, x, k=knn_k),
-                           train_dataset.X.shape[1])
+        return LowLevelPredictor(lambda X: [knn_predict(train_dataset, x, k=knn_k)
+                                            for x in test_vectors(X, d, ndim=2)], d)
     if name == "bayes":
         model = bayes_train(train_dataset)
-        return LowLevelPredictor(lambda x: bayes_predict(model, x),
-                                 lambda X: bayes_predict_rows(model, X))
+        return LowLevelPredictor(lambda X: bayes_predict_rows(model, X), d)
     if name == "c45":
         tree = c45_train(train_dataset, min_size=min_size)
-        return _row_by_row(lambda x: c45_predict(tree, x), tree.n_features)
+        return LowLevelPredictor(lambda X: [c45_predict(tree, x)
+                                            for x in test_vectors(X, d, ndim=2)], d)
     raise ValueError(f"unknown low-level classifier {name!r}")

@@ -236,7 +236,7 @@ def preprocess_document(doc_id, raw_text, stopwords=None, lemma_table=None):
     return Document(id=doc_id, raw_text=raw_text, tokens=tuple(tokens))
 
 
-def load_documents(directory, stopwords=None, lemma_table=None, suffix=".txt"):
+def load_documents(directory, stopwords=None, lemma_table=None):
     """Read every ``*.txt`` in a directory as one document, fully preprocessed.
 
     Document ids are the file stems; files are processed in sorted order so
@@ -247,7 +247,7 @@ def load_documents(directory, stopwords=None, lemma_table=None, suffix=".txt"):
     if lemma_table is None:
         lemma_table = load_lemma_table()
     docs = {}
-    for path in sorted(Path(directory).glob(f"*{suffix}")):
+    for path in sorted(Path(directory).glob("*.txt")):
         text = path.read_text(encoding="utf-8")
         docs[path.stem] = preprocess_document(path.stem, text, stopwords, lemma_table)
     return docs

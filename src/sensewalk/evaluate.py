@@ -466,7 +466,7 @@ def load_toy_points():
     )
 
 
-def toy_experiment(lambda_grid=None, mu_critical=10, epsilon=0.02, kappa=3):
+def toy_experiment(lambda_grid=None, mu_critical=10):
     """Classify the probe of the built-in toy layout across the lambda grid.
 
     The structured class is a pyramidal lattice missing its apex; the
@@ -480,7 +480,8 @@ def toy_experiment(lambda_grid=None, mu_critical=10, epsilon=0.02, kappa=3):
     X = np.vstack([structured, unstructured])
     labels = [1] * len(structured) + [2] * len(unstructured)
     ds = Dataset(list(range(len(X))), X, labels, ["x", "y"])
-    graphs = build_training_graph(ds, GraphConfig(epsilon=epsilon, kappa=kappa))
+    # epsilon is below the lattice spacing of 0.05: each lattice vertex links its 3 nearest
+    graphs = build_training_graph(ds, GraphConfig(epsilon=0.02, kappa=3))
 
     # the probe id sorts after every training id, so exact distance ties
     # keep resolving to lattice vertices

@@ -36,6 +36,12 @@ def _in_range(X):
     return np.abs(X) <= FEATURE_BOUND
 
 
+def _entry(dataset, row, col):
+    """Where entry (row, col) of a dataset sits, for an error message."""
+    name, row_id = dataset.feature_names[col], dataset.ids[row]
+    return f"feature {name!r} in row {row} (id {row_id!r}), column {col}"
+
+
 def test_vectors(x, n_features, ndim=1):
     """``x`` as a float array: one test vector (``ndim`` 1) or one per row
     (``ndim`` 2). Refuses a wrong shape or a value outside the feature
@@ -127,10 +133,8 @@ class Dataset:
             raise ValueError(f"id {twice!r} appears more than once; ids must be unique")
         if not _in_range(self.X).all():
             row, col = np.argwhere(~_in_range(self.X))[0]
-            raise ValueError(
-                f"feature {self.feature_names[col]!r} in row {row} (id {self.ids[row]!r}), "
-                f"column {col} is {float(self.X[row, col])!r}; features must lie within ±2^480"
-            )
+            raise ValueError(f"{_entry(self, row, col)} is {float(self.X[row, col])!r}; "
+                             "features must lie within ±2^480")
         self.class_rows = rows_by_label(self.labels)
         self._classes = sorted_values(self.class_rows, "class labels")
 
@@ -273,10 +277,15 @@ def standardize(dataset, stats=None):
 
     Pass ``stats`` fitted on a training fold to transform held-out data
     with the training statistics; a z-score outside the feature range is
-    refused by name, as :class:`Dataset` refuses any feature.
+    refused with the entry's name, input value and z-score.
     """
     mean, std = feature_stats(dataset) if stats is None else stats
     safe = np.where(std > 0, std, 1.0)
     Z = (dataset.X - mean) / safe
     Z[:, std == 0] = 0.0
+    if not _in_range(Z).all():
+        row, col = np.argwhere(~_in_range(Z))[0]
+        raise ValueError(f"{_entry(dataset, row, col)} is {float(dataset.X[row, col])!r}, "
+                         f"whose z-score {Z[row, col]:.3g} leaves the range; "
+                         "features must lie within ±2^480")
     return Dataset(dataset.ids, Z, dataset.labels, dataset.feature_names)

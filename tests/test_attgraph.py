@@ -12,7 +12,6 @@ from sensewalk.attgraph import (
     _bridges,
     _pairwise_distances,
     build_training_graph,
-    default_epsilon,
     insert_test,
     write_class_graphs,
 )
@@ -126,13 +125,11 @@ class TestBuildRule:
         pts = [[0, 0], [3, 4], [0, 0], [6, 8]]
         ds = make_dataset(pts, [1, 1, 2, 2])
         # distances: class1 pair = 5, class2 pair = 10 -> median 7.5
-        assert default_epsilon(ds) == pytest.approx(7.5)
+        assert build_training_graph(ds)[0].config.epsilon == pytest.approx(7.5)
 
     def test_duplicate_heavy_data_needs_an_explicit_epsilon(self):
         ds = make_dataset([[0, 0]] * 6 + [[1, 1]] * 6, [1] * 6 + [2] * 6)
-        with pytest.raises(ValueError, match="duplicate points.*--epsilon"):
-            default_epsilon(ds)
-        with pytest.raises(ValueError, match="median same-class distance is 0"):
+        with pytest.raises(ValueError, match="distance is 0 .*duplicate points.*--epsilon"):
             build_training_graph(ds)
         assert len(build_training_graph(ds, GraphConfig(epsilon=0.5))) == 2
 
@@ -540,7 +537,6 @@ def test_epsilon_comes_from_every_labeled_class(labels):
     # classes, 3.0 over the second alone
     first, second = labels
     ds = make_dataset([[0], [1], [3], [10], [13], [14]], [first] * 3 + [second] * 3)
-    assert default_epsilon(ds) == 2.5
     graphs = build_training_graph(ds)
     assert [g.class_id for g in graphs] == sorted(labels)
     assert [g.config.epsilon for g in graphs] == [2.5, 2.5]
@@ -566,7 +562,7 @@ def test_overflowing_distance_fails_with_the_ids(config):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         graphs = build_training_graph(ds, config)
-        assert default_epsilon(ds) > 0
+        assert build_training_graph(ds)[0].config.epsilon > 0
     assert all(np.isfinite(d) for g in graphs for _, _, d in g.edges())
 
 

@@ -691,9 +691,9 @@ class TestAdmissibleSplits:
         searches = []  # per split search: (value changes, rows of each entropy call)
         search, entropies = classify._best_split, classify._entropies_by_row
 
-        def spied_search(xs, one_hot, base):
+        def spied_search(xs, one_hot):
             searches.append((int(np.count_nonzero(xs[:, :-1] < xs[:, 1:])), []))
-            return search(xs, one_hot, base)
+            return search(xs, one_hot)
 
         def spied_entropies(counts, totals):
             searches[-1][1].append(len(counts))
@@ -734,6 +734,53 @@ class TestAdmissibleSplits:
         train = make_dataset(X, rng.integers(1, 10, size=900).tolist())
         for min_size in (1, 2, 5):
             _assert_same_tree(c45_train(train, min_size), reference_c45_train(train, min_size))
+
+
+class TestContractHelpers:
+    """entropy, information_gain and candidate_thresholds refuse what the
+    tree refuses and score its splits."""
+
+    def test_labels_and_values_must_align(self):
+        # zip used to drop the third label and return 0.918
+        with pytest.raises(ValueError, match="test vectors must have 3 values"):
+            information_gain([1, 2, 1], [0.0, 1.0], 0.5)
+
+    def test_nan_value_is_refused(self):
+        # a NaN used to count on the right side
+        with pytest.raises(ValueError, match="test vectors must hold values within"):
+            information_gain([1, 2], [0.0, np.nan], 0.5)
+
+    def test_value_past_the_feature_bound_is_refused(self):
+        with pytest.raises(ValueError, match="test vectors must hold values within"):
+            information_gain([1, 2], [0.0, np.nextafter(2.0**480, np.inf)], 0.5)
+
+    def test_no_labels_have_float_zero_entropy(self):
+        h = entropy([])
+        assert type(h) is float and h == 0.0
+
+    def test_empty_side_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert information_gain([RED, BLUE, BLUE], [0.0, 1.0, 2.0], 5.0) == 0.0
+            assert information_gain([RED, BLUE, BLUE], [0.0, 1.0, 2.0], -5.0) == 0.0
+            assert information_gain([], [], 0.0) == 0.0
+
+    def test_tree_root_takes_the_largest_gain(self):
+        # lattice values tie within and across features; rows 0 and 1
+        # differ in label and on feature 0, so every root splits
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 60))
+            X = np.round(rng.normal(size=(n, int(rng.integers(1, 5)))) * 4) / 4
+            X[:2, 0] = -3.0, 3.0
+            y = [RED, BLUE] + rng.integers(1, 2 + seed % 10 + 1, size=n - 2).tolist()
+            root = c45_train(make_dataset(X, y), min_size=1).root
+            gains = {(f, thr): information_gain(y, X[:, f], thr)
+                     for f in range(X.shape[1]) for thr in candidate_thresholds(X[:, f])}
+            assert not root.is_leaf, seed
+            assert root.threshold in candidate_thresholds(X[:, root.feature]), seed
+            best = max(gains.values())
+            assert gains[root.feature, root.threshold] == pytest.approx(best, abs=1e-12), seed
 
 
 @settings(max_examples=60, deadline=None)

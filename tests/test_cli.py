@@ -384,6 +384,8 @@ def test_z_score_outside_the_range_is_one_line(tmp_path, low_level):
     assert done.stderr.count("\n") == 1
     assert done.stderr.startswith("sensewalk: error: feature 'x' in row ")
     assert "(id 30)" in done.stderr
+    # the message gives the value the file holds, then the z-score that left the range
+    assert f"column 0 is {1e10!r}, whose z-score 6.09e+160 leaves the range" in done.stderr
 
 
 @pytest.mark.parametrize("error, args, builtin", [

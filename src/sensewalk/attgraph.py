@@ -145,17 +145,29 @@ def euclidean(A, B):
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
-_BLOCK_ROWS = 64  # bounds the difference tensor at 64 x n x d floats
+# One float budget for every row-blocked array pass: the distance pass
+# below and naive Bayes's kernel gathers (``classify``) each hold at most
+# rows x n x d floats, 2^16 of them (512 kB), or one row's n x d when that
+# is more.
+_BLOCK_FLOATS = 2**16
 
 
 def _pairwise_distances(X):
-    """The n x n distance matrix of the rows of ``X``, filled one row block
-    at a time; each pair still sums its d squared differences in one pass,
-    so the blocks give the one-shot tensor's bits."""
-    D = np.empty((len(X), len(X)))
-    for start in range(0, len(X), _BLOCK_ROWS):
-        block = X[start:start + _BLOCK_ROWS]
-        D[start:start + len(block)] = euclidean(block[:, None, :], X[None, :, :])
+    """The n x n distance matrix of the rows of ``X``, one row block at a
+    time within ``_BLOCK_FLOATS``.
+
+    Each block is computed only against the rows from its own start on and
+    written with its transpose: (a - b)^2 and (b - a)^2 are the same float,
+    and each pair still sums its d squared differences in one pass, so the
+    matrix keeps the one-shot tensor's bits and equals its transpose.
+    """
+    n, d = X.shape
+    D = np.empty((n, n))
+    step = max(1, _BLOCK_FLOATS // max(1, n * d))
+    for start in range(0, n, step):
+        block = euclidean(X[start:start + step, None, :], X[None, start:, :])
+        D[start:start + step, start:] = block
+        D[start:, start:start + step] = block.T
     return D
 
 

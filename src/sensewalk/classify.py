@@ -17,8 +17,8 @@ training value) pair and an (n, d) index from each training entry to its
 kernel. It scores test rows in blocks: each kernel is evaluated once per
 row of the block, then gathered back to the (n, d) layout, so every
 density sums the same floats in the same order as a per-entry evaluation.
-A block gathers at most ``_BLOCK_FLOATS`` kernels, or one row's n x d when
-that is more.
+A block gathers at most ``_BLOCK_FLOATS`` kernels (the float budget the
+class-graph distance pass shares), or one row's n x d when that is more.
 
 The tree sorts each feature once at the root and carries the sorted
 orders down to its children; every node scores, in one array pass, only
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attgraph import euclidean
+from .attgraph import _BLOCK_FLOATS, euclidean
 from .features import as_int, test_vectors
 from .tourist import InsertionTrial, normalize
 
@@ -105,26 +105,35 @@ def _training_classes(train_dataset):
 # k-nearest neighbors
 
 
-def knn_predict(train_dataset, x, k=1):
-    """Vote fractions among the k nearest training instances (Euclidean);
-    all of them when there are no more than k."""
+def _knn_voter(train_dataset, k):
+    """Check k and the training set once; returns the scorer of one
+    checked test vector."""
     if as_int(k, "k") < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
     classes = _training_classes(train_dataset)
-    d = euclidean(train_dataset.X, test_vectors(x, train_dataset.X.shape[1]))
-    near = range(len(d))
-    if k < len(d):  # only rows within the k-th smallest distance can be among the k nearest
-        near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1]).tolist()
-    order = sorted(near, key=lambda i: (d[i], train_dataset.ids[i]))
-    votes = Counter(train_dataset.labels[i] for i in order[:k])
-    return MembershipVector.normalized({c: votes.get(c, 0) for c in classes})
+
+    def vote(x):
+        d = euclidean(train_dataset.X, x)
+        near = range(len(d))
+        if k < len(d):  # only rows within the k-th smallest distance can be among the k nearest
+            near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1]).tolist()
+        order = sorted(near, key=lambda i: (d[i], train_dataset.ids[i]))
+        votes = Counter(train_dataset.labels[i] for i in order[:k])
+        return MembershipVector.normalized({c: votes.get(c, 0) for c in classes})
+
+    return vote
+
+
+def knn_predict(train_dataset, x, k=1):
+    """Vote fractions among the k nearest training instances (Euclidean);
+    all of them when there are no more than k."""
+    return _knn_voter(train_dataset, k)(test_vectors(x, train_dataset.X.shape[1]))
 
 
 # ---------------------------------------------------------------------------
 # naive Bayes with Parzen-window likelihoods
 
 _BANDWIDTH_FLOOR = 1e-6
-_BLOCK_FLOATS = 2**16  # bounds a block's gathered kernels at rows x n x d floats
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,10 +223,8 @@ def _log_kde_rows(table, X):
     return out
 
 
-def bayes_predict_rows(model, X):
-    """Posterior memberships of each row of ``X`` under the
-    attribute-independence hypothesis."""
-    X = test_vectors(X, model.n_features, ndim=2)
+def _bayes_rows(model, X):
+    """Posterior memberships of each row of a checked matrix ``X``."""
     log_scores = {c: (model.log_priors[c] + _log_kde_rows(model.kernels[c], X)).tolist()
                   for c in model.classes}
     memberships = []
@@ -228,9 +235,15 @@ def bayes_predict_rows(model, X):
     return memberships
 
 
+def bayes_predict_rows(model, X):
+    """Posterior memberships of each row of ``X`` under the
+    attribute-independence hypothesis."""
+    return _bayes_rows(model, test_vectors(X, model.n_features, ndim=2))
+
+
 def bayes_predict(model, x):
     """Posterior memberships of one test vector."""
-    return bayes_predict_rows(model, test_vectors(x, model.n_features)[None, :])[0]
+    return _bayes_rows(model, test_vectors(x, model.n_features)[None, :])[0]
 
 
 def bayes_bandwidths_csv(model):
@@ -374,13 +387,17 @@ def c45_train(train_dataset, min_size=2):
     return DecisionTree(root, classes, X.shape[1])
 
 
-def c45_predict(tree, x):
-    """Walk threshold tests to a leaf; membership = leaf class proportions."""
-    x = test_vectors(x, tree.n_features)
+def _leaf_membership(tree, x):
+    """The leaf class proportions of one checked test vector."""
     node = tree.root
     while not node.is_leaf:
         node = node.left if x[node.feature] <= node.threshold else node.right
     return MembershipVector.normalized({c: node.counts.get(c, 0) for c in tree.classes})
+
+
+def c45_predict(tree, x):
+    """Walk threshold tests to a leaf; membership = leaf class proportions."""
+    return _leaf_membership(tree, test_vectors(x, tree.n_features))
 
 
 def tree_to_text(tree, feature_names=None):
@@ -459,29 +476,32 @@ def hybrid_predict(low, high, lam):
 
 @dataclass(frozen=True)
 class LowLevelPredictor:
-    """A trained low-level classifier. ``rows`` maps a matrix with one test
-    vector per row to a list of memberships; calling the predictor with
-    one test vector scores it as a one-row matrix. Bayes scores a block of
-    rows at a time, kNN and C4.5 one row at a time."""
+    """A trained low-level classifier. ``rows(X)`` checks a matrix with one
+    test vector per row once and maps it to a list of memberships; calling
+    the predictor with one test vector checks it and scores it as a one-row
+    matrix. ``score`` maps checked rows to memberships: Bayes scores a block
+    of rows at a time, kNN and C4.5 one row at a time."""
 
-    rows: object
+    score: object
     n_features: int
 
+    def rows(self, X):
+        return self.score(test_vectors(X, self.n_features, ndim=2))
+
     def __call__(self, x):
-        return self.rows(test_vectors(x, self.n_features)[None, :])[0]
+        return self.score(test_vectors(x, self.n_features)[None, :])[0]
 
 
 def train_low_level(name, train_dataset, knn_k=1, min_size=2):
     """Uniform handle over the three low-level classifiers."""
     d = train_dataset.X.shape[1]
     if name == "knn":
-        return LowLevelPredictor(lambda X: [knn_predict(train_dataset, x, k=knn_k)
-                                            for x in test_vectors(X, d, ndim=2)], d)
+        vote = _knn_voter(train_dataset, knn_k)
+        return LowLevelPredictor(lambda X: [vote(x) for x in X], d)
     if name == "bayes":
         model = bayes_train(train_dataset)
-        return LowLevelPredictor(lambda X: bayes_predict_rows(model, X), d)
+        return LowLevelPredictor(lambda X: _bayes_rows(model, X), d)
     if name == "c45":
         tree = c45_train(train_dataset, min_size=min_size)
-        return LowLevelPredictor(lambda X: [c45_predict(tree, x)
-                                            for x in test_vectors(X, d, ndim=2)], d)
+        return LowLevelPredictor(lambda X: [_leaf_membership(tree, x) for x in X], d)
     raise ValueError(f"unknown low-level classifier {name!r}")

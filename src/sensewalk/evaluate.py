@@ -165,33 +165,46 @@ class _Record:
 
 
 def _fold_records(dataset, low_levels, config, fold_plan, fold_datasets=None, need_high=True):
-    """Score every test instance once; lambdas blend these records later."""
+    """Score every test instance once; lambdas blend these records later.
+
+    Each fold is scored in its own call, so its class graphs (with their
+    walk memos), trained predictors and standardized datasets are freed
+    before the next fold builds its own.
+    """
     records = []
     for train_idx, test_idx in fold_plan.folds:
-        if fold_datasets is not None:
-            train_ds, test_ds = fold_datasets(train_idx, test_idx)
-        else:
-            train_ds, test_ds = dataset.subset(train_idx), dataset.subset(test_idx)
-        stats = feature_stats(train_ds)
-        train_z = standardize(train_ds, stats)
-        test_z = standardize(test_ds, stats)
-        graphs = build_training_graph(train_z, config.graph) if need_high else None
-        predictors = {
-            name: train_low_level(name, train_z, knn_k=config.knn_k, min_size=config.min_leaf)
-            for name in low_levels
-        }
-        fold_lows = {name: predictors[name].rows(test_z.X) for name in low_levels}
-        for row, orig_index in enumerate(test_idx):
-            inst = test_z.instance(row)
-            lows = {name: fold_lows[name][row] for name in low_levels}
-            high = None
-            if need_high:
-                views = insert_test(inst.features, graphs)
-                try:
-                    high = high_level_predict(inst, graphs, config.high, views)
-                except AllViewsEmpty:
-                    log.info("instance %r links into no class; using low-level only", inst.id)
-            records.append(_Record(orig_index, test_z.labels[row], lows, high))
+        records += _score_fold(dataset, low_levels, config, train_idx, test_idx,
+                               fold_datasets, need_high)
+    return records
+
+
+def _score_fold(dataset, low_levels, config, train_idx, test_idx, fold_datasets, need_high):
+    """The records of one fold's test instances."""
+    if fold_datasets is not None:
+        train_ds, test_ds = fold_datasets(train_idx, test_idx)
+    else:
+        train_ds, test_ds = dataset.subset(train_idx), dataset.subset(test_idx)
+    stats = feature_stats(train_ds)
+    train_z = standardize(train_ds, stats)
+    test_z = standardize(test_ds, stats)
+    graphs = build_training_graph(train_z, config.graph) if need_high else None
+    predictors = {
+        name: train_low_level(name, train_z, knn_k=config.knn_k, min_size=config.min_leaf)
+        for name in low_levels
+    }
+    fold_lows = {name: predictors[name].rows(test_z.X) for name in low_levels}
+    records = []
+    for row, orig_index in enumerate(test_idx):
+        inst = test_z.instance(row)
+        lows = {name: fold_lows[name][row] for name in low_levels}
+        high = None
+        if need_high:
+            views = insert_test(inst.features, graphs)
+            try:
+                high = high_level_predict(inst, graphs, config.high, views)
+            except AllViewsEmpty:
+                log.info("instance %r links into no class; using low-level only", inst.id)
+        records.append(_Record(orig_index, test_z.labels[row], lows, high))
     return records
 
 

@@ -504,20 +504,50 @@ def test_one_distance_matrix_per_class(monkeypatch):
 @pytest.mark.parametrize("shape, scale", [
     ((2, 1), 1.0), ((63, 5), 1.0), ((64, 7), 1.0), ((65, 48), 1.0), ((99, 48), 1.0),
     ((257, 3), 1.0), ((300, 48), 1e-3), ((1000, 48), 1e3),
+    ((300, 300), 1.0), ((600, 48), 1.0), ((40, 8), 1.0),
 ])
-def test_blocked_distances_equal_the_one_shot_tensor(shape, scale):
+def test_blocked_distances_equal_the_one_shot_tensor(monkeypatch, shape, scale):
+    blocks = []
+    real = attgraph.euclidean
+
+    def spied(A, B):
+        blocks.append((len(A), B.shape[1]))
+        return real(A, B)
+
+    monkeypatch.setattr(attgraph, "euclidean", spied)
     X = np.random.default_rng(shape[0]).normal(size=shape) * scale
     D = _pairwise_distances(X)
+    # the shared float budget gives 1 row per block at (300, 300) and
+    # (1000, 48), 2 at (600, 48), 13 at (99, 48) and all n at (40, 8); each
+    # block meets only the rows from its own start on
+    n, d = shape
+    rows = max(1, attgraph._BLOCK_FLOATS // (n * d))
+    assert blocks == [(min(rows, n - start), n - start) for start in range(0, n, rows)]
+    assert np.array_equal(D, D.T)
     # the first and last 160 rows cover every shape but the largest, whose
     # full tensor would take 768 MB
-    for rows in (slice(0, 160), slice(-160, None)):
-        diff = X[rows, None, :] - X[None, :, :]
-        assert np.array_equal(D[rows], np.sqrt((diff * diff).sum(axis=-1)))
+    for part in (slice(0, 160), slice(-160, None)):
+        diff = X[part, None, :] - X[None, :, :]
+        assert np.array_equal(D[part], np.sqrt((diff * diff).sum(axis=-1)))
+
+
+def test_distance_pass_holds_little_beyond_its_matrix():
+    # one 600 x 48 class: 64-row blocks of its difference tensor and their
+    # squares peaked near 32 MB; budgeted blocks hold about 1 MB
+    X = np.random.default_rng(0).normal(size=(600, 48))
+    tracemalloc.start()
+    try:
+        D = _pairwise_distances(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < D.nbytes + 2e6
 
 
 def test_large_class_build_stays_in_row_blocks():
     # one 600 x 48 class: the n x n x d difference tensor alone would be
-    # 138 MB (280 MB peak with its square); row blocks keep it near 15 MB
+    # 138 MB (280 MB peak with its square); budgeted blocks hold about
+    # 1 MB of it, and the n x n matrices of the build the rest
     n, d = 600, 48
     ds = make_dataset(np.random.default_rng(0).normal(size=(n, d)), [1] * n)
     tracemalloc.start()

@@ -214,6 +214,29 @@ def test_rows_equal_one_vector_calls(name):
     assert predict.rows(np.zeros((0, 3))) == []
 
 
+@pytest.mark.parametrize("name, public", [
+    ("knn", lambda ds, x: knn_predict(ds, x, k=3)),
+    ("bayes", lambda ds, x: bayes_predict(bayes_train(ds), x)),
+    ("c45", lambda ds, x: c45_predict(c45_train(ds), x)),
+])
+def test_each_call_checks_its_test_vectors_once(monkeypatch, name, public):
+    ds = make_dataset([[0, 0], [0.1, 1], [5, 0], [5.1, 1]], [RED, RED, BLUE, BLUE])
+    predict = train_low_level(name, ds, knn_k=3)
+    checks = []
+    real = classify.test_vectors
+
+    def counting(*args, **kwargs):
+        checks.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "test_vectors", counting)
+    for call in (lambda: predict([0.5, 0.5]), lambda: predict.rows(np.ones((5, 2))),
+                 lambda: public(ds, [0.5, 0.5])):
+        checks.clear()
+        call()
+        assert len(checks) == 1
+
+
 class TestBayes:
     def test_symmetric_classes_give_half_half(self):
         train = make_dataset([-2.0, -1.0, 1.0, 2.0], [RED, RED, BLUE, BLUE])

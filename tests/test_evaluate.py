@@ -1,6 +1,7 @@
 import csv
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -467,6 +468,23 @@ class TestSweep:
         assert len(rows) == 3
         assert rows[1][0] == "crane"
         assert float(rows[1][4]) <= 1.0
+
+
+def test_one_fold_is_alive_at_a_time(monkeypatch):
+    folds = []  # weak references to each fold's class graphs
+    real = evaluate.build_training_graph
+
+    def tracking(dataset, config=None):
+        assert all(ref() is None for graphs in folds for ref in graphs)
+        graphs = real(dataset, config)
+        folds.append([weakref.ref(g) for g in graphs])
+        return graphs
+
+    monkeypatch.setattr(evaluate, "build_training_graph", tracking)
+    ds = blob_dataset(per_class=12, spread=2.0)
+    plan = make_fold_plan(ds.labels, 4)
+    reports = cv_sweep(ds, ["knn", "bayes", "c45"], (0.0, 0.5), fold_plan=plan)
+    assert len(folds) == 4 and set(reports) == {"knn", "bayes", "c45"}
 
 
 class TestWalkCurves:

@@ -24,7 +24,6 @@ from .classify import (
     HighLevelConfig,
     MembershipVector,
     bayes_predict,
-    bayes_predict_rows,
     bayes_train,
     c45_predict,
     c45_train,

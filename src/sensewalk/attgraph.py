@@ -8,8 +8,9 @@ same matrices. A training vertex links to every same-class vertex closer
 than epsilon when that ball holds more than kappa points (dense regions),
 and to its kappa nearest same-class vertices otherwise (sparse regions);
 the rule is one boolean matrix per class, symmetrised. Classes left
-disconnected by the local rule are bridged by one Kruskal pass that adds
-the shortest inter-component edges, ties to the smallest index pair.
+disconnected by the local rule are bridged by one Kruskal pass over the
+pairs that cross its pieces, adding the shortest inter-component edges,
+ties to the smallest index pair.
 
 :class:`ClassGraph` is the only graph type. It lives in index space:
 vertex ``k`` is ``ids[k]`` (ids sorted), ``positions[k]`` its feature
@@ -220,43 +221,39 @@ def _local_links(D, epsilon, kappa):
 def _bridges(D, links):
     """Index pairs that join the pieces ``links`` leaves apart, shortest first.
 
-    Union-find over the unique local edges, then, only when more than one
-    piece is left, one Kruskal pass over all pairs sorted by (distance, i,
-    j). A pair is added only if it is the shortest one left between two
-    pieces, so this adds the same bridges in the same order as repeatedly
-    taking the globally shortest inter-component edge.
+    Each vertex is labeled with the smallest index it reaches over
+    ``links`` (min-label propagation, jumping through the new labels each
+    round). When more than one piece is left, one Kruskal pass over the
+    cross-piece pairs, sorted by (distance, i, j), joins groups of pieces.
+    Each added pair is the shortest one left between two groups, so these
+    are the bridges, in order, of repeatedly taking the globally shortest
+    inter-component edge.
     """
     n = len(D)
-    parent = list(range(n))
-    pieces = n
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def join(pairs):
-        """Union the pairs in order until one piece is left; returns the joining ones."""
-        nonlocal pieces
-        joined = []
-        for i, j in pairs:
-            if pieces == 1:
+    piece = np.arange(n)
+    while True:
+        reached = np.minimum(piece, np.where(links, piece, n).min(axis=1))
+        reached = reached[reached]
+        if (reached == piece).all():
+            break
+        piece = reached
+    group = {p: p for p in np.unique(piece).tolist()}  # piece label -> its group
+    bridges = []
+    if len(group) == 1:
+        return bridges
+    iu, ju = np.nonzero(np.triu(piece[:, None] != piece, k=1))
+    order = np.argsort(D[iu, ju], kind="stable")  # ties keep (i, j) order
+    label = piece.tolist()
+    for i, j in zip(iu[order].tolist(), ju[order].tolist()):
+        a, b = group[label[i]], group[label[j]]
+        if a != b:
+            bridges.append((i, j))
+            if len(bridges) == len(group) - 1:
                 break
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-                joined.append((i, j))
-                pieces -= 1
-        return joined
-
-    li, lj = np.nonzero(np.triu(links, k=1))
-    join(zip(li.tolist(), lj.tolist()))
-    if pieces == 1:
-        return []
-    iu, ju = np.triu_indices(n, k=1)
-    order = np.lexsort((ju, iu, D[iu, ju]))
-    return join(zip(iu[order].tolist(), ju[order].tolist()))
+            for p, g in group.items():
+                if g == a:
+                    group[p] = b
+    return bridges
 
 
 def build_training_graph(dataset, config=None):

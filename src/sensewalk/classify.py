@@ -235,12 +235,6 @@ def _bayes_rows(model, X):
     return memberships
 
 
-def bayes_predict_rows(model, X):
-    """Posterior memberships of each row of ``X`` under the
-    attribute-independence hypothesis."""
-    return _bayes_rows(model, test_vectors(X, model.n_features, ndim=2))
-
-
 def bayes_predict(model, x):
     """Posterior memberships of one test vector."""
     return _bayes_rows(model, test_vectors(x, model.n_features)[None, :])[0]

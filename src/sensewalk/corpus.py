@@ -97,19 +97,20 @@ class SenseAnnotation:
     sense_id: int
 
 
-def _data_path(name):
-    return resources.files("sensewalk").joinpath("data", name)
+def _read_resource(path, bundled, missing):
+    """The text at ``path``, or of the bundled data file ``bundled`` when
+    ``path`` is None; a read failure raises ``missing``."""
+    try:
+        if path is None:
+            return (resources.files("sensewalk") / "data" / bundled).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise missing(str(path or f"bundled {bundled}")) from exc
 
 
 def load_stopwords(path=None):
     """Load the stopword list (one lowercase word per line, ``#`` comments)."""
-    try:
-        if path is None:
-            text = _data_path("stopwords.txt").read_text(encoding="utf-8")
-        else:
-            text = Path(path).read_text(encoding="utf-8")
-    except (FileNotFoundError, OSError) as exc:
-        raise MissingStopwordList(str(path or "bundled stopwords.txt")) from exc
+    text = _read_resource(path, "stopwords.txt", MissingStopwordList)
     words = set()
     for line in text.splitlines():
         line = line.strip()
@@ -120,13 +121,7 @@ def load_stopwords(path=None):
 
 def load_lemma_table(path=None):
     """Load the ``surface<TAB>lemma`` lookup table."""
-    try:
-        if path is None:
-            text = _data_path("lemmas.txt").read_text(encoding="utf-8")
-        else:
-            text = Path(path).read_text(encoding="utf-8")
-    except (FileNotFoundError, OSError) as exc:
-        raise MissingLemmaDictionary(str(path or "bundled lemmas.txt")) from exc
+    text = _read_resource(path, "lemmas.txt", MissingLemmaDictionary)
     table = {}
     for i, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -1,5 +1,8 @@
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +259,21 @@ def _multi_blob_dataset(seed, translated):
     return make_dataset(np.vstack(X), labels)
 
 
+def _unlinked(rng):
+    """No local link, so every vertex is its own piece and the bridges are
+    the (distance, i, j) minimum spanning tree; lattice lengths tie."""
+    return _reference_distances(rng.integers(0, 4, size=(15, 2)) * 0.5), [], 14
+
+
+def _shuffled_path(rng):
+    """One path through the first 40 indices in shuffled order and a second
+    piece of 6: a label moves along the path a few hops a round, so the
+    pieces take many rounds to settle."""
+    path = rng.permutation(40).tolist()
+    pairs = list(zip(path, path[1:])) + [(k, k + 1) for k in range(40, 45)]
+    return _reference_distances(rng.normal(size=(46, 3))), pairs, 1
+
+
 class TestBridging:
     CONFIG = GraphConfig(epsilon=1.5, kappa=2)
 
@@ -282,6 +300,17 @@ class TestBridging:
             assert _bridges(D, links | links.T) == want_bridges
             want = {(min(i, j), max(i, j)) for i, j in pairs + want_bridges}
             assert g.edges() == sorted((ids[i], ids[j], D[i, j]) for i, j in want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case", [_unlinked, _shuffled_path])
+    def test_direct_inputs_match_repeated_scan(self, case, seed):
+        D, pairs, bridge_count = case(np.random.default_rng(seed))
+        links = np.zeros(D.shape, dtype=bool)
+        for i, j in pairs:
+            links[i, j] = links[j, i] = True
+        want = _repeated_scan_bridges(D, pairs)
+        assert len(want) == bridge_count
+        assert _bridges(D, links) == want
 
     def test_translated_blobs_force_exact_ties(self):
         ds = _multi_blob_dataset(0, translated=True)
@@ -482,6 +511,30 @@ class TestReferenceBuilder:
                 sparse += int((balls <= config.kappa).sum())
                 bridged += len(_reference_bridges(D, picked)) > 0
         assert dense > 100 and sparse > 100 and bridged >= 24
+
+
+def test_bridging_loads_no_scipy():
+    src = str(Path(attgraph.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from sensewalk import attgraph\n"
+        "from sensewalk.features import Dataset\n"
+        "X = np.random.default_rng(0).normal(size=(60, 2))\n"
+        "ds = Dataset(list(range(60)), X, [1] * 30 + [2] * 30, ['x', 'y'])\n"
+        "config = attgraph.GraphConfig(epsilon=1e-9, kappa=1)\n"
+        "graphs = attgraph.build_training_graph(ds, config)\n"
+        "D = attgraph._pairwise_distances(X[:30])\n"
+        "print(len(attgraph._bridges(D, attgraph._local_links(D, 1e-9, 1))))\n"
+        "print([len(g.edges()) for g in graphs])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={"PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    bridges, edges, loaded = done.stdout.splitlines()
+    assert int(bridges) >= 5 and edges == "[29, 29]"  # spanning trees, bridged
+    assert loaded == "[]"
 
 
 def test_one_distance_matrix_per_class(monkeypatch):

@@ -17,7 +17,6 @@ from sensewalk.classify import (
     TreeNode,
     bayes_bandwidths_csv,
     bayes_predict,
-    bayes_predict_rows,
     bayes_train,
     c45_predict,
     c45_train,
@@ -360,7 +359,6 @@ class TestBayesKernelTable:
         want = [repr(reference_bayes_predict(train, q).scores) for q in queries]
         model = bayes_train(train)
         assert [repr(bayes_predict(model, q).scores) for q in queries] == want
-        assert [repr(m.scores) for m in bayes_predict_rows(model, queries)] == want
         assert [repr(m.scores) for m in train_low_level("bayes", train).rows(queries)] == want
 
     @pytest.mark.parametrize("kind", ["ties", "continuous", "signed-zeros", "near-binary",
@@ -404,6 +402,7 @@ class TestBayesKernelTable:
         X = np.round(rng.normal(size=(n + n // 2 + 1, d)), 2)
         train = make_dataset(X, [RED] * n + [BLUE] * (n // 2 + 1))
         model = bayes_train(train)
+        predictor = train_low_level("bayes", train)
         gathered, take = [], np.take
 
         def spied_take(a, indices, axis=None):
@@ -421,7 +420,7 @@ class TestBayesKernelTable:
         want = [repr(reference_bayes_predict(train, q).scores) for q in queries]
         for count in counts:
             gathered.clear()
-            got = bayes_predict_rows(model, queries[:count])
+            got = predictor.rows(queries[:count])
             assert [repr(m.scores) for m in got] == want[:count]
             assert max(gathered) <= max(classify._BLOCK_FLOATS, n * d)
             assert sum(gathered) == count * d * len(X)

@@ -189,8 +189,6 @@ def _class_distances(dataset):
 def _median_distance(classes):
     """Median of every same-class pair's distance in ``_class_distances`` output."""
     dists = [D[np.triu_indices(len(D), k=1)] for _, _, D in classes]
-    if not any(len(d) for d in dists):
-        raise ClassTooSmall("no class has 2 or more labeled instances")
     epsilon = float(np.median(np.concatenate(dists)))
     if epsilon == 0.0:
         raise ValueError(

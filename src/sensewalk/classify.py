@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attgraph import _BLOCK_FLOATS, euclidean
-from .features import as_int, test_vectors
+from .features import as_int, sorted_values, test_vectors
 from .tourist import InsertionTrial, normalize
 
 log = logging.getLogger(__name__)
@@ -106,19 +106,22 @@ def _training_classes(train_dataset):
 
 
 def _knn_voter(train_dataset, k):
-    """Check k and the training set once; returns the scorer of one
-    checked test vector."""
+    """Check k and the training set once, and put its rows in id order;
+    returns the scorer of one checked test vector. Distance ties go to the
+    row earlier in that order, the smaller id."""
     if as_int(k, "k") < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
     classes = _training_classes(train_dataset)
+    order = sorted_values(range(len(train_dataset)), "ids", key=train_dataset.ids.__getitem__)
+    X = train_dataset.X[order]
+    labels = [train_dataset.labels[i] for i in order]
 
     def vote(x):
-        d = euclidean(train_dataset.X, x)
+        d = euclidean(X, x)
         near = range(len(d))
         if k < len(d):  # only rows within the k-th smallest distance can be among the k nearest
             near = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1]).tolist()
-        order = sorted(near, key=lambda i: (d[i], train_dataset.ids[i]))
-        votes = Counter(train_dataset.labels[i] for i in order[:k])
+        votes = Counter(labels[i] for i in sorted(near, key=d.__getitem__)[:k])
         return MembershipVector.normalized({c: votes.get(c, 0) for c in classes})
 
     return vote

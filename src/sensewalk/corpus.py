@@ -192,20 +192,19 @@ def _undouble(stem):
 def lemmatize_word(word, table=None):
     """Canonical form of one lowercase word: table lookup, then suffix rules.
 
-    Iterates to a fixed point so the mapping is idempotent; unknown words
-    that match no rule come back unchanged.
+    Iterates to a fixed point so the mapping is idempotent; every suffix
+    rule shortens the word, so the loop ends. Unknown words that match no
+    rule come back unchanged.
     """
     if table is None:
         table = load_lemma_table()
     current = word
-    for _ in range(10):  # words only shrink; bound is a safety net
-        if current in table:
-            return table[current]
+    while current not in table:
         stripped = _strip_suffix_once(current)
         if stripped == current:
             return current
         current = stripped
-    return current
+    return table[current]
 
 
 def lemmatize(tokens, table=None):
@@ -288,22 +287,20 @@ def load_annotations(path, documents=None, sense_inventory=AMBIGUOUS_SENSES):
         seen.add((doc_id, position))
         annotations.append(SenseAnnotation(doc_id, position, word, sense_id))
     if documents is not None:
-        validate_annotations(annotations, documents)
+        validate_annotations(annotations, {d: doc.content_lemmas() for d, doc in documents.items()})
     return annotations
 
 
-def validate_annotations(annotations, documents):
-    """Check that every annotation points at a matching content token."""
-    lemmas_by_doc = {}
+def validate_annotations(annotations, token_streams):
+    """Check that every annotation points at a matching content token of
+    ``token_streams`` (document id -> content lemmas)."""
     for ann in annotations:
-        if ann.document_id not in documents:
+        lemmas = token_streams.get(ann.document_id)
+        if lemmas is None:
             raise PositionMismatch(f"unknown document '{ann.document_id}'")
-        if ann.document_id not in lemmas_by_doc:
-            lemmas_by_doc[ann.document_id] = documents[ann.document_id].content_lemmas()
-        lemmas = lemmas_by_doc[ann.document_id]
-        if ann.position >= len(lemmas):
+        if not 0 <= ann.position < len(lemmas):
             raise PositionMismatch(
-                f"position {ann.position} beyond content stream of "
+                f"position {ann.position} outside the content stream of "
                 f"'{ann.document_id}' (length {len(lemmas)})"
             )
         if lemmas[ann.position] != ann.word:

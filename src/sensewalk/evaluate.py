@@ -25,7 +25,7 @@ from .classify import (
     knn_predict,
     train_low_level,
 )
-from .corpus import SenseAnnotation, preprocess_document
+from .corpus import SenseAnnotation, preprocess_document, validate_annotations
 from .features import (
     Dataset,
     Instance,
@@ -33,7 +33,6 @@ from .features import (
     feature_stats,
     rows_by_label,
     semantic_features,
-    semantic_vocabulary,
     sorted_values,
     standardize,
     topological_features,
@@ -124,16 +123,28 @@ def _check_lambdas(lambdas):
             raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")
 
 
-def _check_walk_folds(dataset, fold_plan):
-    """Every class keeps 2 training rows in every fold, as its class graph
-    (and so any lambda > 0) needs; checked before any fold is fitted."""
-    for f, (train_idx, _) in enumerate(fold_plan.folds, start=1):
+def _check_folds(dataset, fold_plan, need_high):
+    """One pass over the plan before any fold is fitted: every index lies in
+    the dataset and no fold trains on a row it tests; with walks
+    (``need_high``), every class keeps 2 training rows in every fold, as its
+    class graph needs."""
+    n = len(dataset)
+    for f, (train_idx, test_idx) in enumerate(fold_plan.folds, start=1):
+        where = f"fold {f} of {len(fold_plan.folds)}"
+        for i in (*train_idx, *test_idx):
+            if not 0 <= i < n:
+                raise ValueError(f"{where} holds row {i!r}; the dataset has rows 0..{n - 1}")
+        leaked = set(train_idx).intersection(test_idx)
+        if leaked:
+            raise ValueError(f"{where} trains on row {min(leaked)}, which it also tests")
+        if not need_high:
+            continue
         kept = Counter(dataset.labels[i] for i in train_idx)
         for class_id in dataset.classes():
             if kept[class_id] < 2:
                 raise InsufficientClassSize(
-                    f"class {class_id!r} keeps {kept[class_id]} training instance(s) in fold "
-                    f"{f} of {len(fold_plan.folds)}; lambda > 0 needs >= 2 per class"
+                    f"class {class_id!r} keeps {kept[class_id]} training instance(s) in "
+                    f"{where}; lambda > 0 needs >= 2 per class"
                 )
 
 
@@ -279,8 +290,7 @@ def cv_sweep(dataset, low_levels, lambda_grid=None, config=None, fold_plan=None,
     if fold_plan is None:
         fold_plan = make_fold_plan(dataset.labels)
     need_high = any(lam > 0 for lam in grid)
-    if need_high:
-        _check_walk_folds(dataset, fold_plan)
+    _check_folds(dataset, fold_plan, need_high)
     records = _fold_records(dataset, low_levels, config, fold_plan, fold_datasets, need_high)
     counts = {c: len(rows) for c, rows in rows_by_label([r.true for r in records]).items()}
     reports = {}
@@ -313,8 +323,11 @@ def run_word_experiments(token_streams, annotations, paradigm="semantic", window
                          low_levels=("knn", "bayes", "c45"), lambda_grid=None,
                          config=None, n_folds=10, seed=0):
     """Sweep every annotated word separately; returns one report per
-    (word, low level). Semantic vocabularies are refitted inside each fold
-    so no test-window lemma leaks into training features."""
+    (word, low level). Annotations are checked against ``token_streams``
+    first. Each word's features are extracted once; a semantic fold keeps
+    the columns its training rows count, the vocabulary refitted on their
+    windows, so no test-window lemma leaks into training. ``compress``
+    keeps X C-ordered, so the fold's sums round as a refit's would."""
     from .adjacency import build_network
 
     if paradigm not in PARADIGMS:
@@ -322,6 +335,7 @@ def run_word_experiments(token_streams, annotations, paradigm="semantic", window
     low_levels = tuple(low_levels)  # read more than once
     lambda_grid = tuple(lambda_grid) if lambda_grid is not None else LAMBDA_GRID
     _check_choices(low_levels, lambda_grid)
+    validate_annotations(annotations, token_streams)
     reports = []
     network = build_network(token_streams, annotations) if paradigm == "topological" else None
     for word in sorted({a.word for a in annotations}):
@@ -332,14 +346,11 @@ def run_word_experiments(token_streams, annotations, paradigm="semantic", window
         if paradigm == "semantic":
             base = semantic_features(token_streams, word_annots, window)
 
-            def fold_datasets(train_idx, test_idx, _annots=word_annots):
-                train = [_annots[i] for i in train_idx]
-                test = [_annots[i] for i in test_idx]
-                vocab = semantic_vocabulary(token_streams, train, window)
-                return (
-                    semantic_features(token_streams, train, window, vocab),
-                    semantic_features(token_streams, test, window, vocab),
-                )
+            def fold_datasets(train_idx, test_idx):
+                counted = base.X[list(train_idx)].any(axis=0)
+                names = [name for name, kept in zip(base.feature_names, counted) if kept]
+                selected = Dataset(base.ids, base.X.compress(counted, axis=1), base.labels, names)
+                return selected.subset(train_idx), selected.subset(test_idx)
         else:
             base = topological_features(network, word_annots)
             fold_datasets = None

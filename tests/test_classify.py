@@ -83,6 +83,13 @@ class TestKnn:
         m = knn_predict(train, np.array([0.0]), k=1)
         assert m.argmax() == RED  # id 2 beats id 5 at equal distance
 
+    def test_ids_that_do_not_order_rejected_when_training(self):
+        train = Dataset([0, "a", 1], [[0.0], [0.0], [1.0]], [RED, BLUE, RED], ["x"])
+        for train_knn in (lambda: knn_predict(train, [0.0], k=1),
+                          lambda: train_low_level("knn", train)):
+            with pytest.raises(ValueError, match="ids 0 and 'a' cannot be ordered"):
+                train_knn()
+
     def test_scores_sum_to_one(self):
         train = self._ring_layout()
         for k in (1, 3, 7):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import sensewalk
-from sensewalk import adjacency, corpus
-from sensewalk.attgraph import ClassTooSmall
+from sensewalk import adjacency, classify, corpus
+from sensewalk.attgraph import ClassTooSmall, GraphConfig
 from sensewalk.cli import main, parse_config_file
 from sensewalk.evaluate import InsufficientClassSize, make_synthetic_corpus
 from sensewalk.features import Dataset, MissingNode
@@ -475,3 +475,37 @@ def test_duplicate_heavy_features_ask_for_epsilon(tmp_path):
     assert len(errors) == 1 and "Traceback" not in done.stderr
     assert "duplicate points" in errors[0] and "--epsilon" in errors[0]
     assert run_module("evaluate", "--features", path, "--epsilon", "0.5").returncode == 0
+
+
+def test_evaluate_montecarlo_p_on_features(overlap_csv, capsys):
+    assert main(["evaluate", "--features", str(overlap_csv), "--lambda", "0.0", "--folds", "3",
+                 "--seed", "5", "--p-method", "montecarlo"]) == 0
+    dataset = Dataset.from_csv(overlap_csv)
+    plan = sensewalk.make_fold_plan(dataset.labels, 3, 5)
+    acc = sensewalk.cv_sweep(dataset, ("knn",), (0.0,), fold_plan=plan)["knn"].accuracy_at(0.0)
+    p = sensewalk.p_value(acc, len(dataset), dataset.class_counts, method="montecarlo", seed=5)
+    assert capsys.readouterr().out.rstrip("\n").endswith(f"accuracy={acc:.4f}\tp={p:.3g}")
+
+
+@pytest.mark.parametrize("low_level", ["bayes", "knn"])
+def test_evaluate_dumps_bayes_and_knn_models(overlap_csv, tmp_path, capsys, low_level):
+    model = tmp_path / "model.txt"
+    assert main(["evaluate", "--features", str(overlap_csv), "--low-level", low_level,
+                 "--lambda", "0.0", "--folds", "3", "--dump-model", str(model)]) == 0
+    if low_level == "bayes":
+        z = sensewalk.standardize(Dataset.from_csv(overlap_csv))
+        want = classify.bayes_bandwidths_csv(sensewalk.bayes_train(z))
+    else:
+        want = "k-nearest neighbors keeps no fitted parameters beyond the training set\n"
+    assert model.read_text(encoding="utf-8") == want
+    assert f"model dump -> {model}" in capsys.readouterr().out
+
+
+def test_walk_curves_dump_graphs(overlap_csv, tmp_path, capsys):
+    graphs, want = tmp_path / "graphs.tsv", tmp_path / "want.tsv"
+    assert main(["walk-curves", "--features", str(overlap_csv), "--kappa", "2", "--mu-max", "3",
+                 "--out", str(tmp_path / "curves.csv"), "--dump-graphs", str(graphs)]) == 0
+    z = sensewalk.standardize(Dataset.from_csv(overlap_csv))
+    sensewalk.write_class_graphs(sensewalk.build_training_graph(z, GraphConfig(kappa=2)), want)
+    assert graphs.read_text(encoding="utf-8") == want.read_text(encoding="utf-8")
+    assert f"class graphs -> {graphs}" in capsys.readouterr().out

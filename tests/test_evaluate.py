@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import subprocess
 import sys
 import weakref
@@ -9,11 +10,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sensewalk
-from sensewalk import adjacency, evaluate, tourist
+from sensewalk import adjacency, evaluate, features, tourist
 from sensewalk.attgraph import GraphConfig, build_training_graph
 from sensewalk.classify import HighLevelConfig, knn_predict
+from sensewalk.corpus import PositionMismatch
 from sensewalk.evaluate import (
     LAMBDA_GRID,
+    PARADIGMS,
+    FoldPlan,
     InsufficientClassSize,
     PipelineConfig,
     cv_sweep,
@@ -26,7 +30,14 @@ from sensewalk.evaluate import (
     write_report_csv,
     write_walk_curves,
 )
-from sensewalk.features import Dataset, feature_stats, standardize, window_lemmas
+from sensewalk.features import (
+    Dataset,
+    feature_stats,
+    semantic_features,
+    semantic_vocabulary,
+    standardize,
+    window_lemmas,
+)
 from sensewalk.tourist import normalize
 
 
@@ -487,6 +498,37 @@ def test_one_fold_is_alive_at_a_time(monkeypatch):
     assert len(folds) == 4 and set(reports) == {"knn", "bayes", "c45"}
 
 
+@pytest.mark.parametrize("folds, message", [
+    ([((0, 1, 3, 4), (2, 9))], "fold 1 of 1 holds row 9; the dataset has rows 0..5"),
+    ([((0, 1, 3, 4), (-1, 2))], "fold 1 of 1 holds row -1"),
+    ([((1, 2, 4, 5), (0, 3)), ((0, 1, 2, 3, 4, 5), (1, 4))],
+     "fold 2 of 2 trains on row 1, which it also tests"),
+], ids=["past-the-end", "negative", "tested-row-trains"])
+def test_malformed_fold_plan_rejected_before_any_fit(monkeypatch, folds, message):
+    def never(*args, **kwargs):
+        raise AssertionError("scoring started")
+
+    monkeypatch.setattr(evaluate, "_fold_records", never)
+    ds = Dataset(range(6), [[0.0], [0.1], [0.2], [5.0], [5.1], [5.2]], [1, 1, 1, 2, 2, 2], ["x"])
+    for grid in ((0.0,), (0.0, 0.5)):
+        with pytest.raises(ValueError, match=message):
+            cv_sweep(ds, ("knn",), grid, fold_plan=FoldPlan(tuple(folds), 0))
+
+
+def test_row_linked_into_no_class_keeps_its_low_level_label():
+    # one class-1 row far beyond epsilon * fallback_factor of both blobs
+    # links into no class component when it is tested
+    ds = blob_dataset(per_class=10, gap=8.0, seed=4)
+    far = Dataset(ds.ids + [len(ds)], np.vstack([ds.X, [[200.0, 200.0]]]), ds.labels + [1],
+                  ds.feature_names)
+    config = PipelineConfig(high=HighLevelConfig(mu_critical=3))
+    records = evaluate._fold_records(far, ("knn", "c45"), config, make_fold_plan(far.labels, 3))
+    (lost,) = [r for r in records if r.high is None]
+    assert lost.index == len(ds)
+    for low in lost.lows.values():
+        assert {evaluate.hybrid_predict(low, None, lam)[1] for lam in LAMBDA_GRID} == {low.argmax()}
+
+
 class TestWalkCurves:
     def test_rows_and_steady_state(self, tmp_path):
         # class 1: rigid lattice; class 2: diffuse cloud
@@ -538,6 +580,76 @@ class TestSyntheticCorpus:
         )
         assert len(reports) == 1
         assert reports[0].accuracy_at(0.0) >= 0.9
+
+
+class TestSemanticFolds:
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_selected_folds_equal_refit_folds(self, monkeypatch, seed):
+        docs, annotations = make_synthetic_corpus(n_per_sense=15, seed=7 + seed, noise=0.35)
+        streams = {doc_id: d.content_lemmas() for doc_id, d in docs.items()}
+        handed = []  # the plan and fold builder cv_sweep gets for the one word
+        real = evaluate.cv_sweep
+
+        def spying(dataset, low_levels, lambda_grid, config, plan, fold_datasets, **kwargs):
+            handed.append((plan, fold_datasets))
+            return real(dataset, low_levels, lambda_grid, config, plan, fold_datasets, **kwargs)
+
+        monkeypatch.setattr(evaluate, "cv_sweep", spying)
+        run_word_experiments(streams, annotations, "semantic", low_levels=("knn",),
+                             lambda_grid=(0.0,), n_folds=10, seed=seed)
+        ((plan, fold_datasets),) = handed
+        word_annots = sorted(annotations, key=lambda a: (a.document_id, a.position))
+        dropped = 0
+        for train_idx, test_idx in plan.folds:
+            train = [word_annots[i] for i in train_idx]
+            vocab = semantic_vocabulary(streams, train, 5)
+            refit = (semantic_features(streams, train, 5, vocab),
+                     semantic_features(streams, [word_annots[i] for i in test_idx], 5, vocab))
+            for got, want in zip(fold_datasets(train_idx, test_idx), refit):
+                assert got.ids == want.ids and got.labels == want.labels
+                assert got.feature_names == want.feature_names
+                assert got.X.tobytes() == want.X.tobytes() and got.X.shape == want.X.shape
+                assert got.X.flags.c_contiguous
+            dropped += len(semantic_vocabulary(streams, word_annots, 5)) - len(vocab)
+        assert dropped > 0  # some fold leaves out a lemma only its test windows hold
+
+    def test_one_extraction_per_word(self, monkeypatch):
+        docs, annotations = make_synthetic_corpus(n_per_sense=10, seed=3)
+        streams = {doc_id: d.content_lemmas() for doc_id, d in docs.items()}
+        calls = []
+        real = features.window_lemmas
+
+        def counted(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(features, "window_lemmas", counted)
+        run_word_experiments(streams, annotations, "semantic", low_levels=("knn",),
+                             lambda_grid=(0.0, 0.5), n_folds=10,
+                             config=PipelineConfig(high=HighLevelConfig(mu_critical=2)))
+        # the vocabulary, then the counts: two windows per occurrence, not one per fold
+        assert len(calls) == 2 * len(annotations)
+
+
+@pytest.mark.parametrize("paradigm", PARADIGMS)
+@pytest.mark.parametrize("change", [
+    dict(position=10**6), dict(position=-1), dict(document_id="nodoc"), "moved",
+], ids=["past-the-end", "negative", "unknown-document", "moved-onto-another-lemma"])
+def test_annotations_checked_before_anything_is_built(monkeypatch, paradigm, change):
+    docs, annotations = make_synthetic_corpus(n_per_sense=12)
+    streams = {doc_id: d.content_lemmas() for doc_id, d in docs.items()}
+    first = annotations[0]
+    change = dict(position=first.position + 1) if change == "moved" else change
+    bad = [dataclasses.replace(first, **change)] + annotations[1:]
+
+    def never(*args, **kwargs):
+        raise AssertionError("a network or feature was built")
+
+    for name in ("semantic_features", "topological_features"):
+        monkeypatch.setattr(evaluate, name, never)
+    monkeypatch.setattr(adjacency, "build_network", never)
+    with pytest.raises(PositionMismatch):
+        run_word_experiments(streams, bad, paradigm, lambda_grid=(0.0,), n_folds=3)
 
 
 class TestToyExperiment:

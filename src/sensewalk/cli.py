@@ -133,6 +133,10 @@ def _reports(args, low_levels, grid, config, need_dataset=False):
                             word="dataset", paradigm="features")
         return [swept[name] for name in low_levels], dataset
     _, streams, annotations = _load_corpus(args, annotated=True)
+    words = sorted({a.word for a in annotations})
+    if need_dataset and len(words) > 1:  # sense ids of different words would share classes
+        raise ValueError(f"--dump-model and --dump-graphs fit one word's senses; the "
+                         f"annotations hold {len(words)} words: {', '.join(words)}")
     reports = ev.run_word_experiments(
         streams, annotations, paradigm=args.paradigm, window=args.window,
         low_levels=low_levels, lambda_grid=grid, config=config,

@@ -1,10 +1,12 @@
 """Experiment harness: stratified cross-validation, compliance-term sweeps,
 random-baseline p-values, walk curves, and the built-in toy experiment.
 
-Per fold the standardizer is fitted on training data only, class graphs
-are built on training data only, and the compliance term enters at
-prediction time, so one pass over the folds can score every low-level
-classifier and every lambda from the same cached memberships.
+Every fold keeps the columns where some training row is non-zero, then takes
+its rows (``_fold_datasets``): for semantic counts that is the vocabulary
+refitted on the training windows, and any other dropped column is one the
+fold's standardization zeroes in every row. Standardizer and class graphs
+are fitted on training rows only and lambda enters at prediction time, so
+one pass over the folds scores every low-level classifier and every lambda.
 """
 
 import csv
@@ -80,13 +82,9 @@ def make_fold_plan(labels, n_folds=10, seed=0):
         rng.shuffle(idx)
         for f in range(k):
             test_sets[f].extend(int(i) for i in idx[f::k])
-    folds = []
     everything = set(range(len(labels)))
-    for f in range(k):
-        test = tuple(sorted(test_sets[f]))
-        train = tuple(sorted(everything.difference(test)))
-        folds.append((train, test))
-    return FoldPlan(tuple(folds), seed)
+    return FoldPlan(tuple((tuple(sorted(everything.difference(test))), tuple(sorted(test)))
+                          for test in test_sets), seed)
 
 
 @dataclass(frozen=True)
@@ -125,15 +123,18 @@ def _check_lambdas(lambdas):
 
 def _check_folds(dataset, fold_plan, need_high):
     """One pass over the plan before any fold is fitted: every index lies in
-    the dataset and no fold trains on a row it tests; with walks
-    (``need_high``), every class keeps 2 training rows in every fold, as its
-    class graph needs."""
+    the dataset, every row it holds is labeled and no fold trains on a row it
+    tests; with walks (``need_high``), every class keeps 2 training rows in
+    every fold, as its class graph needs."""
     n = len(dataset)
     for f, (train_idx, test_idx) in enumerate(fold_plan.folds, start=1):
         where = f"fold {f} of {len(fold_plan.folds)}"
         for i in (*train_idx, *test_idx):
             if not 0 <= i < n:
                 raise ValueError(f"{where} holds row {i!r}; the dataset has rows 0..{n - 1}")
+            if dataset.labels[i] is None:
+                raise ValueError(f"{where} holds row {i}, which is unlabeled; "
+                                 "cross-validation requires labeled instances")
         leaked = set(train_idx).intersection(test_idx)
         if leaked:
             raise ValueError(f"{where} trains on row {min(leaked)}, which it also tests")
@@ -175,7 +176,7 @@ class _Record:
     high: object  # MembershipVector or None when no class was linked
 
 
-def _fold_records(dataset, low_levels, config, fold_plan, fold_datasets=None, need_high=True):
+def _fold_records(dataset, low_levels, config, fold_plan, need_high=True):
     """Score every test instance once; lambdas blend these records later.
 
     Each fold is scored in its own call, so its class graphs (with their
@@ -184,17 +185,22 @@ def _fold_records(dataset, low_levels, config, fold_plan, fold_datasets=None, ne
     """
     records = []
     for train_idx, test_idx in fold_plan.folds:
-        records += _score_fold(dataset, low_levels, config, train_idx, test_idx,
-                               fold_datasets, need_high)
+        records += _score_fold(dataset, low_levels, config, train_idx, test_idx, need_high)
     return records
 
 
-def _score_fold(dataset, low_levels, config, train_idx, test_idx, fold_datasets, need_high):
+def _fold_datasets(dataset, train_idx, test_idx):
+    """The fold's training and test datasets over the columns some training row
+    holds; ``compress`` keeps X C-ordered, so sums round as a refit's would."""
+    kept = dataset.X[list(train_idx)].any(axis=0)
+    names = [name for name, keep in zip(dataset.feature_names, kept) if keep]
+    selected = Dataset(dataset.ids, dataset.X.compress(kept, axis=1), dataset.labels, names)
+    return selected.subset(train_idx), selected.subset(test_idx)
+
+
+def _score_fold(dataset, low_levels, config, train_idx, test_idx, need_high):
     """The records of one fold's test instances."""
-    if fold_datasets is not None:
-        train_ds, test_ds = fold_datasets(train_idx, test_idx)
-    else:
-        train_ds, test_ds = dataset.subset(train_idx), dataset.subset(test_idx)
+    train_ds, test_ds = _fold_datasets(dataset, train_idx, test_idx)
     stats = feature_stats(train_ds)
     train_z = standardize(train_ds, stats)
     test_z = standardize(test_ds, stats)
@@ -259,6 +265,10 @@ def p_value(accuracy, n, class_counts, method="binomial", seed=0, samples=20000)
     the binomial unless the priors are equal, so its p-values are smaller.
     The n_j are p(j) n rounded by largest remainder, so they add up to n.
     """
+    if as_int(n, "n") < 0:
+        raise ValueError(f"n must be >= 0, got {n!r}")
+    if not class_counts:
+        raise ValueError("p_value needs the counts of at least one class")
     priors = normalize(class_counts)
     q = sum(p ** 2 for p in priors.values())
     correct = int(round(accuracy * n))
@@ -281,7 +291,7 @@ def p_value(accuracy, n, class_counts, method="binomial", seed=0, samples=20000)
 
 
 def cv_sweep(dataset, low_levels, lambda_grid=None, config=None, fold_plan=None,
-             fold_datasets=None, word="", paradigm=""):
+             word="", paradigm=""):
     """One fold pass, every classifier, every lambda; shared walk scores."""
     config = config or PipelineConfig()
     low_levels = tuple(low_levels)  # read more than once
@@ -291,7 +301,7 @@ def cv_sweep(dataset, low_levels, lambda_grid=None, config=None, fold_plan=None,
         fold_plan = make_fold_plan(dataset.labels)
     need_high = any(lam > 0 for lam in grid)
     _check_folds(dataset, fold_plan, need_high)
-    records = _fold_records(dataset, low_levels, config, fold_plan, fold_datasets, need_high)
+    records = _fold_records(dataset, low_levels, config, fold_plan, need_high)
     counts = {c: len(rows) for c, rows in rows_by_label([r.true for r in records]).items()}
     reports = {}
     for name in low_levels:
@@ -324,10 +334,8 @@ def run_word_experiments(token_streams, annotations, paradigm="semantic", window
                          config=None, n_folds=10, seed=0):
     """Sweep every annotated word separately; returns one report per
     (word, low level). Annotations are checked against ``token_streams``
-    first. Each word's features are extracted once; a semantic fold keeps
-    the columns its training rows count, the vocabulary refitted on their
-    windows, so no test-window lemma leaks into training. ``compress``
-    keeps X C-ordered, so the fold's sums round as a refit's would."""
+    first. Each word's features are extracted once, and ``cv_sweep`` builds
+    its folds from them by the module's one fold rule."""
     from .adjacency import build_network
 
     if paradigm not in PARADIGMS:
@@ -345,18 +353,10 @@ def run_word_experiments(token_streams, annotations, paradigm="semantic", window
         )
         if paradigm == "semantic":
             base = semantic_features(token_streams, word_annots, window)
-
-            def fold_datasets(train_idx, test_idx):
-                counted = base.X[list(train_idx)].any(axis=0)
-                names = [name for name, kept in zip(base.feature_names, counted) if kept]
-                selected = Dataset(base.ids, base.X.compress(counted, axis=1), base.labels, names)
-                return selected.subset(train_idx), selected.subset(test_idx)
         else:
             base = topological_features(network, word_annots)
-            fold_datasets = None
         plan = make_fold_plan(base.labels, n_folds, seed)
-        swept = cv_sweep(base, low_levels, lambda_grid, config, plan, fold_datasets,
-                         word=word, paradigm=paradigm)
+        swept = cv_sweep(base, low_levels, lambda_grid, config, plan, word=word, paradigm=paradigm)
         reports.extend(swept[name] for name in low_levels)
     return reports
 
@@ -525,12 +525,7 @@ def toy_experiment(lambda_grid=None, mu_critical=10):
 
     rows = tuple((lam,) + predict(lam) for lam in grid)
     predictions_at = {lam: predict(lam)[0] for lam in (0.0, 0.5, 0.8)}
-    flip_lambda = None
-    for lam, label, _ in rows:
-        if label == 1:
-            flip_lambda = lam
-            break
-    monotone = True
-    if flip_lambda is not None:
-        monotone = all(label == 1 for lam, label, _ in rows if lam >= flip_lambda)
+    flip_lambda = next((lam for lam, label, _ in rows if label == 1), None)
+    monotone = flip_lambda is None or all(label == 1 for lam, label, _ in rows
+                                          if lam >= flip_lambda)
     return ToyReport(1, 2, rows, predictions_at, flip_lambda, monotone)

@@ -233,22 +233,22 @@ def semantic_features(token_streams, annotations, window=5, vocabulary=None):
     """One count-vector instance per annotation.
 
     When ``vocabulary`` is given (e.g. fitted on a training fold), window
-    lemmas outside it are dropped; otherwise the vocabulary is the union
-    over all windows seen here.
+    lemmas outside it are dropped; otherwise the vocabulary is the sorted
+    union over all windows seen here, as ``semantic_vocabulary`` gives.
     """
+    windows = [window_lemmas(token_streams[a.document_id], a.position, window)
+               for a in annotations]
     if vocabulary is None:
-        vocabulary = semantic_vocabulary(token_streams, annotations, window)
+        vocabulary = sorted(set().union(*windows))
     index = {lemma: i for i, lemma in enumerate(vocabulary)}
     X = np.zeros((len(annotations), len(vocabulary)))
-    ids, labels = [], []
-    for row, ann in enumerate(annotations):
-        for lemma in window_lemmas(token_streams[ann.document_id], ann.position, window):
+    for row, lemmas in enumerate(windows):
+        for lemma in lemmas:
             j = index.get(lemma)
             if j is not None:
                 X[row, j] += 1.0
-        ids.append((ann.document_id, ann.position))
-        labels.append(ann.sense_id)
-    return Dataset(ids, X, labels, vocabulary)
+    ids = [(a.document_id, a.position) for a in annotations]
+    return Dataset(ids, X, [a.sense_id for a in annotations], vocabulary)
 
 
 def topological_features(network, annotations):

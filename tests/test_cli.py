@@ -138,6 +138,61 @@ def test_evaluate_dumps(corpus_dir, tmp_path):
     assert all(len(line.split("\t")) == 4 for line in lines)
 
 
+@pytest.fixture(scope="module")
+def two_word_corpus(tmp_path_factory):
+    """Crane and bear, 24 annotated occurrences each, in separate documents."""
+    root = tmp_path_factory.mktemp("two_words")
+    lines = []
+    for word, seed in (("crane", 11), ("bear", 12)):
+        docs, annotations = make_synthetic_corpus(word=word, n_per_sense=12, n_docs=3, seed=seed)
+        for doc_id, doc in docs.items():
+            (root / f"{word}_{doc_id}.txt").write_text(doc.raw_text, encoding="utf-8")
+        lines += [f"{word}_{a.document_id}\t{a.position}\t{a.word}\t{a.sense_id}"
+                  for a in annotations]
+    ann_path = root / "annotations.tsv"
+    ann_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return root, ann_path
+
+
+@pytest.mark.parametrize("flag", ["--dump-model", "--dump-graphs"])
+def test_dump_refuses_a_corpus_of_several_words_before_the_sweep(two_word_corpus, tmp_path,
+                                                                 monkeypatch, capsys, flag):
+    # the senses of different words share class ids, so one dumped model
+    # would mix them: the C4.5 tree used to hold all 48 occurrences
+    root, ann = two_word_corpus
+    args = ["evaluate", "--in", str(root), "--annotations", str(ann), "--low-level", "c45",
+            "--lambda", "0.0", "--folds", "3"]
+    assert main(args) == 0
+    assert [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()] == \
+        ["bear", "crane"]
+
+    def never(*a, **kw):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(sensewalk.evaluate, "run_word_experiments", never)
+    dump = tmp_path / "dump.txt"
+    assert main(args + [flag, str(dump)]) == 1
+    err = capsys.readouterr().err
+    assert "fit one word's senses; the annotations hold 2 words: bear, crane" in err
+    assert not dump.exists()
+
+
+def test_dump_of_a_one_word_corpus_fits_every_occurrence(corpus_dir, tmp_path):
+    root, ann = corpus_dir
+    model, graphs, want = tmp_path / "tree.txt", tmp_path / "graphs.tsv", tmp_path / "want.tsv"
+    assert main(["evaluate", "--in", str(root), "--annotations", str(ann), "--low-level", "c45",
+                 "--lambda", "0.0", "--folds", "3", "--dump-model", str(model),
+                 "--dump-graphs", str(graphs)]) == 0
+    docs = corpus.load_documents(root)
+    streams = {doc_id: doc.content_lemmas() for doc_id, doc in docs.items()}
+    z = sensewalk.standardize(sensewalk.semantic_features(
+        streams, corpus.load_annotations(ann, documents=docs), 5))
+    assert model.read_text(encoding="utf-8") == \
+        classify.tree_to_text(classify.c45_train(z), z.feature_names) + "\n"
+    sensewalk.write_class_graphs(sensewalk.build_training_graph(z, GraphConfig()), want)
+    assert graphs.read_text(encoding="utf-8") == want.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("labels", [(-1, 2), (-2, -3)], ids=["mixed-sign", "all-negative"])
 def test_default_epsilon_spans_every_class(tmp_path, labels):
     # same-class gaps {1, 1, 2} and {1, 3, 4}: the median over both classes

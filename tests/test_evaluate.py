@@ -130,12 +130,13 @@ def _integer_parameter_calls():
         ("mu", lambda v: tourist.walk(graph, graph.ids[0], v)),
         ("mu_critical", lambda v: tourist.component_stats(graph, v)),
         ("the semantic window", lambda v: window_lemmas(["a", "b", "c", "d", "e", "f"], 4, v)),
+        ("n", lambda v: p_value(0.5, v, {1: 1, 2: 1})),
     ]
 
 
-@pytest.mark.parametrize("at", range(9), ids=["HighLevelConfig", "GraphConfig", "knn_predict",
-                                              "PipelineConfig", "n_folds", "seed", "walk",
-                                              "component_stats", "window_lemmas"])
+@pytest.mark.parametrize("at", range(10), ids=["HighLevelConfig", "GraphConfig", "knn_predict",
+                                               "PipelineConfig", "n_folds", "seed", "walk",
+                                               "component_stats", "window_lemmas", "p_value"])
 def test_integer_parameters_refuse_a_float_by_name(at):
     # each float used to fail deep in numpy or range() with a TypeError, and
     # window_lemmas(stream, 4, 2.5) returned 3 lemmas
@@ -234,6 +235,14 @@ class TestPValue:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             p_value(0.5, 10, {1: 5, 2: 5}, method="exactish")
+
+    @pytest.mark.parametrize("method", ["binomial", "montecarlo"])
+    def test_no_classes_or_negative_n_refused(self, method):
+        # with no classes q was 0, so any correct guess read as significant (p = 0)
+        with pytest.raises(ValueError, match="at least one class"):
+            p_value(0.5, 10, {}, method=method)
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+            p_value(0.5, -1, {1: 5, 2: 5}, method=method)
 
     @pytest.mark.parametrize("counts", [{1: 1}, {1: 10, 2: 10}, {1: 80, 2: 20},
                                         {1: 3, 2: 5, 3: 7}, {"a": 1, "b": 1, "c": 1}])
@@ -515,6 +524,24 @@ def test_malformed_fold_plan_rejected_before_any_fit(monkeypatch, folds, message
             cv_sweep(ds, ("knn",), grid, fold_plan=FoldPlan(tuple(folds), 0))
 
 
+@pytest.mark.parametrize("part", ["test", "train"])
+def test_unlabeled_row_in_a_plan_rejected_before_any_fit(monkeypatch, part):
+    # an unlabeled test row used to count as an error in the accuracy, and
+    # an unlabeled training row failed only when its fold's classifiers trained
+    def never(*args, **kwargs):
+        raise AssertionError("scoring started")
+
+    monkeypatch.setattr(evaluate, "_fold_records", never)
+    labels = [1, 1, 1, 2, 2, 2, None, None]
+    ds = Dataset(range(8), np.arange(8.0).reshape(8, 1), labels, ["x"])
+    fold = ((1, 2, 4, 5), (0, 3, 6)) if part == "test" else ((1, 2, 4, 5, 7), (0, 3))
+    plan = FoldPlan((((0, 1, 3, 4), (2, 5)), fold), 0)
+    row = 6 if part == "test" else 7
+    for grid in ((0.0,), (0.0, 0.5)):
+        with pytest.raises(ValueError, match=f"^fold 2 of 2 holds row {row}, which is unlabeled"):
+            cv_sweep(ds, ("knn",), grid, fold_plan=plan)
+
+
 def test_row_linked_into_no_class_keeps_its_low_level_label():
     # one class-1 row far beyond epsilon * fallback_factor of both blobs
     # links into no class component when it is tested
@@ -582,36 +609,49 @@ class TestSyntheticCorpus:
         assert reports[0].accuracy_at(0.0) >= 0.9
 
 
-class TestSemanticFolds:
+def _assert_same_dataset(got, want):
+    assert got.ids == want.ids and got.labels == want.labels
+    assert got.feature_names == want.feature_names
+    assert got.X.tobytes() == want.X.tobytes() and got.X.shape == want.X.shape
+    assert got.X.flags.c_contiguous
+
+
+class TestFoldDatasets:
     @pytest.mark.parametrize("seed", [0, 3, 11])
-    def test_selected_folds_equal_refit_folds(self, monkeypatch, seed):
+    def test_selected_folds_equal_refit_folds(self, seed):
         docs, annotations = make_synthetic_corpus(n_per_sense=15, seed=7 + seed, noise=0.35)
         streams = {doc_id: d.content_lemmas() for doc_id, d in docs.items()}
-        handed = []  # the plan and fold builder cv_sweep gets for the one word
-        real = evaluate.cv_sweep
-
-        def spying(dataset, low_levels, lambda_grid, config, plan, fold_datasets, **kwargs):
-            handed.append((plan, fold_datasets))
-            return real(dataset, low_levels, lambda_grid, config, plan, fold_datasets, **kwargs)
-
-        monkeypatch.setattr(evaluate, "cv_sweep", spying)
-        run_word_experiments(streams, annotations, "semantic", low_levels=("knn",),
-                             lambda_grid=(0.0,), n_folds=10, seed=seed)
-        ((plan, fold_datasets),) = handed
         word_annots = sorted(annotations, key=lambda a: (a.document_id, a.position))
+        base = semantic_features(streams, word_annots, 5)
+        plan = make_fold_plan(base.labels, 10, seed)  # as run_word_experiments plans
         dropped = 0
         for train_idx, test_idx in plan.folds:
             train = [word_annots[i] for i in train_idx]
             vocab = semantic_vocabulary(streams, train, 5)
             refit = (semantic_features(streams, train, 5, vocab),
                      semantic_features(streams, [word_annots[i] for i in test_idx], 5, vocab))
-            for got, want in zip(fold_datasets(train_idx, test_idx), refit):
-                assert got.ids == want.ids and got.labels == want.labels
-                assert got.feature_names == want.feature_names
-                assert got.X.tobytes() == want.X.tobytes() and got.X.shape == want.X.shape
-                assert got.X.flags.c_contiguous
-            dropped += len(semantic_vocabulary(streams, word_annots, 5)) - len(vocab)
+            for got, want in zip(evaluate._fold_datasets(base, train_idx, test_idx), refit):
+                _assert_same_dataset(got, want)
+            dropped += base.dim - len(vocab)
         assert dropped > 0  # some fold leaves out a lemma only its test windows hold
+
+    def test_column_no_training_row_holds_is_dropped(self):
+        # column "b" is 0 in every row but 1 and 6: a fold that trains on
+        # neither drops it; a fold that trains on one keeps every column
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(8, 3))
+        X[:, 1] = 0.0
+        X[1, 1], X[6, 1] = 2.5, -1.0
+        ds = Dataset(range(8), X, [1, 1, 1, 1, 2, 2, 2, 2], ["a", "b", "c"])
+        train_idx, test_idx = (0, 2, 3, 4, 5, 7), (1, 6)
+        without_b = Dataset(ds.ids, np.delete(X, 1, axis=1), ds.labels, ["a", "c"])
+        got = evaluate._fold_datasets(ds, train_idx, test_idx)
+        for got_ds, want in zip(got, (without_b.subset(train_idx), without_b.subset(test_idx))):
+            _assert_same_dataset(got_ds, want)
+        train_idx, test_idx = (1, 2, 3, 5, 6, 7), (0, 4)
+        got = evaluate._fold_datasets(ds, train_idx, test_idx)
+        for got_ds, want in zip(got, (ds.subset(train_idx), ds.subset(test_idx))):
+            _assert_same_dataset(got_ds, want)
 
     def test_one_extraction_per_word(self, monkeypatch):
         docs, annotations = make_synthetic_corpus(n_per_sense=10, seed=3)
@@ -627,8 +667,8 @@ class TestSemanticFolds:
         run_word_experiments(streams, annotations, "semantic", low_levels=("knn",),
                              lambda_grid=(0.0, 0.5), n_folds=10,
                              config=PipelineConfig(high=HighLevelConfig(mu_critical=2)))
-        # the vocabulary, then the counts: two windows per occurrence, not one per fold
-        assert len(calls) == 2 * len(annotations)
+        # one window per occurrence, not one per fold
+        assert len(calls) == len(annotations)
 
 
 @pytest.mark.parametrize("paradigm", PARADIGMS)

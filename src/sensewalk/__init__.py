@@ -59,6 +59,7 @@ from .evaluate import (
     run_word_experiments,
     toy_experiment,
     walk_curve_rows,
+    word_datasets,
     write_report_csv,
     write_walk_curves,
 )

@@ -8,7 +8,8 @@ lines, keyed by flag name without the dashes (``mu-c`` or ``mu_c``;
 subcommand's own flags placed before the command line's: they get the same
 type, choice and required checks, explicit flags win over the file and the
 file wins over the defaults. A key that names no option of the subcommand
-is an error; a switch is set by ``1``, ``true``, ``yes`` or ``on``.
+is an error; a switch is set by ``1``, ``true``, ``yes`` or ``on``, left
+unset by ``0``, ``false``, ``no`` or ``off``, and any other value is an error.
 
 Exit status: 0 on success; 2 on a usage error (unknown flag or config key,
 ill-typed or missing value); 1 on bad input, reported as one
@@ -24,7 +25,7 @@ from .attgraph import GraphConfig, build_training_graph, write_class_graphs
 from .classify import (
     LOW_LEVEL_NAMES, HighLevelConfig, bayes_bandwidths_csv, bayes_train, c45_train, tree_to_text,
 )
-from .features import Dataset, semantic_features, standardize, topological_features
+from .features import Dataset, standardize
 
 # failures caused by the input, reported as one line instead of a traceback;
 # every domain input error subclasses one of them
@@ -62,6 +63,9 @@ def _config_tokens(command, path):
             tokens.append(f"{action.option_strings[0]}={value}")
         elif value.lower() in ("1", "true", "yes", "on"):
             tokens.append(action.option_strings[0])
+        elif value.lower() not in ("0", "false", "no", "off"):
+            command.error(f"switch {key!r} in config file {path} is {value!r}; "
+                          "give 1, true, yes or on to set it, 0, false, no or off not to")
     return tokens
 
 
@@ -85,7 +89,9 @@ def _floats(text):
     return tuple(float(value) for value in text.split(","))
 
 
-def _load_corpus(args, annotated=False):
+def _load_corpus(args, annotated=False, one_word=None):
+    """Documents, lemma streams and annotations; ``one_word`` (what needs one
+    word's senses) refuses annotations of several words."""
     if not args.in_dir:
         raise ValueError("--in directory is required")
     stopwords = corpus.load_stopwords(args.stopwords)
@@ -98,16 +104,12 @@ def _load_corpus(args, annotated=False):
         annotations = corpus.load_annotations(args.annotations, documents=documents)
     if annotated and not annotations:
         raise ValueError("--annotations is required to extract features")
+    words = sorted({a.word for a in annotations})
+    if one_word and len(words) > 1:  # sense ids of different words would share classes
+        raise ValueError(f"{one_word} one word's senses; the annotations hold "
+                         f"{len(words)} words: {', '.join(words)}")
     streams = {doc_id: doc.content_lemmas() for doc_id, doc in documents.items()}
     return documents, streams, annotations
-
-
-def _extract(args, streams, annotations):
-    """Feature vectors of every annotation under ``--paradigm``."""
-    if args.paradigm == "semantic":
-        return semantic_features(streams, annotations, args.window)
-    network = adjacency.build_network(streams, annotations)
-    return topological_features(network, annotations)
 
 
 def _graph_config(args):
@@ -123,27 +125,20 @@ def _pipeline_config(args):
     )
 
 
-def _reports(args, low_levels, grid, config, need_dataset=False):
-    """Cross-validated reports from ``--features`` or per word from a corpus,
-    with the features dataset (extracted from a corpus only if needed)."""
+def _reports(args, low_levels, grid, config, one_word=None):
+    """Yield ``(reports, dataset)`` per word of ``--features`` or of a corpus:
+    the word's cross-validated reports and the dataset they scored."""
+    ev._check_choices(low_levels, grid)
+    paradigm = "features" if args.features else args.paradigm
     if args.features:
-        dataset = Dataset.from_csv(args.features)
+        datasets = [("dataset", Dataset.from_csv(args.features))]
+    else:
+        _, streams, annotations = _load_corpus(args, annotated=True, one_word=one_word)
+        datasets = ev.word_datasets(streams, annotations, paradigm, args.window)
+    for word, dataset in datasets:
         plan = ev.make_fold_plan(dataset.labels, args.folds, args.seed)
-        swept = ev.cv_sweep(dataset, low_levels, grid, config, plan,
-                            word="dataset", paradigm="features")
-        return [swept[name] for name in low_levels], dataset
-    _, streams, annotations = _load_corpus(args, annotated=True)
-    words = sorted({a.word for a in annotations})
-    if need_dataset and len(words) > 1:  # sense ids of different words would share classes
-        raise ValueError(f"--dump-model and --dump-graphs fit one word's senses; the "
-                         f"annotations hold {len(words)} words: {', '.join(words)}")
-    reports = ev.run_word_experiments(
-        streams, annotations, paradigm=args.paradigm, window=args.window,
-        low_levels=low_levels, lambda_grid=grid, config=config,
-        n_folds=args.folds, seed=args.seed,
-    )
-    dataset = _extract(args, streams, annotations) if need_dataset else None
-    return reports, dataset
+        swept = ev.cv_sweep(dataset, low_levels, grid, config, plan, word=word, paradigm=paradigm)
+        yield [swept[name] for name in low_levels], dataset
 
 
 def cmd_preprocess(args):
@@ -169,21 +164,21 @@ def cmd_build_net(args):
 
 
 def cmd_extract(args):
-    _, streams, annotations = _load_corpus(args, annotated=True)
-    dataset = _extract(args, streams, annotations)
+    _, streams, annotations = _load_corpus(args, annotated=True, one_word="extract writes")
+    [(_, dataset)] = ev.word_datasets(streams, annotations, args.paradigm, args.window)
     dataset.to_csv(args.out)
     print(f"{len(dataset)} instances x {dataset.dim} features -> {args.out}")
     return 0
 
 
 def cmd_evaluate(args):
-    ev._check_choices((args.low_level,), (args.lam,))
     config = _pipeline_config(args)
-    if args.p_method == "montecarlo" and not args.features:
-        raise ValueError("--p-method montecarlo needs --features (corpus reports are binomial)")
-    reports, dataset = _reports(args, (args.low_level,), (args.lam,), config,
-                                need_dataset=bool(args.dump_model or args.dump_graphs))
-    for report in reports:
+    dump = args.dump_model or args.dump_graphs
+    scored = _reports(args, (args.low_level,), (args.lam,), config,
+                      one_word="--dump-model and --dump-graphs fit" if dump else None)
+    reports = []
+    for (report,), dataset in scored:
+        reports.append(report)
         row_lam, acc, p = report.rows[0]
         if args.p_method == "montecarlo":
             p = ev.p_value(acc, len(dataset), dataset.class_counts,
@@ -193,13 +188,12 @@ def cmd_evaluate(args):
     if args.report:
         ev.write_report_csv(reports, args.report)
         print(f"report -> {args.report}")
-    _dump_models(args, dataset, config)
+    if dump:  # the loop's one dataset: several words were refused
+        _dump_models(args, dataset, config)
     return 0
 
 
 def _dump_models(args, dataset, config):
-    if not args.dump_model and not args.dump_graphs:
-        return
     z = standardize(dataset)
     if args.dump_model:
         if args.low_level == "c45":
@@ -217,7 +211,8 @@ def _dump_models(args, dataset, config):
 
 
 def cmd_sweep(args):
-    reports, _ = _reports(args, args.low_levels, args.lambda_grid, _pipeline_config(args))
+    scored = _reports(args, args.low_levels, args.lambda_grid, _pipeline_config(args))
+    reports = [report for word_reports, _ in scored for report in word_reports]
     for report in reports:
         print(f"{report.word}\t{report.paradigm}\t{report.low_level}\t"
               f"best lambda={report.best_lambda:.2f}\t"

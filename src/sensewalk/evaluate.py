@@ -329,22 +329,16 @@ def write_report_csv(reports, path):
 # corpus-level experiments
 
 
-def run_word_experiments(token_streams, annotations, paradigm="semantic", window=5,
-                         low_levels=("knn", "bayes", "c45"), lambda_grid=None,
-                         config=None, n_folds=10, seed=0):
-    """Sweep every annotated word separately; returns one report per
-    (word, low level). Annotations are checked against ``token_streams``
-    first. Each word's features are extracted once, and ``cv_sweep`` builds
-    its folds from them by the module's one fold rule."""
+def word_datasets(token_streams, annotations, paradigm="semantic", window=5):
+    """Yield ``(word, Dataset)`` per annotated word, words sorted, each word's
+    rows in (document, position) order. The paradigm and the annotations
+    (against ``token_streams``) are checked before anything is built; the
+    topological network is built once, over every annotation."""
     from .adjacency import build_network
 
     if paradigm not in PARADIGMS:
         raise ValueError(f"paradigm must be one of {PARADIGMS}, got {paradigm!r}")
-    low_levels = tuple(low_levels)  # read more than once
-    lambda_grid = tuple(lambda_grid) if lambda_grid is not None else LAMBDA_GRID
-    _check_choices(low_levels, lambda_grid)
     validate_annotations(annotations, token_streams)
-    reports = []
     network = build_network(token_streams, annotations) if paradigm == "topological" else None
     for word in sorted({a.word for a in annotations}):
         word_annots = sorted(
@@ -352,11 +346,24 @@ def run_word_experiments(token_streams, annotations, paradigm="semantic", window
             key=lambda a: (a.document_id, a.position),
         )
         if paradigm == "semantic":
-            base = semantic_features(token_streams, word_annots, window)
+            yield word, semantic_features(token_streams, word_annots, window)
         else:
-            base = topological_features(network, word_annots)
-        plan = make_fold_plan(base.labels, n_folds, seed)
-        swept = cv_sweep(base, low_levels, lambda_grid, config, plan, word=word, paradigm=paradigm)
+            yield word, topological_features(network, word_annots)
+
+
+def run_word_experiments(token_streams, annotations, paradigm="semantic", window=5,
+                         low_levels=("knn", "bayes", "c45"), lambda_grid=None,
+                         config=None, n_folds=10, seed=0):
+    """Sweep every annotated word of ``word_datasets`` separately; returns
+    one report per (word, low level)."""
+    low_levels = tuple(low_levels)  # read more than once
+    lambda_grid = tuple(lambda_grid) if lambda_grid is not None else LAMBDA_GRID
+    _check_choices(low_levels, lambda_grid)
+    reports = []
+    for word, dataset in word_datasets(token_streams, annotations, paradigm, window):
+        plan = make_fold_plan(dataset.labels, n_folds, seed)
+        swept = cv_sweep(dataset, low_levels, lambda_grid, config, plan,
+                         word=word, paradigm=paradigm)
         reports.extend(swept[name] for name in low_levels)
     return reports
 

@@ -167,14 +167,97 @@ def test_dump_refuses_a_corpus_of_several_words_before_the_sweep(two_word_corpus
         ["bear", "crane"]
 
     def never(*a, **kw):
-        raise AssertionError("the sweep started")
+        raise AssertionError("features were built or the sweep started")
 
-    monkeypatch.setattr(sensewalk.evaluate, "run_word_experiments", never)
+    monkeypatch.setattr(sensewalk.evaluate, "word_datasets", never)
+    monkeypatch.setattr(sensewalk.evaluate, "cv_sweep", never)
     dump = tmp_path / "dump.txt"
     assert main(args + [flag, str(dump)]) == 1
     err = capsys.readouterr().err
     assert "fit one word's senses; the annotations hold 2 words: bear, crane" in err
     assert not dump.exists()
+
+
+def test_extract_refuses_a_corpus_of_several_words(two_word_corpus, tmp_path, monkeypatch,
+                                                   capsys):
+    # one CSV used to hold both words' 48 rows, their senses sharing class ids
+    def never(*a, **kw):
+        raise AssertionError("features were built")
+
+    monkeypatch.setattr(sensewalk.evaluate, "word_datasets", never)
+    root, ann = two_word_corpus
+    out = tmp_path / "features.csv"
+    assert main(["extract", "--in", str(root), "--annotations", str(ann),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("sensewalk: error: extract writes one word's senses; "
+                   "the annotations hold 2 words: bear, crane\n")
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def shuffled_corpus(tmp_path_factory, corpus_dir):
+    """``corpus_dir``'s documents with its annotation rows in a shuffled order."""
+    root, ann = corpus_dir
+    rows = ann.read_text(encoding="utf-8").splitlines()[1:]
+    np.random.default_rng(2).shuffle(rows)
+    shuffled = tmp_path_factory.mktemp("shuffled") / "annotations.tsv"
+    shuffled.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return root, shuffled
+
+
+@pytest.mark.parametrize("low_level", ["knn", "bayes", "c45"])
+def test_extracted_csv_scores_as_the_corpus(shuffled_corpus, tmp_path, capsys, low_level):
+    # extract used to keep the annotation file's order while the sweep sorted
+    # each word's rows by (document, position), so the folds differed
+    root, ann = shuffled_corpus
+    feats = tmp_path / "features.csv"
+    assert main(["extract", "--in", str(root), "--annotations", str(ann),
+                 "--out", str(feats)]) == 0
+    capsys.readouterr()
+    fields = []
+    for source in (["--features", str(feats)], ["--in", str(root), "--annotations", str(ann)]):
+        assert main(["evaluate", *source, "--low-level", low_level, "--lambda", "0",
+                     "--folds", "4", "--seed", "0"]) == 0
+        fields.append(capsys.readouterr().out.split("\t")[2:])
+    assert fields[0] == fields[1]
+    assert fields[0][1].startswith("accuracy=") and fields[0][2].startswith("p=")
+
+
+def test_topological_dump_builds_the_network_once(corpus_dir, tmp_path, monkeypatch):
+    # the dump used to extract the features a second time, network and all
+    calls = []
+    build = adjacency.build_network
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(adjacency, "build_network", counted)
+    root, ann = corpus_dir
+    model = tmp_path / "tree.txt"
+    assert main(["evaluate", "--in", str(root), "--annotations", str(ann),
+                 "--paradigm", "topological", "--low-level", "c45", "--lambda", "0",
+                 "--folds", "3", "--dump-model", str(model)]) == 0
+    assert "leaf" in model.read_text(encoding="utf-8")
+    assert len(calls) == 1
+
+
+def test_evaluate_montecarlo_p_on_a_corpus(corpus_dir, capsys):
+    root, ann = corpus_dir
+    assert main(["evaluate", "--in", str(root), "--annotations", str(ann), "--lambda", "0.0",
+                 "--folds", "3", "--seed", "5", "--p-method", "montecarlo"]) == 0
+    docs = corpus.load_documents(root)
+    streams = {doc_id: doc.content_lemmas() for doc_id, doc in docs.items()}
+    annotations = corpus.load_annotations(ann, documents=docs)
+    [(word, dataset)] = sensewalk.word_datasets(streams, annotations)
+    plan = sensewalk.make_fold_plan(dataset.labels, 3, 5)
+    acc = sensewalk.cv_sweep(dataset, ("knn",), (0.0,), fold_plan=plan)["knn"].accuracy_at(0.0)
+    p = sensewalk.p_value(acc, len(dataset), dataset.class_counts, method="montecarlo", seed=5)
+    binomial = sensewalk.p_value(acc, len(dataset), dataset.class_counts)
+    assert f"{p:.3g}" != f"{binomial:.3g}"
+    assert capsys.readouterr().out == \
+        f"{word}\tknn\tlambda=0.00\taccuracy={acc:.4f}\tp={p:.3g}\n"
 
 
 def test_dump_of_a_one_word_corpus_fits_every_occurrence(corpus_dir, tmp_path):
@@ -361,6 +444,39 @@ def test_config_out_satisfies_walk_curves(overlap_csv, tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 2 * 4
 
 
+@pytest.mark.parametrize("value, switched", [
+    ("true", True), ("On", True), ("1", True), ("yes", True),
+    ("false", False), ("OFF", False), ("0", False), ("no", False),
+])
+def test_config_switch_value_sets_or_leaves_the_switch(tmp_path, value, switched):
+    # y spans a thousand times x's range, so standardizing changes the graphs
+    rng = np.random.default_rng(8)
+    X = rng.uniform(size=(20, 2)) * [1.0, 1000.0]
+    feats = tmp_path / "features.csv"
+    Dataset(list(range(20)), X, [1, 2] * 10, ["x", "y"]).to_csv(feats)
+    args = ["walk-curves", "--features", str(feats), "--kappa", "2", "--mu-max", "3"]
+    curves = {}
+    for name, extra in (("unset", []), ("set", ["--no-standardize"])):
+        curves[name] = tmp_path / f"{name}.csv"
+        assert main(args + extra + ["--out", str(curves[name])]) == 0
+    assert curves["unset"].read_bytes() != curves["set"].read_bytes()
+    config, got = tmp_path / "c.conf", tmp_path / "got.csv"
+    config.write_text(f"no_standardize = {value}\n")
+    assert main(args + ["--config", str(config), "--out", str(got)]) == 0
+    assert got.read_bytes() == curves["set" if switched else "unset"].read_bytes()
+
+
+def test_misspelled_config_switch_value_is_a_usage_error(overlap_csv, tmp_path):
+    # "ture" used to be read as off: the run exited 0 and standardized
+    config, out = tmp_path / "c.conf", tmp_path / "curves.csv"
+    config.write_text("no_standardize = ture\n")
+    done = run_module("walk-curves", "--features", overlap_csv, "--config", config, "--out", out)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "switch 'no_standardize'" in done.stderr and "'ture'" in done.stderr
+    assert str(config) in done.stderr and "Traceback" not in done.stderr
+    assert not out.exists()
+
+
 def test_flag_beats_config_beats_default(overlap_csv, tmp_path, capsys):
     config = tmp_path / "c.conf"
     config.write_text("lambda = 0.0\nfolds = 3\n")
@@ -385,19 +501,36 @@ def test_config_knn_k_reaches_the_classifier(overlap_csv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--p-method", "montecarlo"], "--p-method montecarlo needs --features"),
     (["--lambda", "2"], "lambda must lie in [0, 1]"),
 ])
 def test_bad_evaluate_request_is_one_line(corpus_dir, monkeypatch, capsys, args, message):
     def never(*a, **k):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(sensewalk.evaluate, "run_word_experiments", never)
+    monkeypatch.setattr(sensewalk.evaluate, "word_datasets", never)
+    monkeypatch.setattr(sensewalk.evaluate, "cv_sweep", never)
     root, ann = corpus_dir
     assert main(["evaluate", "--in", str(root), "--annotations", str(ann)] + args) == 1
     err = capsys.readouterr().err
     assert err.startswith("sensewalk: error: ") and message in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--lambda-grid", "0,2"], "lambda must lie in [0, 1], got 2.0"),
+    (["--low-levels", "knn,svm"], "low_level must be one of ('knn', 'bayes', 'c45'), got 'svm'"),
+])
+def test_bad_sweep_request_is_refused_before_the_corpus_is_read(corpus_dir, monkeypatch, capsys,
+                                                                args, message):
+    # sweep used to read and preprocess every document first
+    def never(*a, **k):
+        raise AssertionError("the corpus was read")
+
+    monkeypatch.setattr(corpus, "load_documents", never)
+    root, ann = corpus_dir
+    assert main(["sweep", "--in", str(root), "--annotations", str(ann)] + args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"sensewalk: error: {message}\n"
 
 
 def test_missing_features_file_is_one_line(tmp_path):

@@ -36,6 +36,7 @@ from sensewalk.features import (
     semantic_features,
     semantic_vocabulary,
     standardize,
+    topological_features,
     window_lemmas,
 )
 from sensewalk.tourist import normalize
@@ -690,6 +691,38 @@ def test_annotations_checked_before_anything_is_built(monkeypatch, paradigm, cha
     monkeypatch.setattr(adjacency, "build_network", never)
     with pytest.raises(PositionMismatch):
         run_word_experiments(streams, bad, paradigm, lambda_grid=(0.0,), n_folds=3)
+
+
+@pytest.mark.parametrize("paradigm", PARADIGMS)
+def test_word_datasets_sort_words_and_rows(monkeypatch, paradigm):
+    # annotations of two words in a shuffled order: the words come sorted,
+    # each word's rows in (document, position) order, and one network
+    # serves both words
+    streams, annotations = {}, []
+    for word, seed in (("crane", 3), ("bear", 4)):
+        docs, word_annots = make_synthetic_corpus(word=word, n_per_sense=6, n_docs=2, seed=seed)
+        streams.update({f"{word}_{d}": doc.content_lemmas() for d, doc in docs.items()})
+        annotations += [dataclasses.replace(a, document_id=f"{word}_{a.document_id}")
+                        for a in word_annots]
+    annotations = [annotations[i] for i in np.random.default_rng(0).permutation(len(annotations))]
+    network = adjacency.build_network(streams, annotations)
+    calls = []
+    build = adjacency.build_network
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(adjacency, "build_network", counted)
+    got = list(evaluate.word_datasets(streams, annotations, paradigm))
+    assert [word for word, _ in got] == ["bear", "crane"]
+    assert len(calls) == (paradigm == "topological")
+    for word, dataset in got:
+        rows = sorted((a for a in annotations if a.word == word),
+                      key=lambda a: (a.document_id, a.position))
+        want = (semantic_features(streams, rows, 5) if paradigm == "semantic"
+                else topological_features(network, rows))
+        _assert_same_dataset(dataset, want)
 
 
 class TestToyExperiment:

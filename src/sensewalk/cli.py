@@ -99,16 +99,17 @@ def _load_corpus(args, annotated=False, one_word=None):
     documents = corpus.load_documents(args.in_dir, stopwords, lemma_table)
     if not documents:
         raise ValueError(f"no .txt documents found in {args.in_dir}")
+    streams = {doc_id: doc.content_lemmas() for doc_id, doc in documents.items()}
     annotations = []
     if args.annotations:
-        annotations = corpus.load_annotations(args.annotations, documents=documents)
+        annotations = corpus.load_annotations(args.annotations)
+        corpus.validate_annotations(annotations, streams)
     if annotated and not annotations:
         raise ValueError("--annotations is required to extract features")
     words = sorted({a.word for a in annotations})
     if one_word and len(words) > 1:  # sense ids of different words would share classes
         raise ValueError(f"{one_word} one word's senses; the annotations hold "
                          f"{len(words)} words: {', '.join(words)}")
-    streams = {doc_id: doc.content_lemmas() for doc_id, doc in documents.items()}
     return documents, streams, annotations
 
 

@@ -7,11 +7,18 @@ refitted on the training windows, and any other dropped column is one the
 fold's standardization zeroes in every row. Standardizer and class graphs
 are fitted on training rows only and lambda enters at prediction time, so
 one pass over the folds scores every low-level classifier and every lambda.
+
+The folds are independent, so they are scored in up to one worker process
+per usable CPU (``_fold_workers``), and their records are joined in fold
+order: the rows are bit-identical to scoring the folds one after another in
+the calling process, which is what happens on one usable CPU. To keep a
+sweep in one process, pin it to one CPU (``taskset -c 0 ...``).
 """
 
 import csv
 import json
 import logging
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
@@ -179,14 +186,54 @@ class _Record:
 def _fold_records(dataset, low_levels, config, fold_plan, need_high=True):
     """Score every test instance once; lambdas blend these records later.
 
-    Each fold is scored in its own call, so its class graphs (with their
-    walk memos), trained predictors and standardized datasets are freed
-    before the next fold builds its own.
+    Each fold is scored in its own ``_score_fold`` call, so its class graphs
+    (with their walk memos), trained predictors and standardized datasets
+    are freed before the next fold builds its own. With more than one
+    worker (``_fold_workers``) the calls run in a ``fork`` pool, a fold
+    handed to each worker as it frees up. The records are joined in fold
+    order either way, so they are bit-identical, and the first fold in
+    fold order that raises gives the caller its error, type and message
+    kept. No worker outlives the call.
     """
-    records = []
-    for train_idx, test_idx in fold_plan.folds:
-        records += _score_fold(dataset, low_levels, config, train_idx, test_idx, need_high)
-    return records
+    tasks = [(dataset, low_levels, config, train_idx, test_idx, need_high)
+             for train_idx, test_idx in fold_plan.folds]
+    workers = _fold_workers(len(tasks))
+    if workers == 1:
+        parts = list(map(_score_task, tasks))
+    else:
+        import multiprocessing  # here: `import sensewalk` stays free of it
+
+        # ``imap`` yields in task order, so it raises at the first failing
+        # fold; the pool terminates its workers if anything raises
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            parts = list(pool.imap(_score_task, tasks))
+            pool.close()
+            pool.join()
+    return [record for part in parts for record in part]
+
+
+def _score_task(task):
+    """``_score_fold`` on one fold's arguments; the pool sends this function,
+    which finds ``_score_fold`` in the worker's copy of this module."""
+    return _score_fold(*task)
+
+
+def _fold_workers(n_folds):
+    """Processes to score ``n_folds`` folds in: one per usable CPU, at most
+    one per fold. 1 (score in this process) when there is one usable CPU or
+    one fold, when the platform cannot tell its usable CPUs or has no
+    ``fork`` start method, or when this process is daemonic and so cannot
+    have children."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, n_folds)
+    if workers < 2:
+        return 1
+    import multiprocessing
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1
+    return workers
 
 
 def _fold_datasets(dataset, train_idx, test_idx):
@@ -292,7 +339,11 @@ def p_value(accuracy, n, class_counts, method="binomial", seed=0, samples=20000)
 
 def cv_sweep(dataset, low_levels, lambda_grid=None, config=None, fold_plan=None,
              word="", paradigm=""):
-    """One fold pass, every classifier, every lambda; shared walk scores."""
+    """One fold pass, every classifier, every lambda; shared walk scores.
+
+    The folds are scored in up to one process per usable CPU
+    (``_fold_records``); the reports are bit-identical to a one-process run.
+    """
     config = config or PipelineConfig()
     low_levels = tuple(low_levels)  # read more than once
     grid = tuple(lambda_grid) if lambda_grid is not None else LAMBDA_GRID

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sensewalk import classify, tourist
+from sensewalk import classify, evaluate, tourist
 from sensewalk.attgraph import GraphConfig, build_training_graph, insert_test
 from sensewalk.classify import (
     DecisionTree,
@@ -681,6 +681,8 @@ class TestSplitSearchEquivalence:
 
     @pytest.mark.parametrize("paradigm", ["semantic", "topological"])
     def test_synthetic_corpus_folds(self, paradigm, monkeypatch):
+        # the spy's list lives in this process, so the folds must too
+        monkeypatch.setattr(evaluate, "_fold_workers", lambda n_folds: 1)
         seen = []
         grow = classify.c45_train
 

@@ -623,6 +623,37 @@ def test_topological_sweep_builds_the_network_once(corpus_dir, monkeypatch, caps
     assert len(calls) == 1
 
 
+def test_corpus_sweep_builds_each_documents_lemmas_once(corpus_dir, monkeypatch, capsys):
+    calls = []
+    lemmas = corpus.Document.content_lemmas
+
+    def counted(self):
+        calls.append(self.id)
+        return lemmas(self)
+
+    monkeypatch.setattr(corpus.Document, "content_lemmas", counted)
+    root, ann = corpus_dir
+    assert main(["sweep", "--in", str(root), "--annotations", str(ann), "--low-levels", "knn",
+                 "--lambda-grid", "0", "--folds", "3"]) == 0
+    assert "best lambda" in capsys.readouterr().out
+    assert sorted(calls) == ["doc0", "doc1", "doc2"]
+
+
+@pytest.mark.parametrize("command", ["preprocess", "build-net"])
+def test_mismatched_annotation_is_refused_before_any_output(corpus_dir, tmp_path, capsys,
+                                                            command):
+    root, ann = corpus_dir
+    first = ann.read_text(encoding="utf-8").splitlines()[1]
+    doc_id, position, _, sense = first.split("\t")
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(f"{doc_id}\t{position}\theron\t{sense}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--in", str(root), "--annotations", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"sensewalk: error: lemma 'crane' at {doc_id}:{position} "
+                                       "does not match annotated word 'heron'\n")
+    assert not out.exists()
+
+
 def test_semantic_sweep_is_identical_across_hash_seeds(corpus_dir, tmp_path):
     # string hashing changes set order from one process to the next
     root, ann = corpus_dir

@@ -492,6 +492,8 @@ class TestSweep:
 
 
 def test_one_fold_is_alive_at_a_time(monkeypatch):
+    # the spy's list lives in this process, so the folds must too
+    monkeypatch.setattr(evaluate, "_fold_workers", lambda n_folds: 1)
     folds = []  # weak references to each fold's class graphs
     real = evaluate.build_training_graph
 

@@ -14,13 +14,15 @@ neighbor degrees, average shortest path length over reachable nodes, and
 unnormalized betweenness (Brandes accumulation). The first
 ``node_topology`` call measures every node in one pass: breadth-first
 searches from blocks of sources, run level by level with sparse products,
-give each source's distances and shortest-path counts, Brandes'
+give each source's distance levels and shortest-path counts, Brandes'
 dependencies accumulate back over the same levels, and all eight
-measurements are read off those blocks. Nodes are indexed in sorted order,
-so every sum runs in the same order and the table is identical across
-processes, whatever the string hash seed. The table is memoized on the
-network (compute, then assign: concurrent first calls compute equal
-tables), and later calls look up one row.
+measurements are read off those blocks. The blocks are independent: a
+run's worker pool (``evaluate._run_pool``) can score them, one contiguous
+chunk per worker, and their dependencies are still added in block order.
+Nodes are indexed in sorted order, so every sum runs in the same order and
+the table is identical across processes, whatever the string hash seed.
+The table is memoized on the network (compute, then assign: concurrent
+first calls compute equal tables), and later calls look up one row.
 """
 
 import math
@@ -140,73 +142,114 @@ def _neighbor_degree_stats(adjacency):
     return stats
 
 
-def _ring_density(adjacency, ring):
-    """Per column, the fraction of possible edges present among the ring's nodes."""
-    members = ring.sum(axis=0)
-    edges = (ring * (adjacency @ ring)).sum(axis=0)  # each edge seen from both ends
+def _ring_density(adjacency, ring, members):
+    """Per column, the fraction of possible edges present among the ring's
+    ``members`` nodes; ``ring`` is 1.0 at them, 0.0 elsewhere."""
+    edges = np.ones(len(ring)) @ (ring * (adjacency @ ring))  # each edge seen from both ends
     pairs = members * (members - 1.0)
     return np.divide(edges, pairs, out=np.zeros(len(edges)), where=members >= 2)
 
 
-def _topology_table(adjacency):
-    """The eight measurements of every node, one row per node.
+def _block_topology(adjacency, first):
+    """One block of sources' table rows and their summed Brandes dependencies.
 
-    One pass over blocks of sources: a level-synchronous BFS builds each
-    block's distances and shortest-path counts, Brandes' dependency
-    accumulation runs back over the same levels, and every per-source
-    measurement is read off those blocks.
+    The sources are nodes ``first`` up to ``first + _SOURCE_BLOCK``, one
+    column each. A level-synchronous BFS keeps each level's mask and the
+    shortest-path counts; the dependency accumulation runs back over those
+    masks, and the rows are read off them. Masks enter the arithmetic as
+    factors of 1 and 0, which keep a value's bits or zero it. Every count
+    is a sum of whole numbers, exact in any order. Returns ``(rows,
+    dependencies)``: the sources' rows of the table, with the
+    neighbor-degree and betweenness columns left 0, and each node's
+    dependency summed over the sources.
     """
     n = adjacency.shape[0]
-    table = np.zeros((n, len(NodeTopology.FIELD_NAMES)))  # columns in FIELD_NAMES order
-    table[:, 4:6] = _neighbor_degree_stats(adjacency)
+    sources = np.arange(first, min(first + _SOURCE_BLOCK, n))
+    width = len(sources)
+    frontier = np.zeros((n, width))  # path counts of the last level, 0 elsewhere
+    frontier[sources, np.arange(width)] = 1.0
+    sigma = frontier.copy()
+    unseen = frontier == 0
+    levels = []  # levels[d - 1]: the nodes at distance d from each source
+    while True:
+        reach = adjacency @ frontier
+        new = reach > 0
+        new &= unseen
+        if not new.any():
+            break
+        unseen ^= new
+        levels.append(new)
+        frontier = np.multiply(reach, new, out=reach)
+        sigma += frontier
+
+    delta = np.zeros((n, width))
+    divisor = sigma + unseen  # sigma where reached, 1 where not: no division by 0
+    for outer, inner in zip(levels[:0:-1], levels[-2::-1]):
+        share = np.add(delta, 1.0)
+        share /= divisor
+        share *= outer
+        gain = adjacency @ share
+        gain *= sigma
+        gain *= inner
+        delta += gain
+
+    ones = np.ones(n)
+    counts = [ones @ level for level in levels]  # per level, the nodes at that distance
+    count = sum(counts, np.zeros(width))
+    total = sum((d * c for d, c in enumerate(counts, start=1)), np.zeros(width))
+    rows = np.zeros((width, len(NodeTopology.FIELD_NAMES)))  # columns in FIELD_NAMES order
+    for d in (1, 2):
+        if d <= len(levels):
+            rows[:, d - 1] = counts[d - 1]
+            rows[:, d + 1] = _ring_density(adjacency, levels[d - 1].astype(float), counts[d - 1])
+    rows[:, 6] = np.divide(total, count, out=np.zeros(width), where=count > 0)
+    return rows, delta.sum(axis=1)
+
+
+def _topology_table(adjacency, pool=None):
+    """The eight measurements of every node, one row per node.
+
+    ``_block_topology`` runs once per block of sources: in this process,
+    or on ``pool`` (an ``evaluate`` run pool) in one contiguous chunk of
+    blocks per worker. Either way the dependencies are added in block
+    order, so the table has the same bits.
+    """
+    n = adjacency.shape[0]
+    firsts = range(0, n, _SOURCE_BLOCK)
+    tasks = [(adjacency, first) for first in firsts]
+    if pool is None:
+        blocks = map(_block_task, tasks)
+    else:
+        blocks = pool.imap(_block_task, tasks, -(-len(tasks) // pool.workers) or 1)
+    neighbor_degrees = _neighbor_degree_stats(adjacency)  # while the workers run the blocks
+    table = np.zeros((n, len(NodeTopology.FIELD_NAMES)))
     betweenness = np.zeros(n)
-    for first in range(0, n, _SOURCE_BLOCK):
-        sources = np.arange(first, min(first + _SOURCE_BLOCK, n))
-        columns = np.arange(len(sources))
-        dist = np.full((n, len(sources)), -1)
-        sigma = np.zeros((n, len(sources)))
-        dist[sources, columns] = 0
-        sigma[sources, columns] = 1.0
-        frontier = sigma.copy()  # path counts of the last level, 0 elsewhere
-        depth = 0
-        while True:
-            reach = adjacency @ frontier
-            new = (reach > 0) & (dist < 0)
-            if not new.any():
-                break
-            depth += 1
-            dist[new] = depth
-            frontier = np.where(new, reach, 0.0)
-            sigma += frontier
-
-        delta = np.zeros((n, len(sources)))
-        for level in range(depth, 1, -1):
-            outer = dist == level
-            share = np.divide(1.0 + delta, sigma, out=np.zeros_like(delta), where=outer)
-            inner = dist == level - 1
-            delta[inner] = (sigma * (adjacency @ share))[inner]
-        betweenness += delta.sum(axis=1)
-
-        ring1, ring2 = (dist == 1).astype(float), (dist == 2).astype(float)
-        reached = dist > 0
-        count = reached.sum(axis=0)
-        total = np.where(reached, dist, 0).sum(axis=0)
-        table[sources, 0] = ring1.sum(axis=0)
-        table[sources, 1] = ring2.sum(axis=0)
-        table[sources, 2] = _ring_density(adjacency, ring1)
-        table[sources, 3] = _ring_density(adjacency, ring2)
-        table[sources, 6] = np.divide(total, count, out=np.zeros(len(sources)), where=count > 0)
+    for first, (rows, dependencies) in zip(firsts, blocks):
+        table[first:first + len(rows)] = rows
+        betweenness += dependencies
+    table[:, 4:6] = neighbor_degrees
     # each unordered pair was counted from both endpoints
     table[:, 7] = betweenness / 2.0
     return table
 
 
-def node_topology(network, node):
-    """All eight measurements for one node of the network."""
+def _block_task(task):
+    """``_block_topology`` on one block's arguments, as a pool sends it."""
+    return _block_topology(*task)
+
+
+def _topology(network, pool=None):
+    """The network's ``(node -> row, table)``, computed on first use and
+    memoized on it; ``pool`` as ``_topology_table`` takes it."""
     if network._topology is None:
         index, adjacency = _projection(network)
-        network._topology = index, _topology_table(adjacency)
-    index, table = network._topology
+        network._topology = index, _topology_table(adjacency, pool)
+    return network._topology
+
+
+def node_topology(network, node):
+    """All eight measurements for one node of the network."""
+    index, table = _topology(network)
     if node not in index:
         raise KeyError(f"node {node!r} not in network")
     return NodeTopology(*table[index[node]].tolist())

@@ -11,8 +11,12 @@ one pass over the folds scores every low-level classifier and every lambda.
 The folds are independent, so they are scored in up to one worker process
 per usable CPU (``_fold_workers``), and their records are joined in fold
 order: the rows are bit-identical to scoring the folds one after another in
-the calling process, which is what happens on one usable CPU. To keep a
-sweep in one process, pin it to one CPU (``taskset -c 0 ...``).
+the calling process, which is what happens on one usable CPU. A run over a
+corpus (``run_word_experiments``, the CLI's sweeps) starts one pool
+(``_run_pool``) and shares it: the topological network's source blocks
+(``adjacency._topology_table``) and then every word's folds. A bare
+``cv_sweep`` starts its own. To keep a run in one process, pin it to one
+CPU (``taskset -c 0 ...``).
 """
 
 import csv
@@ -20,6 +24,7 @@ import json
 import logging
 import os
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -131,8 +136,10 @@ def _check_lambdas(lambdas):
 def _check_folds(dataset, fold_plan, need_high):
     """One pass over the plan before any fold is fitted: every index lies in
     the dataset, every row it holds is labeled and no fold trains on a row it
-    tests; with walks (``need_high``), every class keeps 2 training rows in
-    every fold, as its class graph needs."""
+    tests, and some fold tests a row; with walks (``need_high``), every class
+    keeps 2 training rows in every fold, as its class graph needs."""
+    if not any(test_idx for _, test_idx in fold_plan.folds):
+        raise ValueError("the fold plan tests no row; accuracy needs at least one")
     n = len(dataset)
     for f, (train_idx, test_idx) in enumerate(fold_plan.folds, start=1):
         where = f"fold {f} of {len(fold_plan.folds)}"
@@ -183,32 +190,23 @@ class _Record:
     high: object  # MembershipVector or None when no class was linked
 
 
-def _fold_records(dataset, low_levels, config, fold_plan, need_high=True):
+def _fold_records(dataset, low_levels, config, fold_plan, need_high=True, pool=None):
     """Score every test instance once; lambdas blend these records later.
 
     Each fold is scored in its own ``_score_fold`` call, so its class graphs
     (with their walk memos), trained predictors and standardized datasets
-    are freed before the next fold builds its own. With more than one
-    worker (``_fold_workers``) the calls run in a ``fork`` pool, a fold
+    are freed before the next fold builds its own. The calls run on
+    ``pool``, a run's ``_RunPool``; without one, on a pool of this call's
+    own (``_run_pool``), or in this process when that is None. A fold is
     handed to each worker as it frees up. The records are joined in fold
     order either way, so they are bit-identical, and the first fold in
     fold order that raises gives the caller its error, type and message
-    kept. No worker outlives the call.
+    kept.
     """
     tasks = [(dataset, low_levels, config, train_idx, test_idx, need_high)
              for train_idx, test_idx in fold_plan.folds]
-    workers = _fold_workers(len(tasks))
-    if workers == 1:
-        parts = list(map(_score_task, tasks))
-    else:
-        import multiprocessing  # here: `import sensewalk` stays free of it
-
-        # ``imap`` yields in task order, so it raises at the first failing
-        # fold; the pool terminates its workers if anything raises
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            parts = list(pool.imap(_score_task, tasks))
-            pool.close()
-            pool.join()
+    with _run_pool(len(tasks)) if pool is None else nullcontext(pool) as pool:
+        parts = list(map(_score_task, tasks) if pool is None else pool.imap(_score_task, tasks))
     return [record for part in parts for record in part]
 
 
@@ -234,6 +232,46 @@ def _fold_workers(n_folds):
             or multiprocessing.current_process().daemon):
         return 1
     return workers
+
+
+class _RunPool:
+    """A ``fork`` pool of ``workers`` processes, started by its first task,
+    so the workers inherit every module the run has loaded by then
+    (``scipy.sparse`` for the topology pass). Leaving it as a context
+    manager closes and joins the pool, or terminates it if the block
+    raised: no worker outlives the run."""
+
+    def __init__(self, workers):
+        self.workers = workers
+        self._pool = None
+
+    def imap(self, func, tasks, chunksize=1):
+        """``func`` over ``tasks`` in chunks of ``chunksize``, results in task
+        order; the first task in that order that raises, raises."""
+        if self._pool is None:
+            import multiprocessing  # here: `import sensewalk` stays free of it
+
+            self._pool = multiprocessing.get_context("fork").Pool(self.workers)
+        return self._pool.imap(func, tasks, chunksize)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, traceback):
+        if self._pool is not None:
+            if exc_type is None:
+                self._pool.close()
+            else:
+                self._pool.terminate()
+            self._pool.join()
+
+
+def _run_pool(n_folds):
+    """A context manager giving the pool of a run whose words have up to
+    ``n_folds`` folds: a ``_RunPool`` of ``_fold_workers(n_folds)`` workers,
+    or None (work in this process) when that is 1."""
+    workers = _fold_workers(n_folds)
+    return _RunPool(workers) if workers > 1 else nullcontext()
 
 
 def _fold_datasets(dataset, train_idx, test_idx):
@@ -344,6 +382,11 @@ def cv_sweep(dataset, low_levels, lambda_grid=None, config=None, fold_plan=None,
     The folds are scored in up to one process per usable CPU
     (``_fold_records``); the reports are bit-identical to a one-process run.
     """
+    return _sweep(dataset, low_levels, lambda_grid, config, fold_plan, word, paradigm)
+
+
+def _sweep(dataset, low_levels, lambda_grid, config, fold_plan, word, paradigm, pool=None):
+    """``cv_sweep``, its folds scored on ``pool`` as ``_fold_records`` takes it."""
     config = config or PipelineConfig()
     low_levels = tuple(low_levels)  # read more than once
     grid = tuple(lambda_grid) if lambda_grid is not None else LAMBDA_GRID
@@ -352,7 +395,7 @@ def cv_sweep(dataset, low_levels, lambda_grid=None, config=None, fold_plan=None,
         fold_plan = make_fold_plan(dataset.labels)
     need_high = any(lam > 0 for lam in grid)
     _check_folds(dataset, fold_plan, need_high)
-    records = _fold_records(dataset, low_levels, config, fold_plan, need_high)
+    records = _fold_records(dataset, low_levels, config, fold_plan, need_high, pool)
     counts = {c: len(rows) for c, rows in rows_by_label([r.true for r in records]).items()}
     reports = {}
     for name in low_levels:
@@ -385,12 +428,20 @@ def word_datasets(token_streams, annotations, paradigm="semantic", window=5):
     rows in (document, position) order. The paradigm and the annotations
     (against ``token_streams``) are checked before anything is built; the
     topological network is built once, over every annotation."""
-    from .adjacency import build_network
+    return _word_datasets(token_streams, annotations, paradigm, window)
+
+
+def _word_datasets(token_streams, annotations, paradigm, window, pool=None):
+    """``word_datasets``; with a run's ``pool``, the network's topology table
+    is computed on it before the first word."""
+    from .adjacency import _topology, build_network
 
     if paradigm not in PARADIGMS:
         raise ValueError(f"paradigm must be one of {PARADIGMS}, got {paradigm!r}")
     validate_annotations(annotations, token_streams)
     network = build_network(token_streams, annotations) if paradigm == "topological" else None
+    if network is not None and pool is not None:
+        _topology(network, pool)  # memoized: node_topology looks its rows up
     for word in sorted({a.word for a in annotations}):
         word_annots = sorted(
             (a for a in annotations if a.word == word),
@@ -406,16 +457,17 @@ def run_word_experiments(token_streams, annotations, paradigm="semantic", window
                          low_levels=("knn", "bayes", "c45"), lambda_grid=None,
                          config=None, n_folds=10, seed=0):
     """Sweep every annotated word of ``word_datasets`` separately; returns
-    one report per (word, low level)."""
+    one report per (word, low level). One pool (``_run_pool``) serves the
+    whole run: the topology pass, then every word's folds."""
     low_levels = tuple(low_levels)  # read more than once
     lambda_grid = tuple(lambda_grid) if lambda_grid is not None else LAMBDA_GRID
     _check_choices(low_levels, lambda_grid)
     reports = []
-    for word, dataset in word_datasets(token_streams, annotations, paradigm, window):
-        plan = make_fold_plan(dataset.labels, n_folds, seed)
-        swept = cv_sweep(dataset, low_levels, lambda_grid, config, plan,
-                         word=word, paradigm=paradigm)
-        reports.extend(swept[name] for name in low_levels)
+    with _run_pool(as_int(n_folds, "the fold count")) as pool:
+        for word, dataset in _word_datasets(token_streams, annotations, paradigm, window, pool):
+            plan = make_fold_plan(dataset.labels, n_folds, seed)
+            swept = _sweep(dataset, low_levels, lambda_grid, config, plan, word, paradigm, pool)
+            reports.extend(swept[name] for name in low_levels)
     return reports
 
 

@@ -1,4 +1,6 @@
 import csv
+import multiprocessing
+import multiprocessing.pool
 import subprocess
 import sys
 from collections import Counter
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import sensewalk
-from sensewalk import adjacency, classify, corpus
+from sensewalk import adjacency, classify, corpus, evaluate
 from sensewalk.attgraph import ClassTooSmall, GraphConfig
 from sensewalk.cli import main, parse_config_file
 from sensewalk.evaluate import InsufficientClassSize, make_synthetic_corpus
@@ -621,6 +623,31 @@ def test_topological_sweep_builds_the_network_once(corpus_dir, monkeypatch, caps
                  "--lambda-grid", "0", "--folds", "3"]) == 0
     assert "best lambda" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_corpus_sweep_shares_one_pool_across_words(two_word_corpus, tmp_path, monkeypatch):
+    started = []
+
+    class Counted(multiprocessing.pool.Pool):
+        def __init__(self, *args, **kwargs):
+            started.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", Counted)
+    root, ann = two_word_corpus
+    outputs = []
+    for workers in (2, 1):
+        monkeypatch.setattr(evaluate, "_fold_workers", lambda n_folds: workers)
+        out = tmp_path / f"sweep{workers}.csv"
+        assert main(["sweep", "--in", str(root), "--annotations", str(ann),
+                     "--paradigm", "topological", "--lambda-grid", "0,0.5", "--mu-c", "3",
+                     "--folds", "4", "--out", str(out)]) == 0
+        assert len(started) == 1  # one pool for the network's blocks and both words' folds
+        assert multiprocessing.active_children() == []
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert {row["word"] for row in csv.DictReader(outputs[0].decode().splitlines())} == {
+        "bear", "crane"}
 
 
 def test_corpus_sweep_builds_each_documents_lemmas_once(corpus_dir, monkeypatch, capsys):

@@ -545,6 +545,22 @@ def test_unlabeled_row_in_a_plan_rejected_before_any_fit(monkeypatch, part):
             cv_sweep(ds, ("knn",), grid, fold_plan=plan)
 
 
+@pytest.mark.parametrize("folds", [(), (((*range(24),), ()),)], ids=["no-fold", "empty-test"])
+def test_plan_that_tests_no_row_rejected_before_any_fit(monkeypatch, folds):
+    # the accuracy divided by the number of tested rows, 0 here
+    def never(*args, **kwargs):
+        raise AssertionError("scoring started")
+
+    monkeypatch.setattr(evaluate, "_fold_records", never)
+    docs, annotations = make_synthetic_corpus(n_per_sense=12, n_docs=2, seed=3)
+    streams = {doc_id: doc.content_lemmas() for doc_id, doc in docs.items()}
+    [(_, ds)] = evaluate.word_datasets(streams, annotations)
+    assert len(ds) == 24
+    for grid in ((0.0,), (0.0, 0.5)):
+        with pytest.raises(ValueError, match="^the fold plan tests no row"):
+            cv_sweep(ds, ("knn",), grid, fold_plan=FoldPlan(folds, 0))
+
+
 def test_row_linked_into_no_class_keeps_its_low_level_label():
     # one class-1 row far beyond epsilon * fallback_factor of both blobs
     # links into no class component when it is tested

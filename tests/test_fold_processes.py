@@ -1,9 +1,13 @@
-"""Cross-validation folds scored in worker processes: the same records,
-reports and errors as the one-process loop, and no worker left behind."""
+"""Cross-validation folds and topology blocks scored in worker processes:
+the same records, tables, reports and errors as in one process, one pool
+per run, and no worker left behind."""
 
 import dataclasses
+import itertools
 import multiprocessing
+import multiprocessing.pool
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,7 +17,7 @@ import numpy as np
 import pytest
 
 import sensewalk
-from sensewalk import evaluate
+from sensewalk import adjacency, evaluate
 from sensewalk.attgraph import ClassTooSmall
 from sensewalk.classify import HighLevelConfig
 from sensewalk.evaluate import (
@@ -25,6 +29,7 @@ from sensewalk.evaluate import (
     make_synthetic_corpus,
     run_word_experiments,
 )
+from sensewalk.adjacency import WordAdjacencyNetwork, node_topology
 from sensewalk.features import Dataset
 
 LOWS = ("knn", "bayes", "c45")
@@ -38,6 +43,21 @@ def workers(monkeypatch):
     def force(n):
         monkeypatch.setattr(evaluate, "_fold_workers", lambda n_folds: n)
     return force
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The list of pools started, one entry each."""
+    started = []
+
+    class Counted(multiprocessing.pool.Pool):
+        def __init__(self, *args, **kwargs):
+            started.append(1)
+            super().__init__(*args, **kwargs)
+
+    # ``get_context("fork").Pool(...)`` looks the class up here at every call
+    monkeypatch.setattr(multiprocessing.pool, "Pool", Counted)
+    return started
 
 
 def corpus_dataset(paradigm, seed=5):
@@ -107,7 +127,8 @@ def test_parallel_and_serial_agree_bit_for_bit(workers, paradigm):
     assert repr(reports) == repr(serial_reports) and reports == serial_reports
 
 
-def test_two_word_corpus_agrees_bit_for_bit(workers):
+def two_word_corpus():
+    """Crane and bear, 24 annotated occurrences each, in separate documents."""
     streams, annotations = {}, []
     for word, seed in (("crane", 3), ("bear", 4)):
         docs, word_annots = make_synthetic_corpus(word=word, n_per_sense=12, n_docs=2,
@@ -115,13 +136,140 @@ def test_two_word_corpus_agrees_bit_for_bit(workers):
         streams.update({f"{word}_{d}": doc.content_lemmas() for d, doc in docs.items()})
         annotations += [dataclasses.replace(a, document_id=f"{word}_{a.document_id}")
                         for a in word_annots]
+    return streams, annotations
+
+
+def two_word_run(paradigm="semantic"):
+    return run_word_experiments(*two_word_corpus(), paradigm=paradigm, lambda_grid=GRID,
+                                config=CONFIG, n_folds=4, seed=1)
+
+
+def test_two_word_corpus_agrees_bit_for_bit(workers):
     runs = []
     for n in (1, 2):
         workers(n)
-        runs.append(run_word_experiments(streams, annotations, lambda_grid=GRID,
-                                         config=CONFIG, n_folds=4, seed=1))
+        runs.append(two_word_run())
     assert [r.word for r in runs[1]] == ["bear"] * 3 + ["crane"] * 3
     assert repr(runs[1]) == repr(runs[0]) and runs[1] == runs[0]
+
+
+def test_a_run_scores_topology_and_every_fold_on_one_pool(workers, pools, monkeypatch,
+                                                          tmp_path):
+    # a spy's list would stay in the worker, so each block writes its pid
+    log = tmp_path / "pids"
+    block = adjacency._block_topology
+
+    def logged(adjacency_matrix, first):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return block(adjacency_matrix, first)
+
+    tables = []
+    table = adjacency._topology_table
+
+    def counted(*args):
+        tables.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(adjacency, "_block_topology", logged)
+    monkeypatch.setattr(adjacency, "_topology_table", counted)
+    workers(2)
+    pooled = two_word_run("topological")
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+    [(_, pool)] = tables  # one table for the run's one network, on the run's pool
+    assert isinstance(pool, evaluate._RunPool)
+    pids = {int(line) for line in log.read_text().split()}
+    assert pids and os.getpid() not in pids
+    workers(1)
+    serial = two_word_run("topological")
+    assert len(pools) == 1 and len(tables) == 2
+    assert [r.word for r in pooled] == ["bear"] * 3 + ["crane"] * 3
+    assert repr(pooled) == repr(serial) and pooled == serial
+
+
+def test_no_worker_outlives_a_run_whose_topology_raises(workers, pools, monkeypatch):
+    def broken(adjacency_matrix, first):
+        raise RuntimeError(f"block at source {first} failed")
+
+    monkeypatch.setattr(adjacency, "_block_topology", broken)
+    workers(2)
+    with pytest.raises(RuntimeError, match="^block at source 0 failed$"):
+        two_word_run("topological")
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_a_bare_sweep_starts_and_ends_its_own_pool(workers, pools):
+    workers(2)
+    dataset = far_row_dataset()
+    plan = make_fold_plan(dataset.labels, 3)
+    for n in (1, 2):
+        cv_sweep(dataset, LOWS, GRID, CONFIG, plan)
+        assert len(pools) == n
+        assert multiprocessing.active_children() == []
+
+
+def pieces_network(n, seed=0):
+    """``n`` nodes cut into pieces of 4, 1, 9, 4, 1, ... nodes, each piece a
+    path plus random chords, so blocks of sources cross components and
+    isolated nodes."""
+    rng = random.Random(seed)
+    nodes = [f"v{i:02d}" for i in range(n)]
+    weights = {}
+    start = 0
+    for size in itertools.cycle((4, 1, 9)):
+        if start >= n:
+            break
+        piece = nodes[start:start + size]
+        start += len(piece)
+        for a, b in zip(piece, piece[1:]):
+            weights[(a, b)] = 1
+        for a, b in itertools.combinations(piece, 2):
+            if rng.random() < 0.3:
+                weights[(b, a)] = rng.randint(1, 3)
+    return WordAdjacencyNetwork(weights, nodes, {})
+
+
+def corpus_network():
+    """The network of a noisy synthetic corpus: 240 occurrences, 16 blocks
+    of sources, betweenness sums that round differently in another order."""
+    docs, annotations = make_synthetic_corpus(n_per_sense=120, seed=9, noise=0.35)
+    streams = {doc_id: doc.content_lemmas() for doc_id, doc in docs.items()}
+    return sensewalk.build_network(streams, annotations)
+
+
+@pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 33, "corpus"])
+def test_pooled_topology_table_has_the_in_process_bits(pools, n):
+    # 16 sources per block: 15, 16 and 17 nodes end a block early, on its
+    # edge and one past it
+    network = corpus_network() if n == "corpus" else pieces_network(n)
+    _, matrix = adjacency._projection(network)
+    if n in (15, 16, 17, 33):  # isolated nodes beside linked pieces
+        degrees = np.diff(matrix.indptr)
+        assert 0 in degrees and degrees.any()
+    in_process = adjacency._topology_table(matrix)
+    for workers in (2, 3):
+        with evaluate._RunPool(workers) as pool:
+            pooled = adjacency._topology_table(matrix, pool)
+        assert pooled.shape == in_process.shape == (len(network.nodes), 8)
+        assert pooled.tobytes() == in_process.tobytes()
+    assert len(pools) == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_node_topology_reads_the_table_the_pool_built(monkeypatch):
+    net = pieces_network(33)
+    with evaluate._RunPool(2) as pool:
+        index, table = adjacency._topology(net, pool)
+
+    def never(*args):
+        raise AssertionError("a second table was built")
+
+    monkeypatch.setattr(adjacency, "_topology_table", never)
+    assert adjacency._topology(net) == (index, table)
+    for node, row in index.items():
+        assert node_topology(net, node).as_vector() == table[row].tolist()
 
 
 def test_plan_with_a_fallback_agrees_bit_for_bit(workers):

@@ -17,8 +17,8 @@ searches from blocks of sources, run level by level with sparse products,
 give each source's distance levels and shortest-path counts, Brandes'
 dependencies accumulate back over the same levels, and all eight
 measurements are read off those blocks. The blocks are independent: a
-run's worker pool (``evaluate._run_pool``) can score them, one contiguous
-chunk per worker, and their dependencies are still added in block order.
+corpus run scores them on its ``evaluate._RunPool`` before its first word,
+one contiguous chunk per worker, and adds their dependencies in block order.
 Nodes are indexed in sorted order, so every sum runs in the same order and
 the table is identical across processes, whatever the string hash seed.
 The table is memoized on the network (compute, then assign: concurrent

@@ -127,21 +127,18 @@ def _pipeline_config(args):
 
 
 def _reports(args, low_levels, grid, config, one_word=None):
-    """Yield ``(reports, dataset)`` per word of ``--features`` or of a corpus:
-    the word's cross-validated reports and the dataset they scored. One
-    pool serves the run, as in ``run_word_experiments``."""
+    """``(reports, dataset)`` per word of ``--features`` or of a corpus: the
+    word's cross-validated reports and the dataset they scored. A corpus
+    runs as ``run_word_experiments`` does, through ``evaluate._word_sweeps``."""
     ev._check_choices(low_levels, grid)
-    paradigm = "features" if args.features else args.paradigm
-    with ev._run_pool(args.folds) as pool:
-        if args.features:
-            datasets = [("dataset", Dataset.from_csv(args.features))]
-        else:
-            _, streams, annotations = _load_corpus(args, annotated=True, one_word=one_word)
-            datasets = ev._word_datasets(streams, annotations, paradigm, args.window, pool)
-        for word, dataset in datasets:
-            plan = ev.make_fold_plan(dataset.labels, args.folds, args.seed)
-            swept = ev._sweep(dataset, low_levels, grid, config, plan, word, paradigm, pool)
-            yield [swept[name] for name in low_levels], dataset
+    if not args.features:
+        _, streams, annotations = _load_corpus(args, annotated=True, one_word=one_word)
+        return ev._word_sweeps(streams, annotations, args.paradigm, args.window, low_levels,
+                               grid, config, args.folds, args.seed)
+    dataset = Dataset.from_csv(args.features)
+    plan = ev.make_fold_plan(dataset.labels, args.folds, args.seed)
+    swept = ev.cv_sweep(dataset, low_levels, grid, config, plan, "dataset", "features")
+    return [([swept[name] for name in low_levels], dataset)]
 
 
 def cmd_preprocess(args):

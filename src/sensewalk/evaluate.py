@@ -12,11 +12,11 @@ The folds are independent, so they are scored in up to one worker process
 per usable CPU (``_fold_workers``), and their records are joined in fold
 order: the rows are bit-identical to scoring the folds one after another in
 the calling process, which is what happens on one usable CPU. A run over a
-corpus (``run_word_experiments``, the CLI's sweeps) starts one pool
-(``_run_pool``) and shares it: the topological network's source blocks
-(``adjacency._topology_table``) and then every word's folds. A bare
-``cv_sweep`` starts its own. To keep a run in one process, pin it to one
-CPU (``taskset -c 0 ...``).
+corpus goes through one generator (``_word_sweeps``: ``run_word_experiments``
+and the CLI's corpus sweeps), which opens one ``_RunPool`` and shares it:
+the topological network's source blocks (``adjacency._topology_table``) and
+then every word's folds. A bare ``cv_sweep`` opens its own. To keep a run in
+one process, pin it to one CPU (``taskset -c 0 ...``).
 """
 
 import csv
@@ -24,7 +24,6 @@ import json
 import logging
 import os
 from collections import Counter
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -75,7 +74,8 @@ def make_fold_plan(labels, n_folds=10, seed=0):
     """Stratified folds: each class's shuffled indices are dealt round-robin,
     so per-class proportions match within one instance. Classes smaller
     than ``n_folds`` shrink the fold count to the smallest class size."""
-    as_int(seed, "the fold seed")
+    if as_int(seed, "the fold seed") < 0:
+        raise ValueError(f"the fold seed must be >= 0, got {seed!r}")
     if as_int(n_folds, "the fold count") < 2:
         raise ValueError(f"cross-validation needs at least 2 folds, got {n_folds!r}")
     by_class = rows_by_label(labels)
@@ -114,23 +114,27 @@ class PipelineConfig:
 
 
 def _check_choices(low_levels, lambdas):
-    """Reject an empty or unknown low-level list, and an empty grid or
-    compliance terms outside [0, 1]."""
+    """Reject an empty, unknown or repeated low-level name, and an empty or
+    repeated grid or compliance terms outside [0, 1]."""
     if not low_levels:
         raise ValueError(f"give at least one low-level classifier of {LOW_LEVEL_NAMES}")
-    for name in low_levels:
+    for k, name in enumerate(low_levels):
         if name not in LOW_LEVEL_NAMES:
             raise ValueError(f"low_level must be one of {LOW_LEVEL_NAMES}, got {name!r}")
+        if name in low_levels[:k]:
+            raise ValueError(f"low-level classifier {name!r} is given twice; give each once")
     _check_lambdas(lambdas)
 
 
 def _check_lambdas(lambdas):
-    """Reject an empty grid or compliance terms outside [0, 1]."""
+    """Reject an empty or repeated grid or compliance terms outside [0, 1]."""
     if not lambdas:
         raise ValueError("the lambda grid is empty; give at least one lambda in [0, 1]")
-    for lam in lambdas:
+    for k, lam in enumerate(lambdas):
         if not 0 <= lam <= 1:
             raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")
+        if lam in lambdas[:k]:
+            raise ValueError(f"lambda {lam!r} is given twice; give each once")
 
 
 def _check_folds(dataset, fold_plan, need_high):
@@ -196,18 +200,18 @@ def _fold_records(dataset, low_levels, config, fold_plan, need_high=True, pool=N
     Each fold is scored in its own ``_score_fold`` call, so its class graphs
     (with their walk memos), trained predictors and standardized datasets
     are freed before the next fold builds its own. The calls run on
-    ``pool``, a run's ``_RunPool``; without one, on a pool of this call's
-    own (``_run_pool``), or in this process when that is None. A fold is
-    handed to each worker as it frees up. The records are joined in fold
-    order either way, so they are bit-identical, and the first fold in
-    fold order that raises gives the caller its error, type and message
-    kept.
+    ``pool``, a run's ``_RunPool``, or without one on a ``_RunPool`` of this
+    call's own; a fold is handed to each worker as it frees up. The records
+    are joined in fold order either way, so they are bit-identical, and the
+    first fold in fold order that raises gives the caller its error, type
+    and message kept.
     """
+    if pool is None:
+        with _RunPool(len(fold_plan.folds)) as pool:
+            return _fold_records(dataset, low_levels, config, fold_plan, need_high, pool)
     tasks = [(dataset, low_levels, config, train_idx, test_idx, need_high)
              for train_idx, test_idx in fold_plan.folds]
-    with _run_pool(len(tasks)) if pool is None else nullcontext(pool) as pool:
-        parts = list(map(_score_task, tasks) if pool is None else pool.imap(_score_task, tasks))
-    return [record for part in parts for record in part]
+    return [record for part in pool.imap(_score_task, tasks) for record in part]
 
 
 def _score_task(task):
@@ -235,19 +239,23 @@ def _fold_workers(n_folds):
 
 
 class _RunPool:
-    """A ``fork`` pool of ``workers`` processes, started by its first task,
-    so the workers inherit every module the run has loaded by then
-    (``scipy.sparse`` for the topology pass). Leaving it as a context
-    manager closes and joins the pool, or terminates it if the block
-    raised: no worker outlives the run."""
+    """The worker pool of a run whose words have up to ``n_folds`` folds:
+    ``_fold_workers(n_folds)`` ``fork`` processes, started by the first
+    task, so the workers inherit every module the run has loaded by then
+    (``scipy.sparse`` for the topology pass). At one worker it maps in this
+    process and starts nothing. Leaving it as a context manager closes and
+    joins the pool, or terminates it if the block raised: no worker
+    outlives the run."""
 
-    def __init__(self, workers):
-        self.workers = workers
+    def __init__(self, n_folds):
+        self.workers = _fold_workers(n_folds)
         self._pool = None
 
     def imap(self, func, tasks, chunksize=1):
         """``func`` over ``tasks`` in chunks of ``chunksize``, results in task
         order; the first task in that order that raises, raises."""
+        if self.workers == 1:
+            return map(func, tasks)
         if self._pool is None:
             import multiprocessing  # here: `import sensewalk` stays free of it
 
@@ -264,14 +272,6 @@ class _RunPool:
             else:
                 self._pool.terminate()
             self._pool.join()
-
-
-def _run_pool(n_folds):
-    """A context manager giving the pool of a run whose words have up to
-    ``n_folds`` folds: a ``_RunPool`` of ``_fold_workers(n_folds)`` workers,
-    or None (work in this process) when that is 1."""
-    workers = _fold_workers(n_folds)
-    return _RunPool(workers) if workers > 1 else nullcontext()
 
 
 def _fold_datasets(dataset, train_idx, test_idx):
@@ -366,6 +366,11 @@ def p_value(accuracy, n, class_counts, method="binomial", seed=0, samples=20000)
 
         return float(betainc(correct, n - correct + 1, q))
     if method == "montecarlo":
+        seed, samples = as_int(seed, "seed"), as_int(samples, "samples")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed!r}")
+        if samples < 1:
+            raise ValueError(f"samples must be >= 1, got {samples!r}")
         rng = np.random.default_rng(seed)
         hits = np.zeros(samples, dtype=int)
         trials = _trial_counts(class_counts, n)
@@ -432,15 +437,15 @@ def word_datasets(token_streams, annotations, paradigm="semantic", window=5):
 
 
 def _word_datasets(token_streams, annotations, paradigm, window, pool=None):
-    """``word_datasets``; with a run's ``pool``, the network's topology table
-    is computed on it before the first word."""
+    """``word_datasets``; the network's topology table is computed before
+    the first word, on a run's ``pool`` when given."""
     from .adjacency import _topology, build_network
 
     if paradigm not in PARADIGMS:
         raise ValueError(f"paradigm must be one of {PARADIGMS}, got {paradigm!r}")
     validate_annotations(annotations, token_streams)
     network = build_network(token_streams, annotations) if paradigm == "topological" else None
-    if network is not None and pool is not None:
+    if network is not None:
         _topology(network, pool)  # memoized: node_topology looks its rows up
     for word in sorted({a.word for a in annotations}):
         word_annots = sorted(
@@ -457,18 +462,26 @@ def run_word_experiments(token_streams, annotations, paradigm="semantic", window
                          low_levels=("knn", "bayes", "c45"), lambda_grid=None,
                          config=None, n_folds=10, seed=0):
     """Sweep every annotated word of ``word_datasets`` separately; returns
-    one report per (word, low level). One pool (``_run_pool``) serves the
-    whole run: the topology pass, then every word's folds."""
+    one report per (word, low level), as ``_word_sweeps`` yields them."""
+    return [report for reports, _ in _word_sweeps(token_streams, annotations, paradigm, window,
+                                                  low_levels, lambda_grid, config, n_folds, seed)
+            for report in reports]
+
+
+def _word_sweeps(token_streams, annotations, paradigm, window, low_levels, lambda_grid,
+                 config, n_folds, seed):
+    """Yield ``(reports, dataset)`` per word of ``word_datasets``: the word's
+    reports in ``low_levels`` order and the dataset they scored. One
+    ``_RunPool`` serves the whole run: the topology pass, then every word's
+    folds."""
     low_levels = tuple(low_levels)  # read more than once
     lambda_grid = tuple(lambda_grid) if lambda_grid is not None else LAMBDA_GRID
     _check_choices(low_levels, lambda_grid)
-    reports = []
-    with _run_pool(as_int(n_folds, "the fold count")) as pool:
+    with _RunPool(as_int(n_folds, "the fold count")) as pool:
         for word, dataset in _word_datasets(token_streams, annotations, paradigm, window, pool):
             plan = make_fold_plan(dataset.labels, n_folds, seed)
             swept = _sweep(dataset, low_levels, lambda_grid, config, plan, word, paradigm, pool)
-            reports.extend(swept[name] for name in low_levels)
-    return reports
+            yield [swept[name] for name in low_levels], dataset
 
 
 # ---------------------------------------------------------------------------

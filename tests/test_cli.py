@@ -1,6 +1,5 @@
 import csv
 import multiprocessing
-import multiprocessing.pool
 import subprocess
 import sys
 from collections import Counter
@@ -171,8 +170,9 @@ def test_dump_refuses_a_corpus_of_several_words_before_the_sweep(two_word_corpus
     def never(*a, **kw):
         raise AssertionError("features were built or the sweep started")
 
-    monkeypatch.setattr(sensewalk.evaluate, "word_datasets", never)
-    monkeypatch.setattr(sensewalk.evaluate, "cv_sweep", never)
+    # a corpus is swept through _word_sweeps, --features through cv_sweep
+    for name in ("word_datasets", "_word_sweeps", "cv_sweep"):
+        monkeypatch.setattr(sensewalk.evaluate, name, never)
     dump = tmp_path / "dump.txt"
     assert main(args + [flag, str(dump)]) == 1
     err = capsys.readouterr().err
@@ -398,6 +398,18 @@ def test_bad_knn_k_or_fold_count_is_one_line(overlap_csv, flags, message):
     assert done.stderr == f"sensewalk: error: {message}\n"
 
 
+@pytest.mark.parametrize("source", ["features", "corpus"])
+def test_negative_seed_is_one_line(overlap_csv, corpus_dir, capsys, source):
+    # numpy used to refuse it with "expected non-negative integer"
+    root, ann = corpus_dir
+    data = (["--features", str(overlap_csv)] if source == "features"
+            else ["--in", str(root), "--annotations", str(ann)])
+    assert main(["sweep", *data, "--lambda-grid", "0", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sensewalk: error: the fold seed must be >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--epsilon", "nan"], "epsilon must be > 0"),
     (["--fallback-factor", "nan"], "fallback_factor must be > 0"),
@@ -509,8 +521,8 @@ def test_bad_evaluate_request_is_one_line(corpus_dir, monkeypatch, capsys, args,
     def never(*a, **k):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(sensewalk.evaluate, "word_datasets", never)
-    monkeypatch.setattr(sensewalk.evaluate, "cv_sweep", never)
+    for name in ("word_datasets", "_word_sweeps", "cv_sweep"):
+        monkeypatch.setattr(sensewalk.evaluate, name, never)
     root, ann = corpus_dir
     assert main(["evaluate", "--in", str(root), "--annotations", str(ann)] + args) == 1
     err = capsys.readouterr().err
@@ -521,6 +533,10 @@ def test_bad_evaluate_request_is_one_line(corpus_dir, monkeypatch, capsys, args,
 @pytest.mark.parametrize("args, message", [
     (["--lambda-grid", "0,2"], "lambda must lie in [0, 1], got 2.0"),
     (["--low-levels", "knn,svm"], "low_level must be one of ('knn', 'bayes', 'c45'), got 'svm'"),
+    # a repeated name or lambda used to print its rows twice
+    (["--low-levels", "knn,knn", "--lambda-grid", "0,0"],
+     "low-level classifier 'knn' is given twice; give each once"),
+    (["--lambda-grid", "0,0.5,0"], "lambda 0.0 is given twice; give each once"),
 ])
 def test_bad_sweep_request_is_refused_before_the_corpus_is_read(corpus_dir, monkeypatch, capsys,
                                                                 args, message):
@@ -625,15 +641,8 @@ def test_topological_sweep_builds_the_network_once(corpus_dir, monkeypatch, caps
     assert len(calls) == 1
 
 
-def test_corpus_sweep_shares_one_pool_across_words(two_word_corpus, tmp_path, monkeypatch):
-    started = []
-
-    class Counted(multiprocessing.pool.Pool):
-        def __init__(self, *args, **kwargs):
-            started.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing.pool, "Pool", Counted)
+def test_corpus_sweep_shares_one_pool_across_words(two_word_corpus, tmp_path, monkeypatch,
+                                                   pools):
     root, ann = two_word_corpus
     outputs = []
     for workers in (2, 1):
@@ -642,12 +651,44 @@ def test_corpus_sweep_shares_one_pool_across_words(two_word_corpus, tmp_path, mo
         assert main(["sweep", "--in", str(root), "--annotations", str(ann),
                      "--paradigm", "topological", "--lambda-grid", "0,0.5", "--mu-c", "3",
                      "--folds", "4", "--out", str(out)]) == 0
-        assert len(started) == 1  # one pool for the network's blocks and both words' folds
+        assert len(pools) == 1  # one pool for the network's blocks and both words' folds
         assert multiprocessing.active_children() == []
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert {row["word"] for row in csv.DictReader(outputs[0].decode().splitlines())} == {
         "bear", "crane"}
+
+
+def test_features_sweep_starts_at_most_one_pool(overlap_csv, tmp_path, monkeypatch, pools):
+    outputs = []
+    for workers in (2, 1):
+        monkeypatch.setattr(evaluate, "_fold_workers", lambda n_folds: workers)
+        out = tmp_path / f"sweep{workers}.csv"
+        assert main(["sweep", "--features", str(overlap_csv), "--lambda-grid", "0,0.5",
+                     "--mu-c", "3", "--folds", "4", "--out", str(out)]) == 0
+        assert len(pools) == 1  # the one sweep's pool; none at one worker
+        assert multiprocessing.active_children() == []
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 1 + 3 * 2
+
+
+def test_word_experiments_start_at_most_one_pool(two_word_corpus, monkeypatch, pools):
+    root, ann = two_word_corpus
+    documents = corpus.load_documents(root, corpus.load_stopwords(), corpus.load_lemma_table())
+    streams = {doc_id: doc.content_lemmas() for doc_id, doc in documents.items()}
+    annotations = corpus.load_annotations(ann)
+    runs = []
+    for workers in (2, 1):
+        monkeypatch.setattr(evaluate, "_fold_workers", lambda n_folds: workers)
+        runs.append(evaluate.run_word_experiments(
+            streams, annotations, lambda_grid=(0.0, 0.5),
+            config=evaluate.PipelineConfig(high=sensewalk.HighLevelConfig(mu_critical=3)),
+            n_folds=4))
+        assert len(pools) == 1  # one pool for both words' folds; none at one worker
+        assert multiprocessing.active_children() == []
+    assert [r.word for r in runs[0]] == ["bear"] * 3 + ["crane"] * 3
+    assert repr(runs[0]) == repr(runs[1]) and runs[0] == runs[1]
 
 
 def test_corpus_sweep_builds_each_documents_lemmas_once(corpus_dir, monkeypatch, capsys):

@@ -115,6 +115,12 @@ class TestFoldPlan:
         assert caplog.records == []
         assert make_fold_plan([1, 1, 2, 2], 2, np.int64(3)) == make_fold_plan([1, 1, 2, 2], 2, 3)
 
+    def test_negative_seed_rejected_at_entry(self, caplog):
+        # numpy used to refuse it with "expected non-negative integer"
+        with pytest.raises(ValueError, match="^the fold seed must be >= 0, got -1$"):
+            make_fold_plan([1, 1, 2, 2], seed=-1)
+        assert caplog.records == []
+
 
 def _integer_parameter_calls():
     """(name, call(value)) for each integer parameter checked at entry."""
@@ -132,12 +138,15 @@ def _integer_parameter_calls():
         ("mu_critical", lambda v: tourist.component_stats(graph, v)),
         ("the semantic window", lambda v: window_lemmas(["a", "b", "c", "d", "e", "f"], 4, v)),
         ("n", lambda v: p_value(0.5, v, {1: 1, 2: 1})),
+        ("seed", lambda v: p_value(0.5, 4, {1: 1, 2: 1}, method="montecarlo", seed=v)),
+        ("samples", lambda v: p_value(0.5, 4, {1: 1, 2: 1}, method="montecarlo", samples=v)),
     ]
 
 
-@pytest.mark.parametrize("at", range(10), ids=["HighLevelConfig", "GraphConfig", "knn_predict",
+@pytest.mark.parametrize("at", range(12), ids=["HighLevelConfig", "GraphConfig", "knn_predict",
                                                "PipelineConfig", "n_folds", "seed", "walk",
-                                               "component_stats", "window_lemmas", "p_value"])
+                                               "component_stats", "window_lemmas", "p_value",
+                                               "p_value_seed", "p_value_samples"])
 def test_integer_parameters_refuse_a_float_by_name(at):
     # each float used to fail deep in numpy or range() with a TypeError, and
     # window_lemmas(stream, 4, 2.5) returned 3 lemmas
@@ -236,6 +245,18 @@ class TestPValue:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             p_value(0.5, 10, {1: 5, 2: 5}, method="exactish")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"samples": 0}, "samples must be >= 1, got 0"),
+        ({"samples": -1}, "samples must be >= 1, got -1"),
+    ])
+    def test_montecarlo_refuses_a_negative_seed_or_no_samples(self, kwargs, message):
+        # samples=0 returned nan with a RuntimeWarning, and samples=-1 or
+        # seed=-1 failed inside numpy
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            p_value(0.5, 10, {1: 5, 2: 5}, method="montecarlo", **kwargs)
+        p_value(0.5, 10, {1: 5, 2: 5}, **kwargs)  # the binomial tail draws nothing
 
     @pytest.mark.parametrize("method", ["binomial", "montecarlo"])
     def test_no_classes_or_negative_n_refused(self, method):
@@ -419,6 +440,11 @@ class TestSweep:
         (("knn",), ()),
         ((), (0.0, 0.5)),
         ((), None),
+        # a repeated name or lambda: run_word_experiments used to repeat its
+        # rows, while cv_sweep's dict kept one
+        (("knn", "c45", "knn"), (0.0,)),
+        (("knn",), (0.0, 0.5, 0.5)),
+        (("knn",), (0, 0.0)),
     ])
     def test_bad_grid_rejected_before_any_fold(self, monkeypatch, low_levels, grid):
         def never(*args, **kwargs):
@@ -762,6 +788,8 @@ class TestToyExperiment:
         ((), "the lambda grid is empty"),
         ((0.0, 1.5), "lambda must lie in"),
         ((-0.05,), "lambda must lie in"),
+        ((0.0, 0.5, 0.5), "^lambda 0.5 is given twice; give each once$"),
+        ((0, 0.0), "^lambda 0.0 is given twice; give each once$"),
     ])
     def test_bad_grid_rejected_before_any_walk(self, monkeypatch, grid, message):
         def never(*args, **kwargs):

@@ -5,7 +5,6 @@ per run, and no worker left behind."""
 import dataclasses
 import itertools
 import multiprocessing
-import multiprocessing.pool
 import os
 import random
 import subprocess
@@ -43,21 +42,6 @@ def workers(monkeypatch):
     def force(n):
         monkeypatch.setattr(evaluate, "_fold_workers", lambda n_folds: n)
     return force
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """The list of pools started, one entry each."""
-    started = []
-
-    class Counted(multiprocessing.pool.Pool):
-        def __init__(self, *args, **kwargs):
-            started.append(1)
-            super().__init__(*args, **kwargs)
-
-    # ``get_context("fork").Pool(...)`` looks the class up here at every call
-    monkeypatch.setattr(multiprocessing.pool, "Pool", Counted)
-    return started
 
 
 def corpus_dataset(paradigm, seed=5):
@@ -240,7 +224,7 @@ def corpus_network():
 
 
 @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 33, "corpus"])
-def test_pooled_topology_table_has_the_in_process_bits(pools, n):
+def test_pooled_topology_table_has_the_in_process_bits(workers, pools, n):
     # 16 sources per block: 15, 16 and 17 nodes end a block early, on its
     # edge and one past it
     network = corpus_network() if n == "corpus" else pieces_network(n)
@@ -249,8 +233,10 @@ def test_pooled_topology_table_has_the_in_process_bits(pools, n):
         degrees = np.diff(matrix.indptr)
         assert 0 in degrees and degrees.any()
     in_process = adjacency._topology_table(matrix)
-    for workers in (2, 3):
-        with evaluate._RunPool(workers) as pool:
+    for n_workers in (1, 2, 3):  # one worker maps in this process and starts no pool
+        workers(n_workers)
+        with evaluate._RunPool(10) as pool:
+            assert pool.workers == n_workers
             pooled = adjacency._topology_table(matrix, pool)
         assert pooled.shape == in_process.shape == (len(network.nodes), 8)
         assert pooled.tobytes() == in_process.tobytes()
@@ -258,8 +244,9 @@ def test_pooled_topology_table_has_the_in_process_bits(pools, n):
     assert multiprocessing.active_children() == []
 
 
-def test_node_topology_reads_the_table_the_pool_built(monkeypatch):
+def test_node_topology_reads_the_table_the_pool_built(workers, monkeypatch):
     net = pieces_network(33)
+    workers(2)
     with evaluate._RunPool(2) as pool:
         index, table = adjacency._topology(net, pool)
 
@@ -368,6 +355,39 @@ def test_daemonic_caller_scores_in_its_own_process(monkeypatch):
     assert workers == 1
     monkeypatch.setattr(evaluate, "_fold_workers", lambda n_folds: 1)
     assert reports == cv_sweep(dataset, LOWS, GRID, CONFIG, plan)
+
+
+BLAS_PROBE = """
+import numpy as np
+from sensewalk import evaluate
+from sensewalk.classify import HighLevelConfig
+
+docs, annotations = evaluate.make_synthetic_corpus(n_per_sense=20, n_docs=3, seed=5, noise=0.35)
+streams = {doc_id: doc.content_lemmas() for doc_id, doc in docs.items()}
+[(_, dataset)] = evaluate.word_datasets(streams, annotations, "semantic")
+plan = evaluate.make_fold_plan(dataset.labels, 4, seed=2)
+config = evaluate.PipelineConfig(high=HighLevelConfig(mu_critical=3))
+np.ones((256, 256)) @ np.ones((256, 256))  # wake the BLAS threads before the fork
+records = []
+for workers in (2, 1):
+    evaluate._fold_workers = lambda n_folds: workers
+    records.append(evaluate._fold_records(dataset, ("knn", "bayes", "c45"), config, plan))
+print(len(records[0]), repr(records[0]) == repr(records[1]) and records[0] == records[1])
+"""
+
+
+@pytest.mark.parametrize("blas_threads", [None, "2"])
+def test_fold_pool_forks_safely_with_blas_threads(blas_threads):
+    # ``fork`` copies only the forking thread; a BLAS lock held by another
+    # thread would hang a worker, so the timeout turns a deadlock into a failure
+    src = str(Path(sensewalk.__file__).resolve().parents[1])
+    env = {"PYTHONPATH": src}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    done = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "40 True\n"
 
 
 def test_import_loads_no_multiprocessing():

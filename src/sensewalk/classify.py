@@ -20,14 +20,15 @@ density sums the same floats in the same order as a per-entry evaluation.
 A block gathers at most ``_BLOCK_FLOATS`` kernels (the float budget the
 class-graph distance pass shares), or one row's n x d when that is more.
 
-The tree sorts each feature once at the root and carries the sorted
-orders down to its children; every node scores, in one array pass, only
-the boundaries a split can fall on (between two distinct consecutive
-values of a feature) and splits at the least conditional entropy, which
-is the largest information gain since the node's own entropy is the same
-for every split; ties go to the smallest feature index, then the
-smallest threshold. Trees grow from an explicit stack, so their
-depth is not limited by the recursion limit.
+The tree grows one level at a time. At the root each feature's distinct
+values become bins, and every (row, feature) element is kept sorted by
+(node, feature, bin); each level counts classes per run of one bin,
+scores all of its nodes' boundaries (between two distinct consecutive
+values of a feature inside a node) in one array pass, and splits each
+node at its least conditional entropy, which is the largest information
+gain since the node's own entropy is the same for every split; ties go
+to the smallest feature index, then the smallest threshold. No node is
+grown by recursion, so depth is not limited by the recursion limit.
 
 The low-level classifiers read the training set's class index
 (:class:`sensewalk.features.Dataset`) and refuse unlabeled training rows.
@@ -177,20 +178,30 @@ def _silverman(values):
     return 1.06 * sigma * n ** (-1 / 5)
 
 
-def _kernel_table(values, h):
-    """The distinct values of each column of ``values`` (n, d) and the index
-    of every entry among them; -0.0 and 0.0 share a kernel, which gives
-    both the same z * z."""
-    n, d = values.shape
-    order = np.argsort(values, axis=0, kind="stable")
-    ranked = np.take_along_axis(values, order, axis=0).T  # (d, n), each row ascending
-    new = np.ones((d, n), dtype=bool)
+def _value_bins(X):
+    """Each column's distinct values as dense bins, numbered column by
+    column. Returns the bin of every (column, row) element, the columns
+    one after another and each column's elements in ascending value order
+    (stable, so equal values keep row order); the row of each element; and
+    each bin's value and column. -0.0 and 0.0 share a bin: no comparison
+    tells them apart, nor does a midpoint with another value or a
+    difference from one."""
+    order = np.argsort(X, axis=0, kind="stable")
+    ranked = np.take_along_axis(X, order, axis=0).T  # (d, n), each row ascending
+    new = np.ones(ranked.shape, dtype=bool)
     new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    return np.cumsum(new) - 1, order.T.ravel(), ranked[new], np.nonzero(new)[0]
+
+
+def _kernel_table(values, h):
+    """One kernel per distinct value of each column of ``values`` (n, d)
+    (``_value_bins``) and the index of every entry among them."""
+    n, d = values.shape
+    bins, rows, distinct, features = _value_bins(values)
     entries = np.empty((n, d), dtype=np.intp)
-    entries[order, np.arange(d)] = (np.cumsum(new) - 1).reshape(d, n).T
-    features = np.nonzero(new)[0]
+    entries[rows, np.repeat(np.arange(d), n)] = bins
     log_norms = np.log(h[None, :] * math.sqrt(2 * math.pi))[0]
-    return KernelTable(ranked[new], features, h[features], log_norms[features],
+    return KernelTable(distinct, features, h[features], log_norms[features],
                        np.searchsorted(features, np.arange(d)), entries)
 
 
@@ -307,30 +318,84 @@ def _entropies_by_row(counts, totals):
     return -(p * np.log2(np.where(counts > 0, p, 1.0))).sum(axis=-1)
 
 
-def _best_split(xs, one_hot):
-    """(feature, position) of the split of one node with the least
-    conditional entropy (the largest information gain), or None.
+def _level_splits(bins, elem_codes, sizes, counts, n_features):
+    """The least-conditional-entropy boundary of every node of one level.
 
-    ``xs`` holds the node's values sorted along each feature's row (F, m)
-    and ``one_hot`` the matching class indicators (F, m, C). Conditional
-    entropies are computed only where a split can fall, after a position
-    whose value changes, with the same float operations as a per-feature
-    scan; a node with no such pair gets None. The pairs come feature-major
-    with positions ascending, so the first argmin is the tie rule: smallest
-    feature index, then smallest threshold.
+    The level's (row, feature) elements come node by node, then feature by
+    feature, each feature's in ascending bin order: ``bins`` and
+    ``elem_codes`` hold their bins and class codes, ``sizes`` each node's
+    row count and ``counts`` (K, C) its class counts. A boundary falls
+    between two distinct consecutive values of one feature inside one
+    node; one cumulative sum over the runs of equal bins gives every
+    boundary's left class counts. Conditional entropies are computed at
+    the boundaries alone, with the same float operations as a per-node
+    scan: each call's class axis is exactly its nodes' present classes, in
+    class order, and C-contiguous, since numpy sums an axis of 8 or more
+    terms pairwise, so padding or a strided layout would change the bits.
+    A node's boundaries come feature-major with positions ascending, so
+    its first least entropy is the tie rule: smallest feature index, then
+    smallest threshold. Returns the nodes with a boundary and, per node,
+    the bins just below and just above its chosen boundary.
     """
-    f, at = np.nonzero(xs[:, :-1] < xs[:, 1:])
-    if len(f) == 0:
-        return None
-    m = xs.shape[1]
-    cum = one_hot.cumsum(axis=1, dtype=float)
-    left = cum[f, at]
-    right = cum[f, -1] - left
-    nl = at + 1.0
+    K, C = counts.shape
+    E = len(bins)
+    # where each (node, feature) segment starts; a sentinel closes the last
+    seg_first = (((np.cumsum(sizes) - sizes) * n_features)[:, None]
+                 + np.outer(sizes, np.arange(n_features))).ravel()
+    is_seg = np.zeros(E + 1, dtype=bool)
+    is_seg[seg_first] = True
+    is_seg[E] = True
+    # runs of one bin inside one segment, with their class counts
+    start = is_seg[:E].copy()
+    start[1:] |= bins[1:] != bins[:-1]
+    run_first = np.flatnonzero(start)
+    R = len(run_first)
+    run_counts = np.bincount((np.cumsum(start) - 1) * C + elem_codes, minlength=R * C).reshape(R, C)
+    cum = run_counts.cumsum(axis=0)
+    opens_seg = is_seg[run_first]
+    run_seg = np.cumsum(opens_seg) - 1
+    seg_base = (cum - run_counts)[opens_seg]  # the class counts before each segment
+    run_next = np.append(run_first[1:], E)
+    # a run followed by another run of its own segment ends at a boundary
+    at = np.flatnonzero(~is_seg[run_next])
+    if len(at) == 0:
+        return at, at, at
+    seg = run_seg[at]
+    node = seg // n_features
+    left = cum[at] - seg_base[seg]
+    right = counts[node] - left
+    nl = (run_next[at] - seg_first[seg]).astype(float)
+    m = sizes[node].astype(float)
     nr = m - nl
-    cond = (nl / m) * _entropies_by_row(left, nl) + (nr / m) * _entropies_by_row(right, nr)
-    best = int(cond.argmin())
-    return int(f[best]), int(at[best])
+    cond = np.empty(len(at))
+    by_classes = {}  # the nodes of each set of present classes
+    for k, present in enumerate((counts > 0).tolist()):
+        by_classes.setdefault(tuple(present), []).append(k)
+    if len(by_classes) > 1:
+        group = np.empty(K, dtype=np.intp)
+        for g, nodes in enumerate(by_classes.values()):
+            group[nodes] = g
+        group = group[node]
+    for g, present in enumerate(by_classes):
+        sel = np.flatnonzero(group == g) if len(by_classes) > 1 else slice(None)
+        lt, rt, nlg, nrg, mg = left[sel], right[sel], nl[sel], nr[sel], m[sel]
+        if not all(present):
+            cols = np.flatnonzero(present)
+            lt, rt = np.ascontiguousarray(lt[:, cols]), np.ascontiguousarray(rt[:, cols])
+        cond[sel] = (nlg / mg) * _entropies_by_row(lt, nlg) + (nrg / mg) * _entropies_by_row(rt, nrg)
+    # each node's first least conditional entropy
+    opens_node = np.empty(len(at), dtype=bool)
+    opens_node[0] = True
+    np.not_equal(node[1:], node[:-1], out=opens_node[1:])
+    least = np.empty(K)
+    least[node[opens_node]] = np.minimum.reduceat(cond, np.flatnonzero(opens_node))
+    hit = np.flatnonzero(cond == least[node])
+    first = np.empty(len(hit), dtype=bool)
+    first[0] = True
+    np.not_equal(node[hit[1:]], node[hit[:-1]], out=first[1:])
+    chosen = hit[first]
+    above = run_next[at[chosen]]  # the element just above each chosen boundary
+    return node[chosen], bins[above - 1], bins[above]
 
 
 def c45_train(train_dataset, min_size=2):
@@ -341,47 +406,77 @@ def c45_train(train_dataset, min_size=2):
     zero gain are still taken on impure nodes so that patterns needing
     two coordinated tests remain learnable.
 
-    The training rows are sorted once per feature at the root (stable, so
-    ties keep row order); a split partitions that (F, n) order matrix with
-    a row mask, so every node sees its rows presorted. Nodes are grown from
-    an explicit stack, so depth is not bounded by the recursion limit.
+    The tree grows one level at a time, so its depth is not bounded by the
+    recursion limit. At the root each feature's distinct values become
+    bins (``_value_bins``) and every (row, feature) element is sorted by
+    (node, feature, bin); each level scores all of its nodes' boundaries
+    together (``_level_splits``), and one stable sort by child hands the
+    rows and elements down a level. The rows of finished nodes leave the
+    arrays; a leaf's class counts keep their order of first appearance
+    along its ascending rows.
     """
     X = train_dataset.X
+    n, n_features = X.shape
     classes = tuple(_training_classes(train_dataset))
-    codes = np.empty(len(X), dtype=np.intp)
+    C = len(classes)
+    codes = np.empty(n, dtype=np.intp)
     for i, c in enumerate(classes):
         codes[train_dataset.class_rows[c]] = i
-    XT = X.T
-    features = np.arange(X.shape[1])[:, None]
-    go_left = np.zeros(len(X), dtype=bool)
     root = TreeNode()
-    stack = [(root, np.arange(len(X)), np.argsort(X, axis=0, kind="stable").T)]
-    while stack:
-        node, rows, order = stack.pop()
-        # class counts in order of first appearance along the (ascending) rows
-        node_codes = codes[rows]
-        sizes = np.bincount(node_codes, minlength=len(classes))
-        counts = {classes[c]: int(sizes[c]) for c in dict.fromkeys(node_codes.tolist())}
-        found = None
-        if len(counts) > 1 and len(rows) >= min_size:
-            xs = XT[features, order]
-            one_hot = codes[order][..., None] == np.flatnonzero(sizes)
-            found = _best_split(xs, one_hot)
-        if found is not None:
-            f, at = found
-            thr = (float(xs[f, at]) + float(xs[f, at + 1])) / 2
-            left = X[rows, f] <= thr
-            # a midpoint rounded onto the upper value can leave one side empty
-            if 0 < np.count_nonzero(left) < len(rows):
-                go_left[rows] = left
-                keep = go_left[order]
+    counts = np.bincount(codes, minlength=C)
+    if np.count_nonzero(counts) < 2 or n < min_size or n_features == 0:
+        root.counts = {classes[c]: int(counts[c]) for c in dict.fromkeys(codes.tolist())}
+        return DecisionTree(root, classes, n_features)
+    bins, elem_rows, values, bin_feature = _value_bins(X)
+    nodes, rows, sizes, counts = [root], np.arange(n), np.array([n]), counts[None, :]
+    while nodes:
+        K = len(nodes)
+        found, below, above = _level_splits(bins, codes[elem_rows], sizes, counts, n_features)
+        feature = np.zeros(K, dtype=np.intp)
+        threshold = np.full(K, np.nan)  # no value goes left of NaN
+        feature[found] = bin_feature[above]
+        threshold[found] = (values[below] + values[above]) / 2
+        node_of_row = np.repeat(np.arange(K), sizes)
+        left = X[rows, feature[node_of_row]] <= threshold[node_of_row]
+        # a midpoint rounded onto the upper value can send a whole node left
+        n_left = np.bincount(node_of_row, weights=left, minlength=K)
+        splits = (n_left > 0) & (n_left < sizes)
+        # a node's outcomes: its two children when it splits, else itself as a leaf
+        width = 1 + splits
+        outcome = (np.cumsum(width) - width)[node_of_row] + (splits[node_of_row] & ~left)
+        U = int(width.sum())
+        outcome_counts = np.bincount(outcome * C + codes[rows], minlength=U * C).reshape(U, C)
+        outcome_sizes = outcome_counts.sum(axis=1)
+        grows = (np.repeat(splits, width) & (np.count_nonzero(outcome_counts, axis=1) > 1)
+                 & (outcome_sizes >= min_size))
+        # rows by outcome, growing outcomes first; a small key dtype sorts by radix
+        key = (outcome + U * ~grows[outcome]).astype(np.min_scalar_type(2 * U))
+        row_key = np.empty(n, dtype=key.dtype)
+        row_key[rows] = key
+        rows = rows[np.argsort(key, kind="stable")]
+        outcomes = []
+        for node, f, thr, splits_node in zip(nodes, feature.tolist(), threshold.tolist(),
+                                             splits.tolist()):
+            if splits_node:
                 node.feature, node.threshold = f, thr
                 node.left, node.right = TreeNode(), TreeNode()
-                stack.append((node.right, rows[~left], order[~keep].reshape(len(order), -1)))
-                stack.append((node.left, rows[left], order[keep].reshape(len(order), -1)))
-                continue
-        node.counts = counts
-    return DecisionTree(root, classes, X.shape[1])
+                outcomes += (node.left, node.right)
+            else:
+                outcomes.append(node)
+        n_grown = int(outcome_sizes[grows].sum())
+        leaf_codes = codes[rows[n_grown:]].tolist()
+        end = 0
+        for u, size, leaf_counts in zip(np.flatnonzero(~grows).tolist(),
+                                        outcome_sizes[~grows].tolist(),
+                                        outcome_counts[~grows].tolist()):
+            start, end = end, end + size
+            outcomes[u].counts = {classes[c]: leaf_counts[c]
+                                  for c in dict.fromkeys(leaf_codes[start:end])}
+        nodes = [outcomes[u] for u in np.flatnonzero(grows).tolist()]
+        rows, sizes, counts = rows[:n_grown], outcome_sizes[grows], outcome_counts[grows]
+        elem_order = np.argsort(row_key[elem_rows], kind="stable")[:n_features * n_grown]
+        bins, elem_rows = bins[elem_order], elem_rows[elem_order]
+    return DecisionTree(root, classes, n_features)
 
 
 def _leaf_membership(tree, x):

@@ -310,11 +310,28 @@ def _score_fold(dataset, low_levels, config, train_idx, test_idx, need_high):
     return records
 
 
-def _accuracy(records, low_level, lam):
-    correct = sum(
-        1 for r in records if hybrid_predict(r.lows[low_level], r.high, lam)[1] == r.true
-    )
-    return correct / len(records)
+def _accuracies(records, low_level, lambdas):
+    """The accuracy of ``hybrid_predict``'s labels at each lambda, one array
+    pass per lambda. Memberships are rows of a records x classes matrix in
+    ascending class order, a class missing from a record's memberships at
+    0.0, so ``argmax`` takes the first maximum as ``MembershipVector.argmax``
+    does; the blend is ``(1.0 - lam) * low + lam * high`` elementwise, the
+    same float operations. A record linked into no class keeps its
+    low-level membership unblended at every lambda."""
+    classes = sorted({c for r in records for c in r.lows[low_level].scores})
+    column = {c: j for j, c in enumerate(classes)}
+    low = np.array([[r.lows[low_level].scores.get(c, 0.0) for c in classes] for r in records])
+    linked = [i for i, r in enumerate(records) if r.high is not None]
+    high = np.array([[records[i].high.scores.get(c, 0.0) for c in classes] for i in linked])
+    low_linked = low[linked]
+    truth = np.array([column.get(r.true, -1) for r in records])
+    accuracies = []
+    for lam in lambdas:
+        blend = low.copy()
+        if linked:
+            blend[linked] = (1.0 - lam) * low_linked + lam * high
+        accuracies.append(int(np.count_nonzero(blend.argmax(axis=1) == truth)) / len(records))
+    return accuracies
 
 
 def _trial_counts(class_counts, n):
@@ -404,10 +421,8 @@ def _sweep(dataset, low_levels, lambda_grid, config, fold_plan, word, paradigm, 
     counts = {c: len(rows) for c, rows in rows_by_label([r.true for r in records]).items()}
     reports = {}
     for name in low_levels:
-        rows = []
-        for lam in grid:
-            acc = _accuracy(records, name, lam)
-            rows.append((lam, acc, p_value(acc, len(records), counts)))
+        rows = [(lam, acc, p_value(acc, len(records), counts))
+                for lam, acc in zip(grid, _accuracies(records, name, grid))]
         best_lambda = max(rows, key=lambda row: row[1])[0]  # the first of equal bests
         reports[name] = ExperimentReport(word, paradigm, name, tuple(rows), best_lambda)
     return reports

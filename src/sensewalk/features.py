@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import NodeTopology, node_topology
+from .adjacency import NodeTopology, _topology
 
 
 # Within ±2^480 nothing derived overflows: differences are at most 2^481 and
@@ -252,17 +252,22 @@ def semantic_features(token_streams, annotations, window=5, vocabulary=None):
 
 
 def topological_features(network, annotations):
-    """One instance per annotation from its occurrence node's measurements."""
-    X = np.zeros((len(annotations), len(NodeTopology.FIELD_NAMES)))
-    ids, labels = [], []
-    for row, ann in enumerate(annotations):
+    """One instance per annotation from its occurrence node's measurements:
+    every node is found first, then their rows of the network's memoized
+    topology table are read in one gather, the values ``node_topology``
+    gives."""
+    nodes = []
+    for ann in annotations:
         node = network.node_for(ann.document_id, ann.position)
         if node is None:
             raise MissingNode(f"no occurrence node for ({ann.document_id}, {ann.position})")
-        X[row] = node_topology(network, node).as_vector()
-        ids.append((ann.document_id, ann.position))
-        labels.append(ann.sense_id)
-    return Dataset(ids, X, labels, list(NodeTopology.FIELD_NAMES))
+        nodes.append(node)
+    X = np.zeros((0, len(NodeTopology.FIELD_NAMES)))
+    if nodes:
+        index, table = _topology(network)
+        X = table[[index[node] for node in nodes]]
+    ids = [(ann.document_id, ann.position) for ann in annotations]
+    return Dataset(ids, X, [ann.sense_id for ann in annotations], list(NodeTopology.FIELD_NAMES))
 
 
 def feature_stats(dataset):

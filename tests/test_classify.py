@@ -718,28 +718,98 @@ class TestSplitSearchEquivalence:
 class TestAdmissibleSplits:
     """The split search scores only boundaries between two distinct values."""
 
-    def test_entropies_only_at_value_changes(self, monkeypatch):
-        searches = []  # per split search: (value changes, rows of each entropy call)
-        search, entropies = classify._best_split, classify._entropies_by_row
+    @staticmethod
+    def _spy_levels(monkeypatch):
+        """Record, per level, each entropy call's (rows, C-contiguous, class columns)."""
+        levels = []
+        splits, entropies = classify._level_splits, classify._entropies_by_row
 
-        def spied_search(xs, one_hot):
-            searches.append((int(np.count_nonzero(xs[:, :-1] < xs[:, 1:])), []))
-            return search(xs, one_hot)
+        def spied_splits(*args):
+            levels.append([])
+            return splits(*args)
 
         def spied_entropies(counts, totals):
-            searches[-1][1].append(len(counts))
+            assert counts.shape == (len(totals), counts.shape[-1])
+            levels[-1].append((len(counts), counts.flags.c_contiguous, counts.shape[-1]))
             return entropies(counts, totals)
 
-        monkeypatch.setattr(classify, "_best_split", spied_search)
+        monkeypatch.setattr(classify, "_level_splits", spied_splits)
         monkeypatch.setattr(classify, "_entropies_by_row", spied_entropies)
+        return levels
+
+    @staticmethod
+    def _searched_boundaries(tree, X, labels, min_size):
+        """Per depth, the boundaries of the nodes the tree searched: two
+        consecutive distinct values of one feature inside one impure node of
+        at least ``min_size`` rows."""
+        per_depth = {}
+        stack = [(tree.root, np.arange(len(X)), 0)]
+        while stack:
+            node, rows, depth = stack.pop()
+            if len(set(labels[i] for i in rows)) > 1 and len(rows) >= min_size:
+                boundaries = sum(len(np.unique(X[rows, f])) - 1 for f in range(X.shape[1]))
+                per_depth.setdefault(depth, []).append(boundaries)
+            if not node.is_leaf:
+                left = X[rows, node.feature] <= node.threshold
+                stack += [(node.left, rows[left], depth + 1), (node.right, rows[~left], depth + 1)]
+        return [per_depth[d] for d in range(len(per_depth))]
+
+    def test_entropies_only_at_value_changes(self, monkeypatch):
+        levels = self._spy_levels(monkeypatch)
         rng = np.random.default_rng(3)
         X = rng.integers(0, 4, size=(120, 3)).astype(float)
         X[:, 2] = 1.0
-        c45_train(make_dataset(X, rng.integers(1, 4, size=120).tolist()), min_size=1)
-        assert searches[0][0] == 6  # values 0..3 on two features, one constant feature
-        assert any(changes == 0 for changes, _ in searches)
-        for changes, rows in searches:
-            assert set(rows) == ({changes} if changes else set())
+        labels = rng.integers(1, 4, size=120).tolist()
+        tree = c45_train(make_dataset(X, labels), min_size=1)
+        searched = self._searched_boundaries(tree, X, labels, 1)
+        assert searched[0] == [6]  # values 0..3 on two features, one constant feature
+        assert any(0 in level for level in searched)
+        assert len(levels) == len(searched)
+        for calls, nodes in zip(levels, searched):
+            # one left and one right call per set of present classes
+            assert [rows for rows, _, _ in calls[::2]] == [rows for rows, _, _ in calls[1::2]]
+            assert sum(rows for rows, _, _ in calls[::2]) == sum(nodes)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_entropy_inputs_are_c_contiguous(self, monkeypatch, seed):
+        # nine classes: most deep nodes miss some, so their columns are selected
+        levels = self._spy_levels(monkeypatch)
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 6, size=(900, 8)) / 2
+        c45_train(make_dataset(X, rng.integers(1, 10, size=900).tolist()), min_size=1)
+        calls = [call for level in levels for call in level]
+        assert all(contiguous for _, contiguous, _ in calls)
+        assert {width for _, _, width in calls} > {9}
+
+    def test_signed_zeros_share_a_bin(self):
+        # -0.0 and 0.0 are one value: no boundary falls between them
+        X = [[0.0], [-0.0], [1.0], [-0.0], [0.0], [-1.0]]
+        y = [RED, BLUE, RED, RED, BLUE, BLUE]
+        tree = c45_train(make_dataset(X, y), min_size=1)
+        assert candidate_thresholds([x for x, in X]) == [-0.5, 0.5]
+        assert {tree.root.threshold, tree.root.right.threshold} <= {-0.5, 0.5}
+        _assert_same_tree(tree, reference_c45_train(make_dataset(X, y), min_size=1))
+
+    def test_midpoint_rounded_onto_the_upper_value_with_rows_above(self):
+        # both root boundaries make the same partition; the first, between
+        # lo and hi, wins the tie and its midpoint rounds onto hi, so the rows
+        # at hi go left with those at lo while the row at 2.0 goes right. In
+        # the left child that boundary sends every row left: it is a leaf
+        lo, hi = 1.0 + 2.0**-52, 1.0 + 2.0**-51
+        train = make_dataset([lo, hi, hi, 2.0, lo], [RED, BLUE, RED, BLUE, RED])
+        tree = c45_train(train, min_size=1)
+        assert (tree.root.feature, tree.root.threshold) == (0, hi)
+        assert tree.root.left.counts == {RED: 3, BLUE: 1}
+        assert tree.root.right.counts == {BLUE: 1}
+
+    def test_leaf_counts_in_order_of_first_appearance(self):
+        # the root splits at 0.5; each leaf lists its classes as its rows
+        # (ascending) first show them, not in class order
+        X = [[0.0], [1.0], [0.0], [1.0], [0.0], [1.0]]
+        y = [BLUE, RED, RED, BLUE, BLUE, BLUE]
+        tree = c45_train(make_dataset(X, y), min_size=5)
+        assert list(tree.root.left.counts.items()) == [(BLUE, 2), (RED, 1)]
+        assert list(tree.root.right.counts.items()) == [(RED, 1), (BLUE, 2)]
 
     def test_impure_node_with_constant_features_is_a_leaf(self):
         # the root splits off row 0; its right child has mixed labels and

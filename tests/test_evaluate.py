@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 import sensewalk
 from sensewalk import adjacency, evaluate, features, tourist
 from sensewalk.attgraph import GraphConfig, build_training_graph
-from sensewalk.classify import HighLevelConfig, knn_predict
+from sensewalk.classify import HighLevelConfig, MembershipVector, knn_predict
 from sensewalk.corpus import PositionMismatch
 from sensewalk.evaluate import (
     LAMBDA_GRID,
@@ -599,6 +599,67 @@ def test_row_linked_into_no_class_keeps_its_low_level_label():
     assert lost.index == len(ds)
     for low in lost.lows.values():
         assert {evaluate.hybrid_predict(low, None, lam)[1] for lam in LAMBDA_GRID} == {low.argmax()}
+
+
+def _oracle_accuracy(records, low_level, lam):
+    """The accuracy as one ``hybrid_predict`` call per record."""
+    correct = sum(1 for r in records
+                  if evaluate.hybrid_predict(r.lows[low_level], r.high, lam)[1] == r.true)
+    return correct / len(records)
+
+
+class TestAccuracies:
+    """The array pass over a sweep's records gives hybrid_predict's accuracies."""
+
+    @staticmethod
+    def _check(records, low_level, grid):
+        got = evaluate._accuracies(records, low_level, grid)
+        assert got == [_oracle_accuracy(records, low_level, lam) for lam in grid]
+        assert all(type(acc) is float for acc in got)
+
+    def test_ties_and_unlinked_records_on_three_classes(self):
+        M = MembershipVector
+        # one ulp apart: blending this vector with itself at 0.2 rounds both
+        # to one value, so an unlinked record must not be blended
+        a, b = 0.6369616873214543, 0.6369616873214544
+        records = [
+            evaluate._Record(0, 1, {"knn": M({1: 0.5, 2: 0.5, 3: 0.0})}, None),
+            evaluate._Record(1, 2, {"knn": M({1: 0.5, 2: 0.5, 3: 0.0})}, None),
+            # the blend ties exactly at 0.5, and the tie goes to class 1
+            evaluate._Record(2, 2, {"knn": M({1: 0.75, 2: 0.25, 3: 0.0})},
+                             M({1: 0.25, 2: 0.75, 3: 0.0})),
+            evaluate._Record(3, 3, {"knn": M({1: 0.25, 2: 0.25, 3: 0.5})},
+                             M({1: 0.5, 2: 0.0, 3: 0.5})),
+            evaluate._Record(4, 2, {"knn": M({1: a, 2: b, 3: 0.0})}, None),
+        ]
+        assert (1 - 0.2) * a + 0.2 * a == (1 - 0.2) * b + 0.2 * b
+        assert evaluate.hybrid_predict(records[2].lows["knn"], records[2].high, 0.5)[1] == 1
+        self._check(records, "knn", LAMBDA_GRID)
+        assert evaluate._accuracies(records, "knn", (0.0, 0.2, 0.5, 1.0)) == [0.6, 0.6, 0.6, 0.6]
+
+    def test_records_of_a_hybrid_run(self):
+        # a class-1 row far beyond both blobs links into no class
+        ds = blob_dataset(per_class=10, classes=(1, 2, 3), gap=2.0, spread=1.5, seed=4)
+        far = Dataset(ds.ids + [len(ds)], np.vstack([ds.X, [[200.0, 200.0]]]), ds.labels + [1],
+                      ds.feature_names)
+        config = PipelineConfig(high=HighLevelConfig(mu_critical=3))
+        names = ("knn", "bayes", "c45")
+        records = evaluate._fold_records(far, names, config, make_fold_plan(far.labels, 3))
+        assert any(r.high is None for r in records) and any(r.high for r in records)
+        for name in names:
+            self._check(records, name, LAMBDA_GRID)
+
+    def test_lambda_zero_plan_whose_fold_trains_without_a_class(self):
+        # the first fold trains on class 1 alone and tests both class-2 rows
+        ds = two_row_class_dataset()
+        plan = FoldPlan(((tuple(range(10)), (10, 11)), (tuple(range(2, 12)), (0, 1))), 0)
+        names = ("knn", "bayes", "c45")
+        records = evaluate._fold_records(ds, names, PipelineConfig(), plan, need_high=False)
+        assert [sorted(r.lows["knn"].scores) for r in records] == [[1], [1], [1, 2], [1, 2]]
+        reports = cv_sweep(ds, names, (0.0,), fold_plan=plan)
+        for name in names:
+            self._check(records, name, (0.0,))
+            assert reports[name].rows[0][1] == _oracle_accuracy(records, name, 0.0)
 
 
 class TestWalkCurves:

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sensewalk.adjacency import build_network
+from sensewalk.adjacency import build_network, node_topology
 from sensewalk.corpus import SenseAnnotation
+from sensewalk.evaluate import make_synthetic_corpus
 from sensewalk.features import (
     Dataset,
     MissingNode,
@@ -117,6 +118,32 @@ class TestTopologicalFeatures:
         net = build_network({"d": ["a", "b"]}, [])
         with pytest.raises(MissingNode):
             topological_features(net, [SenseAnnotation("d", 0, "a", 1)])
+
+    def test_missing_node_raises_before_the_topology_is_computed(self):
+        streams = {"d": ["u", "bank", "w"], "e": ["bank", "x"]}
+        anns = [SenseAnnotation("d", 1, "bank", 1), SenseAnnotation("e", 1, "x", 2)]
+        net = build_network(streams, anns[:1])
+        with pytest.raises(MissingNode, match=r"no occurrence node for \(e, 1\)"):
+            topological_features(net, anns)
+        assert net._topology is None
+
+    def test_rows_are_the_node_topology_vectors_bit_for_bit(self):
+        documents, annotations = make_synthetic_corpus(n_per_sense=30, n_docs=3, seed=5,
+                                                       noise=0.35)
+        streams = {doc_id: doc.content_lemmas() for doc_id, doc in documents.items()}
+        net = build_network(streams, annotations)
+        ds = topological_features(net, annotations[::-1])
+        want = np.array([node_topology(net, net.node_for(a.document_id, a.position)).as_vector()
+                         for a in annotations[::-1]])
+        assert ds.X.flags.c_contiguous and ds.X.dtype == np.float64
+        assert ds.X.tobytes() == want.tobytes()
+        assert ds.ids == [(a.document_id, a.position) for a in annotations[::-1]]
+        assert ds.labels == [a.sense_id for a in annotations[::-1]]
+
+    def test_no_annotations_give_an_empty_dataset(self):
+        net = build_network({"d": ["a", "b"]}, [])
+        ds = topological_features(net, [])
+        assert ds.X.shape == (0, 8) and ds.ids == [] and net._topology is None
 
 
 class TestStandardize:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import as_int, sorted_values, test_vectors
+from .features import as_int, as_real, sorted_values, test_vectors
 
 
 class ClassTooSmall(ValueError):
@@ -55,12 +55,10 @@ class GraphConfig:
     fallback_factor: float = 3.0
 
     def __post_init__(self):
-        if self.epsilon is not None and not self.epsilon > 0:  # NaN too
-            raise ValueError("epsilon must be > 0")
-        if as_int(self.kappa, "kappa") < 1:
-            raise ValueError("kappa must be >= 1")
-        if not self.fallback_factor > 0:
-            raise ValueError("fallback_factor must be > 0")
+        if self.epsilon is not None:
+            as_real(self.epsilon, "epsilon", 0)
+        as_int(self.kappa, "kappa", 1)
+        as_real(self.fallback_factor, "fallback_factor", 0)
 
 
 @dataclass(frozen=True)

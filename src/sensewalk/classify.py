@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attgraph import _BLOCK_FLOATS, euclidean
-from .features import as_int, sorted_values, test_vectors
+from .features import as_int, as_real, sorted_values, test_vectors
 from .tourist import InsertionTrial, normalize
 
 log = logging.getLogger(__name__)
@@ -83,10 +83,8 @@ class HighLevelConfig:
     mu_critical: int = 10
 
     def __post_init__(self):
-        if not 0 <= self.alpha_t <= 1:
-            raise ValueError("alpha_t must lie in [0, 1]")
-        if as_int(self.mu_critical, "mu_critical") < 0:
-            raise ValueError("mu_critical must be >= 0")
+        as_real(self.alpha_t, "alpha_t", 0, 1)
+        as_int(self.mu_critical, "mu_critical", 0)
 
     @property
     def alpha_c(self):
@@ -110,8 +108,7 @@ def _knn_voter(train_dataset, k):
     """Check k and the training set once, and put its rows in id order;
     returns the scorer of one checked test vector. Distance ties go to the
     row earlier in that order, the smaller id."""
-    if as_int(k, "k") < 1:
-        raise ValueError(f"k must be >= 1, got {k!r}")
+    as_int(k, "k", 1)
     classes = _training_classes(train_dataset)
     order = sorted_values(range(len(train_dataset)), "ids", key=train_dataset.ids.__getitem__)
     X = train_dataset.X[order]
@@ -415,6 +412,7 @@ def c45_train(train_dataset, min_size=2):
     arrays; a leaf's class counts keep their order of first appearance
     along its ascending rows.
     """
+    min_size = as_int(min_size, "min_size", 1)
     X = train_dataset.X
     n, n_features = X.shape
     classes = tuple(_training_classes(train_dataset))
@@ -555,8 +553,7 @@ def hybrid_predict(low, high, lam):
     Affine in ``lam``: at 0 the result is exactly the low-level vector,
     at 1 exactly the high-level one.
     """
-    if not 0 <= lam <= 1:
-        raise ValueError("lam must lie in [0, 1]")
+    as_real(lam, "lam", 0, 1)
     if high is None:
         membership = low
     else:
@@ -586,6 +583,7 @@ class LowLevelPredictor:
 
 def train_low_level(name, train_dataset, knn_k=1, min_size=2):
     """Uniform handle over the three low-level classifiers."""
+    as_int(min_size, "min_size", 1)
     d = train_dataset.X.shape[1]
     if name == "knn":
         vote = _knn_voter(train_dataset, knn_k)

@@ -43,6 +43,7 @@ from .features import (
     Dataset,
     Instance,
     as_int,
+    as_real,
     feature_stats,
     rows_by_label,
     semantic_features,
@@ -74,10 +75,8 @@ def make_fold_plan(labels, n_folds=10, seed=0):
     """Stratified folds: each class's shuffled indices are dealt round-robin,
     so per-class proportions match within one instance. Classes smaller
     than ``n_folds`` shrink the fold count to the smallest class size."""
-    if as_int(seed, "the fold seed") < 0:
-        raise ValueError(f"the fold seed must be >= 0, got {seed!r}")
-    if as_int(n_folds, "the fold count") < 2:
-        raise ValueError(f"cross-validation needs at least 2 folds, got {n_folds!r}")
+    as_int(seed, "the fold seed", 0)
+    n_folds = as_int(n_folds, "the fold count", 2)
     by_class = rows_by_label(labels)
     if sum(len(rows) for rows in by_class.values()) != len(labels):
         raise ValueError("cross-validation requires labeled instances")
@@ -109,8 +108,8 @@ class PipelineConfig:
     min_leaf: int = 2
 
     def __post_init__(self):
-        if as_int(self.knn_k, "knn_k") < 1:
-            raise ValueError(f"knn_k must be >= 1, got {self.knn_k!r}")
+        as_int(self.knn_k, "knn_k", 1)
+        as_int(self.min_leaf, "min_leaf", 1)
 
 
 def _check_choices(low_levels, lambdas):
@@ -131,8 +130,7 @@ def _check_lambdas(lambdas):
     if not lambdas:
         raise ValueError("the lambda grid is empty; give at least one lambda in [0, 1]")
     for k, lam in enumerate(lambdas):
-        if not 0 <= lam <= 1:
-            raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")
+        as_real(lam, "lambda", 0, 1)
         if lam in lambdas[:k]:
             raise ValueError(f"lambda {lam!r} is given twice; give each once")
 
@@ -367,11 +365,12 @@ def p_value(accuracy, n, class_counts, method="binomial", seed=0, samples=20000)
     the binomial unless the priors are equal, so its p-values are smaller.
     The n_j are p(j) n rounded by largest remainder, so they add up to n.
     """
-    if as_int(n, "n") < 0:
-        raise ValueError(f"n must be >= 0, got {n!r}")
+    as_real(accuracy, "accuracy", -np.inf, np.inf)
+    n = as_int(n, "n", 0)
     if not class_counts:
         raise ValueError("p_value needs the counts of at least one class")
-    priors = normalize(class_counts)
+    counts = {c: as_int(k, f"the count of class {c!r}", 0) for c, k in class_counts.items()}
+    priors = normalize(counts)
     q = sum(p ** 2 for p in priors.values())
     correct = int(round(accuracy * n))
     if method == "binomial":
@@ -383,14 +382,10 @@ def p_value(accuracy, n, class_counts, method="binomial", seed=0, samples=20000)
 
         return float(betainc(correct, n - correct + 1, q))
     if method == "montecarlo":
-        seed, samples = as_int(seed, "seed"), as_int(samples, "samples")
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed!r}")
-        if samples < 1:
-            raise ValueError(f"samples must be >= 1, got {samples!r}")
+        seed, samples = as_int(seed, "seed", 0), as_int(samples, "samples", 1)
         rng = np.random.default_rng(seed)
         hits = np.zeros(samples, dtype=int)
-        trials = _trial_counts(class_counts, n)
+        trials = _trial_counts(counts, n)
         for c, p in priors.items():
             hits += rng.binomial(trials[c], p, size=samples)
         return float((hits >= correct).mean())
@@ -559,7 +554,9 @@ def make_synthetic_corpus(word="crane", n_per_sense=110, n_docs=6, seed=7, noise
     vocabulary, blurring the contexts while leaving the structural
     contrast intact. Returns preprocessed documents and their annotations.
     """
-    rng = np.random.default_rng(seed)
+    n_per_sense, n_docs = as_int(n_per_sense, "n_per_sense", 1), as_int(n_docs, "n_docs", 1)
+    as_real(noise, "noise", 0, 1)
+    rng = np.random.default_rng(as_int(seed, "seed", 0))
 
     def blur(words, other_vocab):
         if noise <= 0:

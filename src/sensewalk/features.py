@@ -11,10 +11,14 @@ Every feature value and test-vector entry must lie within ±2^480
 (``FEATURE_BOUND``): :class:`Dataset` (so :func:`standardize` too) and
 :func:`test_vectors` refuse anything else, NaN and infinities included,
 so no later stage guards against overflow.
+
+Numeric parameters are checked where they enter, by :func:`as_int` and
+:func:`as_real`, with one ValueError form: "kappa must be >= 1, got 0".
 """
 
 import csv
 import itertools
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -55,13 +59,28 @@ def test_vectors(x, n_features, ndim=1):
     return x
 
 
-def as_int(value, name):
+def as_int(value, name, least=None):
     """``value`` as an int; a ValueError naming ``name`` when it is no
-    integer (numpy integers and bools are)."""
+    integer (numpy integers and bools are) or is below ``least``."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    return value
+
+
+def as_real(value, name, low, high=None):
+    """``value`` when it is a real number (numpy floats and bools are) above
+    ``low``, or in [low, high] when ``high`` is given; NaN is in no range."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if high is None and not value > low:
+        raise ValueError(f"{name} must be > {low}, got {value}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
+    return value
 
 
 class MissingNode(ValueError):
@@ -203,22 +222,10 @@ def window_lemmas(stream, position, window):
     after, while occurrences near a document edge draw the shortfall from
     the other side.
     """
-    if as_int(window, "the semantic window") < 1:
-        raise ValueError(f"the semantic window must be >= 1, got {window!r}")
-    chosen = []
-    left = position - 1
-    right = position + 1
-    n = len(stream)
-    while len(chosen) < window and (left >= 0 or right < n):
-        d_left = position - left if left >= 0 else None
-        d_right = right - position if right < n else None
-        if d_right is None or (d_left is not None and d_left <= d_right):
-            chosen.append(stream[left])
-            left -= 1
-        else:
-            chosen.append(stream[right])
-            right += 1
-    return chosen
+    window = as_int(window, "the semantic window", 1)
+    near = sorted(range(max(0, position - window), min(len(stream), position + window + 1)),
+                  key=lambda i: (abs(i - position), i > position))
+    return [stream[i] for i in near if i != position][:window]
 
 
 def semantic_vocabulary(token_streams, annotations, window):

@@ -163,8 +163,7 @@ def _period_end(t, c):
 
 def walk(graph, start, mu):
     """One tourist walk from vertex id ``start`` with memory length ``mu``."""
-    if as_int(mu, "mu") < 0:
-        raise ValueError("mu must be >= 0")
+    mu = as_int(mu, "mu", 0)
     k = bisect_left(graph.ids, start)
     if k == len(graph.ids) or graph.ids[k] != start:
         raise VertexNotInComponent(repr(start))
@@ -236,8 +235,7 @@ def walk_memo(graph, mu_max):
     A graph keeps one memo: the stored one when it covers mu_max, else a
     new one over 0..mu_max, built in one call, that replaces it whole.
     """
-    if mu_max < 0:
-        raise ValueError("mu_max must be >= 0")
+    mu_max = as_int(mu_max, "mu_max", 0)
     memo = graph._walks
     if memo is None or memo.mu_max < mu_max:
         memo = graph._walks = _build_memo(graph, mu_max)

@@ -389,8 +389,8 @@ def test_config_typo_is_a_usage_error(overlap_csv, tmp_path):
 @pytest.mark.parametrize("flags, message", [
     (["--knn-k", "0"], "knn_k must be >= 1, got 0"),
     (["--knn-k", "-2"], "knn_k must be >= 1, got -2"),
-    (["--folds", "0"], "cross-validation needs at least 2 folds, got 0"),
-    (["--folds", "1"], "cross-validation needs at least 2 folds, got 1"),
+    (["--folds", "0"], "the fold count must be >= 2, got 0"),
+    (["--folds", "1"], "the fold count must be >= 2, got 1"),
 ])
 def test_bad_knn_k_or_fold_count_is_one_line(overlap_csv, flags, message):
     done = run_module("evaluate", "--features", overlap_csv, "--lambda", "0", *flags)
@@ -411,8 +411,8 @@ def test_negative_seed_is_one_line(overlap_csv, corpus_dir, capsys, source):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--epsilon", "nan"], "epsilon must be > 0"),
-    (["--fallback-factor", "nan"], "fallback_factor must be > 0"),
+    (["--epsilon", "nan"], "epsilon must be > 0, got nan"),
+    (["--fallback-factor", "nan"], "fallback_factor must be > 0, got nan"),
 ])
 def test_nan_graph_setting_is_one_line(overlap_csv, flags, message):
     # a NaN epsilon links no test instance, so every high-level score
@@ -437,7 +437,7 @@ def test_negative_mu_max_is_one_line(overlap_csv, tmp_path):
     out = tmp_path / "curves.csv"
     done = run_module("walk-curves", "--features", overlap_csv, "--mu-max", "-1", "--out", out)
     assert done.returncode == 1 and done.stdout == ""
-    assert done.stderr == "sensewalk: error: mu_max must be >= 0\n"
+    assert done.stderr == "sensewalk: error: mu_max must be >= 0, got -1\n"
     assert not out.exists()
 
 

@@ -1,7 +1,10 @@
 import csv
 import dataclasses
+import math
+import re
 import subprocess
 import sys
+import typing
 import weakref
 from pathlib import Path
 
@@ -12,7 +15,14 @@ from hypothesis import given, strategies as st
 import sensewalk
 from sensewalk import adjacency, evaluate, features, tourist
 from sensewalk.attgraph import GraphConfig, build_training_graph
-from sensewalk.classify import HighLevelConfig, MembershipVector, knn_predict
+from sensewalk.classify import (
+    HighLevelConfig,
+    MembershipVector,
+    c45_train,
+    hybrid_predict,
+    knn_predict,
+    train_low_level,
+)
 from sensewalk.corpus import PositionMismatch
 from sensewalk.evaluate import (
     LAMBDA_GRID,
@@ -103,7 +113,7 @@ class TestFoldPlan:
 
     @pytest.mark.parametrize("n_folds", [1, 0, -3])
     def test_fewer_than_two_folds_rejected(self, n_folds):
-        with pytest.raises(ValueError, match=f"at least 2 folds, got {n_folds}$"):
+        with pytest.raises(ValueError, match=f"^the fold count must be >= 2, got {n_folds}$"):
             make_fold_plan([1, 1, 2, 2], n_folds)
 
 
@@ -123,39 +133,119 @@ class TestFoldPlan:
 
 
 def _integer_parameter_calls():
-    """(name, call(value)) for each integer parameter checked at entry."""
+    """(name, least, call(value)) for each integer parameter checked at entry;
+    ``least`` is None for ``component_stats``, whose bound ``walk_memo`` names."""
     ds = blob_dataset(per_class=4)
     graph = build_training_graph(ds, GraphConfig(kappa=1))[0]
     return [
-        ("mu_critical", lambda v: cv_sweep(ds, ["knn"], [0.5],
-                                           PipelineConfig(high=HighLevelConfig(mu_critical=v)))),
-        ("kappa", lambda v: GraphConfig(kappa=v)),
-        ("k", lambda v: knn_predict(ds, ds.X[0], k=v)),
-        ("knn_k", lambda v: PipelineConfig(knn_k=v)),
-        ("the fold count", lambda v: make_fold_plan(ds.labels, v)),
-        ("the fold seed", lambda v: make_fold_plan(ds.labels, 2, v)),
-        ("mu", lambda v: tourist.walk(graph, graph.ids[0], v)),
-        ("mu_critical", lambda v: tourist.component_stats(graph, v)),
-        ("the semantic window", lambda v: window_lemmas(["a", "b", "c", "d", "e", "f"], 4, v)),
-        ("n", lambda v: p_value(0.5, v, {1: 1, 2: 1})),
-        ("seed", lambda v: p_value(0.5, 4, {1: 1, 2: 1}, method="montecarlo", seed=v)),
-        ("samples", lambda v: p_value(0.5, 4, {1: 1, 2: 1}, method="montecarlo", samples=v)),
+        ("mu_critical", 0, lambda v: cv_sweep(ds, ["knn"], [0.5],
+                                              PipelineConfig(high=HighLevelConfig(mu_critical=v)))),
+        ("kappa", 1, lambda v: GraphConfig(kappa=v)),
+        ("k", 1, lambda v: knn_predict(ds, ds.X[0], k=v)),
+        ("knn_k", 1, lambda v: PipelineConfig(knn_k=v)),
+        ("the fold count", 2, lambda v: make_fold_plan(ds.labels, v)),
+        ("the fold seed", 0, lambda v: make_fold_plan(ds.labels, 2, v)),
+        ("mu", 0, lambda v: tourist.walk(graph, graph.ids[0], v)),
+        ("mu_critical", None, lambda v: tourist.component_stats(graph, v)),
+        ("the semantic window", 1,
+         lambda v: window_lemmas(["a", "b", "c", "d", "e", "f"], 4, v)),
+        ("n", 0, lambda v: p_value(0.5, v, {1: 1, 2: 1})),
+        ("seed", 0, lambda v: p_value(0.5, 4, {1: 1, 2: 1}, method="montecarlo", seed=v)),
+        ("samples", 1, lambda v: p_value(0.5, 4, {1: 1, 2: 1}, method="montecarlo", samples=v)),
+        ("min_leaf", 1, lambda v: PipelineConfig(min_leaf=v)),
+        ("min_size", 1, lambda v: c45_train(ds, min_size=v)),
+        ("min_size", 1, lambda v: train_low_level("knn", ds, min_size=v)),
+        ("mu_max", 0, lambda v: tourist.walk_memo(graph, v)),
     ]
 
 
-@pytest.mark.parametrize("at", range(12), ids=["HighLevelConfig", "GraphConfig", "knn_predict",
-                                               "PipelineConfig", "n_folds", "seed", "walk",
-                                               "component_stats", "window_lemmas", "p_value",
-                                               "p_value_seed", "p_value_samples"])
+_INTEGER_CALL_IDS = ["HighLevelConfig", "GraphConfig", "knn_predict", "PipelineConfig", "n_folds",
+                     "seed", "walk", "component_stats", "window_lemmas", "p_value", "p_value_seed",
+                     "p_value_samples", "min_leaf", "c45_train", "train_low_level", "walk_memo"]
+
+
+@pytest.mark.parametrize("at", range(len(_INTEGER_CALL_IDS)), ids=_INTEGER_CALL_IDS)
 def test_integer_parameters_refuse_a_float_by_name(at):
     # each float used to fail deep in numpy or range() with a TypeError, and
     # window_lemmas(stream, 4, 2.5) returned 3 lemmas
-    name, call = _integer_parameter_calls()[at]
+    name, _, call = _integer_parameter_calls()[at]
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
         call(2.5)
     call(np.int64(2))  # numpy integers and bools are integers
     if name != "the fold count":  # True is 1, too few folds
         call(True)
+
+
+_BOUNDED = [at for at, (_, least, _) in enumerate(_integer_parameter_calls()) if least is not None]
+
+
+@pytest.mark.parametrize("at", _BOUNDED, ids=[_INTEGER_CALL_IDS[at] for at in _BOUNDED])
+def test_integer_parameters_refuse_a_value_below_their_least(at):
+    name, least, call = _integer_parameter_calls()[at]
+    with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {least - 1}$"):
+        call(np.int64(least - 1))
+    call(least)
+
+
+def _real_parameter_calls():
+    """(name, call(value)) for each real parameter checked at entry."""
+    ds = blob_dataset(per_class=4)
+    config = PipelineConfig(high=HighLevelConfig(mu_critical=2))
+    docs, annotations = make_synthetic_corpus(n_per_sense=6, n_docs=2)
+    streams = {doc_id: d.content_lemmas() for doc_id, d in docs.items()}
+    even = MembershipVector({1: 0.5, 2: 0.5})
+    return [
+        ("epsilon", lambda v: GraphConfig(epsilon=v)),
+        ("fallback_factor", lambda v: GraphConfig(fallback_factor=v)),
+        ("alpha_t", lambda v: HighLevelConfig(alpha_t=v)),
+        ("lambda", lambda v: cv_sweep(ds, ("knn",), (v,), config)),
+        ("lambda", lambda v: run_word_experiments(streams, annotations, low_levels=("knn",),
+                                                  lambda_grid=(v,), config=config, n_folds=2)),
+        ("lambda", lambda v: toy_experiment(lambda_grid=(v,), mu_critical=2)),
+        ("lam", lambda v: hybrid_predict(even, even, v)),
+        ("noise", lambda v: make_synthetic_corpus(n_per_sense=2, n_docs=1, noise=v)),
+    ]
+
+
+_REAL_CALL_IDS = ["epsilon", "fallback_factor", "alpha_t", "cv_sweep", "run_word_experiments",
+                  "toy_experiment", "hybrid_predict", "make_synthetic_corpus"]
+
+
+@pytest.mark.parametrize("at", range(len(_REAL_CALL_IDS)), ids=_REAL_CALL_IDS)
+def test_real_parameters_refuse_a_string_none_or_nan_by_name(at):
+    # a string or None used to fail with a bare TypeError from a comparison
+    name, call = _real_parameter_calls()[at]
+    for bad, message in (("0.5", "a real number, got '0.5'"), (None, "a real number, got None"),
+                         (math.nan, "(> 0|lie in \\[0, 1\\]), got nan")):
+        if bad is None and name == "epsilon":
+            call(bad)  # None asks for the median same-class distance
+            continue
+        with pytest.raises(ValueError, match=f"^{name} must (be )?{message}$"):
+            call(bad)
+    call(np.float64(0.5))  # numpy floats are real numbers
+
+
+@pytest.mark.parametrize("config", [GraphConfig, HighLevelConfig, PipelineConfig])
+def test_every_numeric_config_field_refuses_a_string(config):
+    # PipelineConfig(min_leaf="2") used to fail inside a fold, maybe in a worker
+    numeric = [f.name for f in dataclasses.fields(config)
+               if {int, float} & set(typing.get_args(f.type) or (f.type,))]
+    assert numeric
+    for name in numeric:
+        with pytest.raises(ValueError, match=f"^{name} must be an? (integer|real number), got '2'$"):
+            config(**{name: "2"})
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_docs": 0}, "n_docs must be >= 1, got 0"),  # ZeroDivisionError
+    ({"n_docs": 2.5}, "n_docs must be an integer, got 2.5"),  # TypeError
+    ({"seed": -1}, "seed must be >= 0, got -1"),  # numpy's "expected non-negative integer"
+    ({"n_per_sense": -1}, "n_per_sense must be >= 1, got -1"),  # empty documents
+    ({"noise": 1.5}, "noise must lie in [0, 1], got 1.5"),
+])
+def test_synthetic_corpus_refuses_bad_arguments_by_name(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_synthetic_corpus(**{"n_per_sense": 2, **kwargs})
 
 
 def reference_make_fold_plan(labels, n_folds=10, seed=0):
@@ -257,6 +347,31 @@ class TestPValue:
         with pytest.raises(ValueError, match=f"^{message}$"):
             p_value(0.5, 10, {1: 5, 2: 5}, method="montecarlo", **kwargs)
         p_value(0.5, 10, {1: 5, 2: 5}, **kwargs)  # the binomial tail draws nothing
+
+    @pytest.mark.parametrize("method", ["binomial", "montecarlo"])
+    @pytest.mark.parametrize("counts, message", [
+        ({1: -5, 2: 5}, "the count of class 1 must be >= 0, got -5"),
+        ({1: 5, "b": 2.5}, "the count of class 'b' must be an integer, got 2.5"),
+    ])
+    def test_negative_or_fractional_class_count_refused(self, method, counts, message):
+        # {1: -5, 2: 5} gave 0.623 by the binomial tail, and Monte Carlo
+        # failed in numpy with "p < 0, p > 1 or p is NaN"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            p_value(0.5, 10, counts, method=method)
+
+    @pytest.mark.parametrize("accuracy, message", [
+        ("0.5", "a real number, got '0.5'"), (None, "a real number, got None"),
+        (math.nan, "lie in [-inf, inf], got nan"),
+    ])
+    def test_accuracy_that_is_no_number_refused(self, accuracy, message):
+        # a string was a bare TypeError, NaN "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match=f"^accuracy must (be )?{re.escape(message)}$"):
+            p_value(accuracy, 10, {1: 5, 2: 5})
+
+    def test_all_zero_counts_give_uniform_priors(self):
+        for method in ("binomial", "montecarlo"):
+            assert (p_value(0.7, 10, {1: 0, 2: 0}, method=method)
+                    == p_value(0.7, 10, {1: 5, 2: 5}, method=method))
 
     @pytest.mark.parametrize("method", ["binomial", "montecarlo"])
     def test_no_classes_or_negative_n_refused(self, method):

@@ -1,3 +1,4 @@
+import re
 import warnings
 from collections import Counter
 
@@ -11,6 +12,8 @@ from sensewalk.evaluate import make_synthetic_corpus
 from sensewalk.features import (
     Dataset,
     MissingNode,
+    as_int,
+    as_real,
     feature_stats,
     semantic_features,
     semantic_vocabulary,
@@ -18,6 +21,38 @@ from sensewalk.features import (
     topological_features,
     window_lemmas,
 )
+
+
+class TestNumericParameters:
+    def test_as_int_returns_a_python_int_at_or_above_least(self):
+        assert as_int(np.int64(3), "k", 3) == 3 and type(as_int(np.int64(3), "k", 3)) is int
+        assert as_int(True, "k", 1) == 1
+        assert as_int(-7, "k") == -7  # no bound without least
+        with pytest.raises(ValueError, match="^k must be >= 3, got 2$"):
+            as_int(np.int64(2), "k", 3)
+
+    @pytest.mark.parametrize("value", [0.5, 1, True, np.float32(0.25), np.float64(1.0)])
+    def test_as_real_returns_a_real_in_range_itself(self, value):
+        assert as_real(value, "x", 0, 1) is value
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, "x", 0), "x must be > 0, got 0"),
+        ((-1e-300, "x", 0), "x must be > 0, got -1e-300"),
+        ((float("nan"), "x", 0), "x must be > 0, got nan"),
+        ((1.5, "x", 0, 1), "x must lie in [0, 1], got 1.5"),
+        ((np.float64(-0.5), "x", 0, 1), "x must lie in [0, 1], got -0.5"),
+        ((np.nan, "x", 0, 1), "x must lie in [0, 1], got nan"),
+        (("0.5", "x", 0, 1), "x must be a real number, got '0.5'"),
+        ((None, "x", 0), "x must be a real number, got None"),
+        ((1j, "x", 0), "x must be a real number, got 1j"),
+    ])
+    def test_as_real_refuses_by_name(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            as_real(*args)
+
+    def test_as_real_bounds_are_inclusive_only_when_high_is_given(self):
+        assert as_real(0, "x", 0, 1) == 0 and as_real(1, "x", 0, 1) == 1
+        assert as_real(float("inf"), "x", 0) == float("inf")
 
 
 class TestWindow:
@@ -42,6 +77,37 @@ class TestWindow:
     def test_window_larger_than_document(self):
         stream = ["a", "t", "b"]
         assert sorted(window_lemmas(stream, 1, 50)) == ["a", "b"]
+
+    @staticmethod
+    def two_pointer_window(stream, position, window):
+        """``window_lemmas`` as it walked two pointers outward, one lemma a step."""
+        chosen = []
+        left = position - 1
+        right = position + 1
+        n = len(stream)
+        while len(chosen) < window and (left >= 0 or right < n):
+            d_left = position - left if left >= 0 else None
+            d_right = right - position if right < n else None
+            if d_right is None or (d_left is not None and d_left <= d_right):
+                chosen.append(stream[left])
+                left -= 1
+            else:
+                chosen.append(stream[right])
+                right += 1
+        return chosen
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sorted_window_matches_the_two_pointer_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            n = int(rng.integers(1, 90))
+            stream = [f"w{i}" for i in range(n)]
+            edges = {0, 1, 2, n // 2, n - 3, n - 2, n - 1, int(rng.integers(n))}
+            for position in sorted(p for p in edges if 0 <= p < n):
+                for window in range(1, 61):
+                    assert (window_lemmas(stream, position, window)
+                            == self.two_pointer_window(stream, position, window)), \
+                        (n, position, window)
 
 
 class TestSemanticFeatures:

@@ -25,6 +25,7 @@ The table is memoized on the network (compute, then assign: concurrent
 first calls compute equal tables), and later calls look up one row.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -209,18 +210,18 @@ def _block_topology(adjacency, first):
 def _topology_table(adjacency, pool=None):
     """The eight measurements of every node, one row per node.
 
-    ``_block_topology`` runs once per block of sources: in this process,
-    or on ``pool`` (an ``evaluate`` run pool) in one contiguous chunk of
-    blocks per worker. Either way the dependencies are added in block
-    order, so the table has the same bits.
+    ``_block_topology`` is mapped over the blocks of sources: in this
+    process, or on ``pool`` (an ``evaluate`` run pool, which sends the
+    function by name) in one contiguous chunk of blocks per worker. Either
+    way the dependencies are added in block order, so the table has the same bits.
     """
     n = adjacency.shape[0]
     firsts = range(0, n, _SOURCE_BLOCK)
     tasks = [(adjacency, first) for first in firsts]
     if pool is None:
-        blocks = map(_block_task, tasks)
+        blocks = itertools.starmap(_block_topology, tasks)
     else:
-        blocks = pool.imap(_block_task, tasks, -(-len(tasks) // pool.workers) or 1)
+        blocks = pool.map(_block_topology, tasks, -(-len(tasks) // pool.workers) or 1)
     neighbor_degrees = _neighbor_degree_stats(adjacency)  # while the workers run the blocks
     table = np.zeros((n, len(NodeTopology.FIELD_NAMES)))
     betweenness = np.zeros(n)
@@ -231,11 +232,6 @@ def _topology_table(adjacency, pool=None):
     # each unordered pair was counted from both endpoints
     table[:, 7] = betweenness / 2.0
     return table
-
-
-def _block_task(task):
-    """``_block_topology`` on one block's arguments, as a pool sends it."""
-    return _block_topology(*task)
 
 
 def _topology(network, pool=None):

@@ -17,6 +17,7 @@ ill-typed or missing value); 1 on bad input, reported as one
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -178,11 +179,12 @@ def cmd_evaluate(args):
                       one_word="--dump-model and --dump-graphs fit" if dump else None)
     reports = []
     for (report,), dataset in scored:
-        reports.append(report)
         row_lam, acc, p = report.rows[0]
         if args.p_method == "montecarlo":
             p = ev.p_value(acc, len(dataset), dataset.class_counts,
                            method="montecarlo", seed=args.seed)
+            report = dataclasses.replace(report, rows=((row_lam, acc, p),))
+        reports.append(report)
         print(f"{report.word}\t{report.low_level}\tlambda={row_lam:.2f}\t"
               f"accuracy={acc:.4f}\tp={p:.3g}")
     if args.report:

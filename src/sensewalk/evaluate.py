@@ -20,6 +20,7 @@ one process, pin it to one CPU (``taskset -c 0 ...``).
 """
 
 import csv
+import itertools
 import json
 import logging
 import os
@@ -209,13 +210,7 @@ def _fold_records(dataset, low_levels, config, fold_plan, need_high=True, pool=N
             return _fold_records(dataset, low_levels, config, fold_plan, need_high, pool)
     tasks = [(dataset, low_levels, config, train_idx, test_idx, need_high)
              for train_idx, test_idx in fold_plan.folds]
-    return [record for part in pool.imap(_score_task, tasks) for record in part]
-
-
-def _score_task(task):
-    """``_score_fold`` on one fold's arguments; the pool sends this function,
-    which finds ``_score_fold`` in the worker's copy of this module."""
-    return _score_fold(*task)
+    return [record for part in pool.map(_score_fold, tasks) for record in part]
 
 
 def _fold_workers(n_folds):
@@ -237,39 +232,38 @@ def _fold_workers(n_folds):
 
 
 class _RunPool:
-    """The worker pool of a run whose words have up to ``n_folds`` folds:
-    ``_fold_workers(n_folds)`` ``fork`` processes, started by the first
-    task, so the workers inherit every module the run has loaded by then
-    (``scipy.sparse`` for the topology pass). At one worker it maps in this
-    process and starts nothing. Leaving it as a context manager closes and
-    joins the pool, or terminates it if the block raised: no worker
-    outlives the run."""
+    """The worker pool of a run whose words have up to ``n_folds`` folds: a
+    ``ProcessPoolExecutor`` of ``_fold_workers(n_folds)`` ``fork``
+    processes, forked at the first task, so they inherit every module the
+    run has loaded by then (``scipy.sparse`` for the topology pass); at one
+    worker there is none, and tasks run in this process. A dead worker fails
+    the run with ``BrokenProcessPool``. Leaving the ``with`` block shuts the
+    executor down, cancelling the tasks not yet queued for a worker if it
+    raised, and waits for the workers: no worker outlives the run."""
 
     def __init__(self, n_folds):
         self.workers = _fold_workers(n_folds)
-        self._pool = None
-
-    def imap(self, func, tasks, chunksize=1):
-        """``func`` over ``tasks`` in chunks of ``chunksize``, results in task
-        order; the first task in that order that raises, raises."""
-        if self.workers == 1:
-            return map(func, tasks)
-        if self._pool is None:
+        self._executor = None
+        if self.workers > 1:
             import multiprocessing  # here: `import sensewalk` stays free of it
+            from concurrent.futures import ProcessPoolExecutor
 
-            self._pool = multiprocessing.get_context("fork").Pool(self.workers)
-        return self._pool.imap(func, tasks, chunksize)
+            self._executor = ProcessPoolExecutor(
+                self.workers, mp_context=multiprocessing.get_context("fork"))
+
+    def map(self, func, tasks, chunksize=1):
+        """``func(*task)`` for each of ``tasks``, in chunks of ``chunksize``; the
+        results in task order, and the first task in that order that raises, raises."""
+        if self._executor is None:
+            return itertools.starmap(func, tasks)
+        return self._executor.map(func, *zip(*tasks), chunksize=chunksize)
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, traceback):
-        if self._pool is not None:
-            if exc_type is None:
-                self._pool.close()
-            else:
-                self._pool.terminate()
-            self._pool.join()
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=exc_type is not None)
 
 
 def _fold_datasets(dataset, train_idx, test_idx):
@@ -365,7 +359,9 @@ def p_value(accuracy, n, class_counts, method="binomial", seed=0, samples=20000)
     the binomial unless the priors are equal, so its p-values are smaller.
     The n_j are p(j) n rounded by largest remainder, so they add up to n.
     """
-    as_real(accuracy, "accuracy", -np.inf, np.inf)
+    # abs, not np.isfinite, which refuses an int too large for a float
+    if abs(as_real(accuracy, "accuracy", -np.inf, np.inf)) == np.inf:
+        raise ValueError(f"accuracy must be finite, got {accuracy}")
     n = as_int(n, "n", 0)
     if not class_counts:
         raise ValueError("p_value needs the counts of at least one class")
@@ -504,6 +500,7 @@ def walk_curve_rows(class_graphs, mu_max):
     The onset is the smallest mu from which both curves stop changing up
     to ``mu_max``; a class still drifting at the cap reports the cap.
     """
+    mu_max = as_int(mu_max, "mu_max", 0)
     rows = []
     for graph in class_graphs:
         stats = component_stats(graph, mu_max)

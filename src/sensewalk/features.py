@@ -220,9 +220,11 @@ def window_lemmas(stream, position, window):
     Candidates are ordered by distance, preceding words first on ties, so
     an interior occurrence takes ceil(window/2) before and floor(window/2)
     after, while occurrences near a document edge draw the shortfall from
-    the other side.
+    the other side. A position outside the stream is refused.
     """
     window = as_int(window, "the semantic window", 1)
+    if not 0 <= as_int(position, "the position") < len(stream):
+        raise ValueError(f"position {position} outside the stream (length {len(stream)})")
     near = sorted(range(max(0, position - window), min(len(stream), position + window + 1)),
                   key=lambda i: (abs(i - position), i > position))
     return [stream[i] for i in near if i != position][:window]

@@ -245,9 +245,10 @@ def walk_memo(graph, mu_max):
 def component_stats(graph, mu_critical):
     """``{mu: (mean transient, mean cycle)}`` over walks from every vertex,
     for each mu in [0, mu_critical]."""
+    mu_critical = as_int(mu_critical, "mu_critical", 0)
     if graph.vertex_count == 0:
         raise ValueError("component is empty")
-    memo = walk_memo(graph, as_int(mu_critical, "mu_critical"))
+    memo = walk_memo(graph, mu_critical)
     return {mu: memo.means(mu) for mu in range(mu_critical + 1)}
 
 

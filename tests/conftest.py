@@ -1,6 +1,6 @@
 """Fixtures shared by the test modules."""
 
-import multiprocessing.pool
+import concurrent.futures
 
 import pytest
 
@@ -10,11 +10,11 @@ def pools(monkeypatch):
     """The list of pools started, one entry each."""
     started = []
 
-    class Counted(multiprocessing.pool.Pool):
+    class Counted(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             started.append(1)
             super().__init__(*args, **kwargs)
 
-    # ``get_context("fork").Pool(...)`` looks the class up here at every call
-    monkeypatch.setattr(multiprocessing.pool, "Pool", Counted)
+    # ``evaluate._RunPool`` imports the class from here at every start
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
     return started

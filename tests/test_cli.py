@@ -764,14 +764,18 @@ def test_duplicate_heavy_features_ask_for_epsilon(tmp_path):
     assert run_module("evaluate", "--features", path, "--epsilon", "0.5").returncode == 0
 
 
-def test_evaluate_montecarlo_p_on_features(overlap_csv, capsys):
+def test_evaluate_montecarlo_p_on_features(overlap_csv, tmp_path, capsys):
+    # the report CSV used to carry the binomial p-value beside the printed Monte Carlo one
+    report = tmp_path / "mc.csv"
     assert main(["evaluate", "--features", str(overlap_csv), "--lambda", "0.0", "--folds", "3",
-                 "--seed", "5", "--p-method", "montecarlo"]) == 0
+                 "--seed", "5", "--p-method", "montecarlo", "--report", str(report)]) == 0
     dataset = Dataset.from_csv(overlap_csv)
     plan = sensewalk.make_fold_plan(dataset.labels, 3, 5)
     acc = sensewalk.cv_sweep(dataset, ("knn",), (0.0,), fold_plan=plan)["knn"].accuracy_at(0.0)
     p = sensewalk.p_value(acc, len(dataset), dataset.class_counts, method="montecarlo", seed=5)
-    assert capsys.readouterr().out.rstrip("\n").endswith(f"accuracy={acc:.4f}\tp={p:.3g}")
+    assert f"accuracy={acc:.4f}\tp={p:.3g}\nreport -> {report}\n" in capsys.readouterr().out
+    [row] = csv.DictReader(report.read_text(encoding="utf-8").splitlines())
+    assert float(row["accuracy"]) == acc and float(row["p_value"]) == p
 
 
 @pytest.mark.parametrize("low_level", ["bayes", "knn"])

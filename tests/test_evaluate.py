@@ -133,8 +133,7 @@ class TestFoldPlan:
 
 
 def _integer_parameter_calls():
-    """(name, least, call(value)) for each integer parameter checked at entry;
-    ``least`` is None for ``component_stats``, whose bound ``walk_memo`` names."""
+    """(name, least, call(value)) for each integer parameter checked at entry."""
     ds = blob_dataset(per_class=4)
     graph = build_training_graph(ds, GraphConfig(kappa=1))[0]
     return [
@@ -146,7 +145,7 @@ def _integer_parameter_calls():
         ("the fold count", 2, lambda v: make_fold_plan(ds.labels, v)),
         ("the fold seed", 0, lambda v: make_fold_plan(ds.labels, 2, v)),
         ("mu", 0, lambda v: tourist.walk(graph, graph.ids[0], v)),
-        ("mu_critical", None, lambda v: tourist.component_stats(graph, v)),
+        ("mu_critical", 0, lambda v: tourist.component_stats(graph, v)),
         ("the semantic window", 1,
          lambda v: window_lemmas(["a", "b", "c", "d", "e", "f"], 4, v)),
         ("n", 0, lambda v: p_value(0.5, v, {1: 1, 2: 1})),
@@ -156,12 +155,14 @@ def _integer_parameter_calls():
         ("min_size", 1, lambda v: c45_train(ds, min_size=v)),
         ("min_size", 1, lambda v: train_low_level("knn", ds, min_size=v)),
         ("mu_max", 0, lambda v: tourist.walk_memo(graph, v)),
+        ("mu_max", 0, lambda v: walk_curve_rows([graph], v)),
     ]
 
 
 _INTEGER_CALL_IDS = ["HighLevelConfig", "GraphConfig", "knn_predict", "PipelineConfig", "n_folds",
                      "seed", "walk", "component_stats", "window_lemmas", "p_value", "p_value_seed",
-                     "p_value_samples", "min_leaf", "c45_train", "train_low_level", "walk_memo"]
+                     "p_value_samples", "min_leaf", "c45_train", "train_low_level", "walk_memo",
+                     "walk_curve_rows"]
 
 
 @pytest.mark.parametrize("at", range(len(_INTEGER_CALL_IDS)), ids=_INTEGER_CALL_IDS)
@@ -176,10 +177,7 @@ def test_integer_parameters_refuse_a_float_by_name(at):
         call(True)
 
 
-_BOUNDED = [at for at, (_, least, _) in enumerate(_integer_parameter_calls()) if least is not None]
-
-
-@pytest.mark.parametrize("at", _BOUNDED, ids=[_INTEGER_CALL_IDS[at] for at in _BOUNDED])
+@pytest.mark.parametrize("at", range(len(_INTEGER_CALL_IDS)), ids=_INTEGER_CALL_IDS)
 def test_integer_parameters_refuse_a_value_below_their_least(at):
     name, least, call = _integer_parameter_calls()[at]
     with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {least - 1}$"):
@@ -367,6 +365,19 @@ class TestPValue:
         # a string was a bare TypeError, NaN "cannot convert float NaN to integer"
         with pytest.raises(ValueError, match=f"^accuracy must (be )?{re.escape(message)}$"):
             p_value(accuracy, 10, {1: 5, 2: 5})
+
+    @pytest.mark.parametrize("method", ["binomial", "montecarlo"])
+    @pytest.mark.parametrize("accuracy, n", [(math.inf, 10), (-math.inf, 10), (math.inf, 0)])
+    def test_infinite_accuracy_refused(self, method, accuracy, n):
+        # +-inf raised OverflowError from int(round(accuracy * n)), and inf with
+        # n = 0 the unnamed "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match=f"^accuracy must be finite, got {accuracy}$"):
+            p_value(accuracy, n, {1: 5, 2: 5}, method=method)
+
+    @pytest.mark.parametrize("method", ["binomial", "montecarlo"])
+    def test_finite_accuracy_outside_0_1_keeps_its_tail(self, method):
+        assert p_value(1.2, 10, {1: 5, 2: 5}, method=method) == 0.0
+        assert p_value(-0.2, 10, {1: 5, 2: 5}, method=method) == 1.0
 
     def test_all_zero_counts_give_uniform_priors(self):
         for method in ("binomial", "montecarlo"):

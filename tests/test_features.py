@@ -78,6 +78,24 @@ class TestWindow:
         stream = ["a", "t", "b"]
         assert sorted(window_lemmas(stream, 1, 50)) == ["a", "b"]
 
+    @pytest.mark.parametrize("position", [9, 4, -1])
+    def test_position_outside_the_stream_refused(self, position):
+        # 9 gave [] (an all-zero row), 4 gave ["d", "c"] and -1 gave ["a", "b"]
+        streams = {"d": ["a", "b", "c", "d"]}
+        annotations = [SenseAnnotation("d", position, "x", 1)]
+        message = f"^position {position} outside the stream \\(length 4\\)$"
+        with pytest.raises(ValueError, match=message):
+            window_lemmas(streams["d"], position, 2)
+        with pytest.raises(ValueError, match=message):
+            semantic_features(streams, annotations, 2)
+        with pytest.raises(ValueError, match=message):
+            semantic_vocabulary(streams, annotations, 2)
+
+    def test_both_edges_of_the_stream_accepted(self):
+        stream = ["a", "b", "c", "d"]
+        assert window_lemmas(stream, 0, 2) == ["b", "c"]
+        assert window_lemmas(stream, 3, 2) == ["c", "b"]
+
     @staticmethod
     def two_pointer_window(stream, position, window):
         """``window_lemmas`` as it walked two pointers outward, one lemma a step."""

@@ -137,17 +137,27 @@ def test_two_word_corpus_agrees_bit_for_bit(workers):
     assert repr(runs[1]) == repr(runs[0]) and runs[1] == runs[0]
 
 
+# the pool pickles the function it maps, so the spies on the block kernel
+# are module-level functions that the forked workers find by name
+_block_topology = adjacency._block_topology
+PID_LOG = None  # where ``logged_block`` writes; set before the workers fork
+
+
+def logged_block(adjacency_matrix, first):
+    # a spy's list would stay in the worker, so each block writes its pid
+    with open(PID_LOG, "a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()}\n")
+    return _block_topology(adjacency_matrix, first)
+
+
+def broken_block(adjacency_matrix, first):
+    raise RuntimeError(f"block at source {first} failed")
+
+
 def test_a_run_scores_topology_and_every_fold_on_one_pool(workers, pools, monkeypatch,
                                                           tmp_path):
-    # a spy's list would stay in the worker, so each block writes its pid
     log = tmp_path / "pids"
-    block = adjacency._block_topology
-
-    def logged(adjacency_matrix, first):
-        with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return block(adjacency_matrix, first)
-
+    monkeypatch.setattr(sys.modules[__name__], "PID_LOG", log)
     tables = []
     table = adjacency._topology_table
 
@@ -155,7 +165,7 @@ def test_a_run_scores_topology_and_every_fold_on_one_pool(workers, pools, monkey
         tables.append(args)
         return table(*args)
 
-    monkeypatch.setattr(adjacency, "_block_topology", logged)
+    monkeypatch.setattr(adjacency, "_block_topology", logged_block)
     monkeypatch.setattr(adjacency, "_topology_table", counted)
     workers(2)
     pooled = two_word_run("topological")
@@ -173,10 +183,7 @@ def test_a_run_scores_topology_and_every_fold_on_one_pool(workers, pools, monkey
 
 
 def test_no_worker_outlives_a_run_whose_topology_raises(workers, pools, monkeypatch):
-    def broken(adjacency_matrix, first):
-        raise RuntimeError(f"block at source {first} failed")
-
-    monkeypatch.setattr(adjacency, "_block_topology", broken)
+    monkeypatch.setattr(adjacency, "_block_topology", broken_block)
     workers(2)
     with pytest.raises(RuntimeError, match="^block at source 0 failed$"):
         two_word_run("topological")
@@ -389,6 +396,45 @@ def test_fold_pool_forks_safely_with_blas_threads(blas_threads):
     assert done.returncode == 0, done.stderr
     assert done.stdout == "40 True\n"
 
+
+DEAD_WORKER_PROBE = """
+import multiprocessing, os, time
+from concurrent.futures.process import BrokenProcessPool
+import numpy as np
+from sensewalk import evaluate
+from sensewalk.features import Dataset
+
+rng = np.random.default_rng(4)
+X = np.vstack([rng.normal(0.0, 0.6, (10, 2)), rng.normal(8.0, 0.6, (10, 2))])
+dataset = Dataset(range(20), X, [1] * 10 + [2] * 10, ["x", "y"])
+plan = evaluate.make_fold_plan(dataset.labels, 4)
+score_fold = evaluate._score_fold
+
+def dies_on_fold_2(dataset, low_levels, config, train_idx, test_idx, need_high):
+    if test_idx == plan.folds[1][1]:
+        os._exit(1)  # the worker ends as the OOM killer would end it
+    return score_fold(dataset, low_levels, config, train_idx, test_idx, need_high)
+
+evaluate._fold_workers = lambda n_folds: 2
+evaluate._score_fold = dies_on_fold_2
+started = time.monotonic()
+try:
+    evaluate.cv_sweep(dataset, ("knn",), (0.0, 0.5), fold_plan=plan)
+except BrokenProcessPool as exc:
+    print(type(exc).__name__, time.monotonic() - started < 10)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:  # no child left, not even one to reap
+    print(multiprocessing.active_children())
+"""
+
+
+def test_a_dead_fold_worker_fails_the_sweep_instead_of_hanging_it():
+    src = str(Path(sensewalk.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", DEAD_WORKER_PROBE], capture_output=True,
+                          text=True, env={"PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "BrokenProcessPool True\n[]\n"
 
 def test_import_loads_no_multiprocessing():
     src = str(Path(sensewalk.__file__).resolve().parents[1])

@@ -174,7 +174,7 @@ class TestWalkAgainstOracle:
 class TestComponentStats:
     def test_negative_mu_rejected(self):
         comp = graph_from_edges({0: (0.0,)}, [])
-        with pytest.raises(ValueError, match="mu_max must be >= 0"):
+        with pytest.raises(ValueError, match="^mu_critical must be >= 0, got -1$"):
             component_stats(comp, -1)
 
     def test_single_vertex_component(self):

@@ -10,7 +10,7 @@ be processed in parallel with no shared state.
 """
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -155,9 +155,9 @@ def remove_stopwords(tokens, stopwords=None):
     position = 0
     for tok in tokens:
         if tok.surface in stopwords:
-            out.append(replace(tok, is_content=False, position=None))
+            out.append(Token(tok.surface, tok.lemma, tok.offset, None, False))
         else:
-            out.append(replace(tok, is_content=True, position=position))
+            out.append(Token(tok.surface, tok.lemma, tok.offset, position, True))
             position += 1
     return out
 
@@ -208,13 +208,18 @@ def lemmatize_word(word, table=None):
 
 
 def lemmatize(tokens, table=None):
-    """Set the lemma of every content token to its canonical form."""
+    """Set the lemma of every content token to its canonical form, looking
+    each distinct word up once."""
     if table is None:
         table = load_lemma_table()
+    lemmas = {}
     out = []
     for tok in tokens:
         if tok.is_content:
-            out.append(replace(tok, lemma=lemmatize_word(tok.lemma, table)))
+            lemma = lemmas.get(tok.lemma)
+            if lemma is None:
+                lemma = lemmas[tok.lemma] = lemmatize_word(tok.lemma, table)
+            out.append(Token(tok.surface, lemma, tok.offset, tok.position, True))
         else:
             out.append(tok)
     return out

@@ -20,11 +20,11 @@ movement rule takes.
 
 One loop, :func:`_walk_indices`, runs a batch of walks on the same rows
 at one mu, each on from a prefix of states (a fresh walk is the prefix
-``(start,)``). A batch is every start of one graph at one mu when the memo
-below is filled, or the resumed starts at one mu plus the test vertex's
-own walk in :meth:`InsertionTrial.augmented_means`. It shares one state table,
-mapping each state a walk of the batch entered to that walk and step; the
-table lives only for the call. For fixed mu the walk is a map on states
+``(start,)``). A batch is the starts of one graph whose walk changes at
+one mu when the memo below is filled, or the resumed starts at one mu plus
+the test vertex's own walk in :meth:`InsertionTrial.augmented_means`. It
+shares one state table, mapping each state a walk of the batch entered to
+that walk and step; the table lives only for the call. For fixed mu the walk is a map on states
 (a functional graph), so a walk that reaches a state an earlier walk
 entered goes on exactly as that walk did: it copies the earlier walk's
 remaining vertices (up to its dead end, or up to its repeated state plus
@@ -36,8 +36,23 @@ resumed walk enters only its prefix's last state: a walk back into its
 prefix passes that state again and is caught there, with the same cycle
 and, after the shrink, the same transient.
 
+A walk's smallest revisit gap ``G`` is the fewest steps between two
+visits to one vertex; a walk at ``mu`` has ``G > mu``, since its window
+holds its last ``mu`` vertices. The same walk, with the same transient and
+cycle, is the walk at every memory ``mu'`` with ``mu <= mu' < G``: each
+move goes to a vertex last visited at least ``G`` steps earlier, so still
+outside the wider window; every row entry before that one was inside the
+narrower window, so it is inside the wider one; and a dead end stays a
+dead end. So a walk at ``mu - 1`` is the walk at ``mu`` unless it moves
+onto the vertex it visited exactly ``mu`` steps earlier, and up to its
+first such move it is the walk at ``mu``.
+
 :func:`walk_memo` keeps one :class:`WalkMemo` per graph, built in one
-call over every mu from 0 to ``mu_max``. Row ``r = mu * n + s`` holds
+call over every mu from 0 to ``mu_max``. Every start is walked at mu 0
+and 1; from mu 2 on, a start keeps its walk at mu - 1 unless that walk
+has a gap of exactly mu, and the others are resumed from their first such
+move, in one batch. One comparison of the previous mu's vertices with
+themselves shifted by mu finds those moves. Row ``r = mu * n + s`` holds
 start ``s`` at ``mu``: its transient ``t``, its cycle ``c`` and its first
 ``t + c`` vertices (``t + 1`` on a dead end). The vertex sequence is
 periodic from ``t`` with period ``c``, so every later move repeats one of
@@ -61,13 +76,19 @@ there the test vertex becomes the next choice. ``picks >= floor[verts]``
 marks those moves, ``floor`` being ``p_u`` at each touched ``u`` and the
 int64 maximum elsewhere. One such comparison over the flat memo marks the
 moves of every row at every mu, and the first mark per row is its
-deflection. Only rows with a mark are walked again, one batch per mu, on
-the augmented rows from the first; the rest keep their memoized
-(transient, cycle). At mu 0 no walk moves, so none is deflected.
+deflection. Rows without a mark keep their memoized (transient, cycle).
+At mu 0 no walk moves, so none is deflected. A row with a mark is walked
+again, from its deflection, on the augmented rows, in one batch per mu,
+only when its start's last augmented walk does not hold at mu by the gap
+rule. Each start, and the test vertex's own walk, keeps that walk's
+(transient, cycle) and the largest mu it holds at, found by comparing its
+vertices with themselves shifted by each gap from mu + 1 on.
 """
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
+from operator import eq
 from typing import NamedTuple
 
 import numpy as np
@@ -161,6 +182,27 @@ def _period_end(t, c):
     return t + (c or 1)
 
 
+def _revisits(t, c, traj):
+    """A walk's vertices far enough to show every gap between two visits
+    to one vertex: its transient and two periods, or every vertex when it
+    halts. A periodic walk revisits within one period, and every later
+    pair of visits repeats one of these."""
+    return traj[:t + c] + traj[t:t + c] if c else traj[:t + 1]
+
+
+def _holds_to(t, c, traj, mu, mu_max):
+    """The largest memory up to ``mu_max`` at which the walk ``(t, c,
+    traj)`` taken with memory ``mu`` is unchanged: one below its smallest
+    revisit gap. A walk at ``mu`` revisits no vertex within ``mu`` steps,
+    and a periodic one revisits within its period."""
+    seq = _revisits(t, c, traj)
+    top = min(mu_max, c - 1) if c else mu_max
+    for gap in range(mu + 1, min(top, len(seq) - 1) + 1):
+        if any(map(eq, seq, seq[gap:])):
+            return gap - 1
+    return top
+
+
 def walk(graph, start, mu):
     """One tourist walk from vertex id ``start`` with memory length ``mu``."""
     mu = as_int(mu, "mu", 0)
@@ -196,32 +238,58 @@ class WalkMemo(NamedTuple):
 
 
 def _build_memo(graph, mu_max):
-    """The :class:`WalkMemo` of every start at each mu in 0..mu_max, its
-    rows filled in one pass."""
+    """The :class:`WalkMemo` of every start at each mu in 0..mu_max.
+
+    From mu 2 on, a start is walked again only when its walk at mu - 1
+    moves onto the vertex it visited exactly mu steps earlier, and then
+    from its first such move; every other start keeps that walk. One array
+    comparison over the previous mu's vertices finds those moves."""
     n = graph.vertex_count
-    t, c, kept, closes = [], [], [], []
-    for mu in range(mu_max + 1):  # one mu's full trajectories alive at a time
-        for w_t, w_c, traj in _walk_indices(graph.rows, [(s,) for s in range(n)], mu):
-            t.append(w_t)
-            c.append(w_c)
-            kept += traj[:_period_end(w_t, w_c)]
-            closes.append(traj[w_t] if w_c else n)  # where a period's last move goes
+    t, c, blocks = [], [], []  # blocks: per mu, its rows' _revisits, flat, and their lengths
+    t_mu, c_mu, seqs = [0] * n, [0] * n, [None] * n  # per start: its walk at the latest mu
+    for mu in range(mu_max + 1):
+        if mu < 2:
+            redo, prefixes = range(n), [(s,) for s in range(n)]
+        else:
+            flat, lens = blocks[-1]
+            row = np.repeat(np.arange(n), lens)
+            hits = np.flatnonzero((flat[mu:] == flat[:-mu]) & (row[mu:] == row[:-mu])) + mu
+            first = np.ones(len(hits), dtype=bool)  # a row's hits are adjacent and ascending
+            first[1:] = row[hits[1:]] != row[hits[:-1]]
+            hits = hits[first]
+            redo = row[hits].tolist()
+            cuts = (hits - (np.cumsum(lens) - lens)[redo]).tolist()
+            prefixes = [seqs[s][:j] for s, j in zip(redo, cuts)]
+        for s, (w_t, w_c, traj) in zip(redo, _walk_indices(graph.rows, prefixes, mu)):
+            t_mu[s], c_mu[s] = w_t, w_c
+            seqs[s] = _revisits(w_t, w_c, traj)
+            if not w_c:
+                seqs[s].append(n)  # where a dead end's last move goes
+        t += t_mu
+        c += c_mu
+        if blocks and not redo:
+            blocks.append(blocks[-1])  # every walk kept
+        else:
+            lens = np.fromiter(map(len, seqs), np.int64, n)
+            blocks.append((np.fromiter(chain.from_iterable(seqs), np.int32, lens.sum()), lens))
     t = np.array(t, dtype=np.int64)
     c = np.array(c, dtype=np.int64)
-    verts = np.array(kept, dtype=np.int32)  # as rank's entries
-    ends = np.cumsum(t + np.maximum(c, 1))
-    after = np.empty_like(verts)  # where each kept move goes: n past a dead end
-    after[:-1] = verts[1:]
-    after[ends - 1] = closes
+    flat = np.concatenate([f for f, _ in blocks])
+    lens = np.concatenate([m for _, m in blocks])
+    period = t + np.maximum(c, 1)  # each row's _period_end
+    # each row keeps its first _period_end entries; the entry after each is where its move goes
+    pos = np.arange(len(flat)) - np.repeat(np.cumsum(lens) - lens, lens)
+    kept = np.flatnonzero(pos < np.repeat(period, lens))
+    verts = flat[kept]
     memo = WalkMemo(
         t,
         c,
         tuple(t.reshape(mu_max + 1, n).sum(axis=1).tolist()),
         tuple(c.reshape(mu_max + 1, n).sum(axis=1).tolist()),
-        np.concatenate(([0], ends)),
+        np.concatenate(([0], np.cumsum(period))),
         verts,
-        tuple(kept),
-        graph.rank[verts, after],
+        tuple(verts.tolist()),
+        graph.rank[verts, flat[kept + 1]],
     )
     for part in memo:
         if isinstance(part, np.ndarray):
@@ -257,10 +325,19 @@ class InsertionTrial:
 
     Builds each linked class's augmented rows once, with the position
     ``p_u`` of the test vertex's entry in each touched row ``u``. A start is
-    walked again at a mu only if its base walk there moves out of some
-    touched ``u`` from row position ``p_u`` or later, and then only from
-    the first such step; one comparison over a class's memo finds those
-    steps at every mu, and the means start from the memoized base totals.
+    deflected at a mu if its base walk there moves out of some touched
+    ``u`` from row position ``p_u`` or later; one comparison over a class's
+    memo finds those moves at every mu, and the means start from the
+    memoized base totals. A deflected start is walked again, from its first
+    such move, only when its last augmented walk no longer holds: a walk
+    taken at mu is unchanged at every larger memory below its smallest
+    revisit gap, so each start, and the test vertex's own walk, keeps its
+    last augmented walk's (t, c) and the largest mu up to ``mu_max`` that
+    walk holds at.
+
+    ``views`` must hold exactly one view per class graph, and each view's
+    links must name vertices of its class's graph; anything else is a
+    ``ValueError``.
     """
 
     def __init__(self, test_id, class_graphs, views):
@@ -271,12 +348,25 @@ class InsertionTrial:
             raise ValueError(
                 f"the test instance needs an id comparable with the training ids, got {test_id!r}"
             ) from None
-        views = {v.class_id: v for v in views}
-        if not any(views[g.class_id].linked for g in self.class_graphs):
+        classes = {g.class_id for g in self.class_graphs}
+        by_class = {}
+        for view in views:
+            if view.class_id not in classes:
+                raise ValueError(f"test instance {test_id!r} has a view for class "
+                                 f"{view.class_id!r}, which has no graph")
+            if view.class_id in by_class:
+                raise ValueError(f"test instance {test_id!r} has two views for class "
+                                 f"{view.class_id!r}")
+            by_class[view.class_id] = view
+        for graph in self.class_graphs:
+            if graph.class_id not in by_class:
+                raise ValueError(f"test instance {test_id!r} has no view for class "
+                                 f"{graph.class_id!r}")
+        if not any(by_class[g.class_id].linked for g in self.class_graphs):
             raise AllViewsEmpty(f"test instance {test_id!r} links into no class component")
         self._aug = {}
         for graph, cut in zip(self.class_graphs, cuts):
-            view = views[graph.class_id]
+            view = by_class[graph.class_id]
             if not view.linked:
                 continue
             n = graph.vertex_count
@@ -286,7 +376,13 @@ class InsertionTrial:
             own = []
             floor = np.full(n + 1, np.iinfo(np.int64).max)  # p_u at each touched u
             for vid, dist in view.links:
-                i = bisect_left(graph.ids, vid)
+                try:
+                    i = bisect_left(graph.ids, vid)
+                except TypeError:  # an id that does not order with the vertex ids
+                    i = n
+                if i == n or graph.ids[i] != vid:
+                    raise ValueError(f"test instance {test_id!r} links to {vid!r} in class "
+                                     f"{graph.class_id!r}, which has no such vertex")
                 row = list(rows[i])
                 p = bisect_left(row, (dist, cut - 0.5))
                 row.insert(p, (dist, n))
@@ -308,16 +404,29 @@ class InsertionTrial:
         first = np.ones(len(hits), dtype=bool)  # a row's hits are adjacent and ascending
         first[1:] = hit_rows[1:] != hit_rows[:-1]
         deflected = hit_rows[first]
+        begins = memo.offsets[deflected].tolist()
         ends = (hits[first] + 1).tolist()
-        prefixes = [memo.vertex_list[a:b] for a, b in zip(memo.offsets[deflected].tolist(), ends)]
+        starts = (deflected % n).tolist()
         bounds = np.searchsorted(deflected, np.arange(mu_max + 2) * n).tolist()
         dropped_t = [0] + np.cumsum(memo.t[deflected]).tolist()
         dropped_c = [0] + np.cumsum(memo.c[deflected]).tolist()
+        # per start, and for n's own walk last: the last augmented walk's t
+        # and c, and the largest mu at which that walk holds (-1: none yet)
+        walk_t, walk_c, holds = [0] * (n + 1), [0] * (n + 1), [-1] * (n + 1)
         means = []
         for mu, lo, hi in zip(range(mu_max + 1), bounds, bounds[1:]):
-            walks = _walk_indices(rows, prefixes[lo:hi] + [(n,)], mu)  # n's own walk last
-            total_t = memo.total_t[mu] - (dropped_t[hi] - dropped_t[lo]) + sum(w[0] for w in walks)
-            total_c = memo.total_c[mu] - (dropped_c[hi] - dropped_c[lo]) + sum(w[1] for w in walks)
+            redo = [i for i in range(lo, hi) if holds[starts[i]] < mu]
+            walked = [starts[i] for i in redo]
+            prefixes = [memo.vertex_list[begins[i]:ends[i]] for i in redo]
+            if holds[n] < mu:
+                walked.append(n)
+                prefixes.append((n,))
+            for s, (t, c, traj) in zip(walked, _walk_indices(rows, prefixes, mu)):
+                walk_t[s], walk_c[s] = t, c
+                holds[s] = _holds_to(t, c, traj, mu, mu_max)
+            now = starts[lo:hi] + [n]
+            total_t = memo.total_t[mu] - (dropped_t[hi] - dropped_t[lo]) + sum(map(walk_t.__getitem__, now))
+            total_c = memo.total_c[mu] - (dropped_c[hi] - dropped_c[lo]) + sum(map(walk_c.__getitem__, now))
             means.append((total_t / (n + 1), total_c / (n + 1)))
         return means
 

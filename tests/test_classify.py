@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sensewalk import classify, evaluate, tourist
-from sensewalk.attgraph import GraphConfig, build_training_graph, insert_test
+from sensewalk.attgraph import GraphConfig, InsertionView, build_training_graph, insert_test
 from sensewalk.classify import (
     DecisionTree,
     HighLevelConfig,
@@ -972,6 +972,24 @@ class TestHighLevel:
         for bare in (probe, Instance("p", probe, None)):
             with pytest.raises(ValueError, match="id comparable with the training ids"):
                 high_level_predict(bare, graphs, HighLevelConfig(mu_critical=2), views)
+
+    def test_malformed_views_rejected(self):
+        # a view list must hold one view per class graph, linking vertices
+        # of that graph; 2.5 is no training id (it used to bind vertex 3)
+        rng = np.random.default_rng(3)
+        X = np.vstack([rng.normal(0, 0.4, (6, 2)), rng.normal(4, 0.4, (6, 2))])
+        ds = Dataset(list(range(12)), X, [1] * 6 + [2] * 6, ["x", "y"])
+        graphs = build_training_graph(ds, GraphConfig(epsilon=1.0, kappa=3))
+        probe = Instance(99, np.array([0.2, 0.1]), None)
+        views = insert_test(probe.features, graphs)
+        config = HighLevelConfig(mu_critical=2)
+        for bad, message in (
+            (views[1:], "has no view for class 1"),
+            (views + views[1:], "has two views for class 2"),
+            ([InsertionView(1, ((2.5, 0.3),)), views[1]], "links to 2.5 in class 1"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                high_level_predict(probe, graphs, config, bad)
 
     def test_one_deflection_pass_per_linked_class(self, monkeypatch):
         # each prediction makes one augmented_means call, so one deflection

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from sensewalk.tourist import (
     AllViewsEmpty,
     InsertionTrial,
     VertexNotInComponent,
+    WalkMemo,
+    _holds_to,
     _walk_indices,
     component_stats,
     walk,
@@ -135,12 +138,16 @@ class TestWalkBasics:
 
 def _trace(comp, start, mu, steps):
     """Raw vertex sequence of the first ``steps`` moves (engine-independent)."""
-    idx = comp.ids.index(start)
+    return [comp.ids[i] for i in _trace_indices(comp.rows, comp.ids.index(start), mu, steps)]
+
+
+def _trace_indices(rows, idx, mu, steps):
+    """``_trace`` on index rows: the vertex indices of the first ``steps`` moves."""
     traj = [idx]
     window = (idx,) if mu > 0 else ()
     for _ in range(steps):
         nxt = None
-        for d, j in comp.rows[traj[-1]]:
+        for d, j in rows[traj[-1]]:
             if j not in window:
                 nxt = j
                 break
@@ -151,7 +158,17 @@ def _trace(comp, start, mu, steps):
         traj.append(nxt)
         if mu > 0:
             window = (nxt,) + window[: mu - 1]
-    return [comp.ids[i] for i in traj]
+    return traj
+
+
+def _smallest_gap(seq):
+    """The fewest steps between two visits to one vertex of ``seq``, or None."""
+    last, gaps = {}, []
+    for k, v in enumerate(seq):
+        if v in last:
+            gaps.append(k - last[v])
+        last[v] = k
+    return min(gaps, default=None)
 
 
 class TestWalkAgainstOracle:
@@ -169,6 +186,99 @@ class TestWalkAgainstOracle:
                     assert (got.transient, got.cycle) == want, (
                         f"n={n} start={start} mu={mu}"
                     )
+
+
+class TestRevisitGapRule:
+    """A walk taken with memory mu is unchanged at every memory from mu up
+    to one below its smallest revisit gap, the fewest steps between two
+    visits to one vertex. Every fourth seed is a path, where walks halt,
+    and memories run past the component's size."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_walk_holds_below_its_smallest_revisit_gap(self, seed):
+        rng = random.Random(11000 + seed)
+        positions, edges = _random_graph(rng, seed)
+        graph = component_from_points(positions, edges)
+        adj = oracle_neighbors(positions, edges)
+        top = len(graph.ids) + 3
+        for k, start in enumerate(graph.ids):
+            for mu in range(top + 1):
+                t, c = oracle_walk(positions, adj, start, mu)
+                seq = _trace_indices(graph.rows, k, mu, t + 2 * c)  # shows every gap
+                gap = _smallest_gap(seq)
+                last = top if gap is None else min(gap - 1, top)
+                assert _holds_to(*_walk_indices(graph.rows, [(k,)], mu)[0], mu, top) == last
+                for wider in range(mu, last + 1):
+                    assert oracle_walk(positions, adj, start, wider) == (t, c), (start, mu, wider)
+                    assert _trace_indices(graph.rows, k, wider, t + 2 * c) == seq
+                if gap is not None and gap <= top:
+                    # at the gap the window holds the revisited vertex: the walk turns
+                    assert _trace_indices(graph.rows, k, gap, t + 2 * c) != seq
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_memo_by_reuse_equals_fresh_batches(self, seed, monkeypatch):
+        # from mu 2 on, the memo walks a start again only from the first
+        # move of its walk at mu - 1 onto the vertex it visited exactly mu
+        # steps earlier; its fields equal a memo of one fresh batch per mu
+        rng = random.Random(12000 + seed)
+        positions, edges = _random_graph(rng, seed)
+        graph = component_from_points(positions, edges)
+        mu_max = len(graph.ids) + 3
+        batches = []
+
+        def spy(rows, prefixes, mu):
+            batches.append([tuple(p) for p in prefixes])
+            return _walk_indices(rows, prefixes, mu)
+
+        monkeypatch.setattr("sensewalk.tourist._walk_indices", spy)
+        got = walk_memo(graph, mu_max)
+        monkeypatch.undo()
+        assert len(batches) == mu_max + 1
+        for mu, batch in enumerate(batches[2:], start=2):
+            want = []
+            for k, (t, c, _, _) in enumerate(_memo_rows(got, mu - 1)):
+                seq = _trace_indices(graph.rows, k, mu - 1, t + 2 * c)
+                turn = next((j for j in range(mu, len(seq)) if seq[j] == seq[j - mu]), None)
+                if turn is not None:
+                    want.append(tuple(seq[:turn]))
+            assert batch == want, mu
+        _assert_same_memo(got, _memo_from_fresh_batches(graph, mu_max))
+
+
+def _assert_same_memo(got, want):
+    """Two memos agree field for field, arrays in dtype and every entry."""
+    for name, a, b in zip(want._fields, got, want):
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert a == b, name
+
+
+def _memo_from_fresh_batches(graph, mu_max):
+    """A graph's :class:`WalkMemo` with every start walked afresh at each mu,
+    one batch per mu."""
+    n = graph.vertex_count
+    t, c, kept, after = [], [], [], []
+    for mu in range(mu_max + 1):
+        for w_t, w_c, traj in _walk_indices(graph.rows, [(s,) for s in range(n)], mu):
+            end = w_t + (w_c or 1)
+            t.append(w_t)
+            c.append(w_c)
+            kept += traj[:end]
+            after += traj[1:end] + [traj[w_t] if w_c else n]
+    t = np.array(t, dtype=np.int64)
+    c = np.array(c, dtype=np.int64)
+    verts = np.array(kept, dtype=np.int32)
+    return WalkMemo(
+        t,
+        c,
+        tuple(int(x) for x in t.reshape(mu_max + 1, n).sum(axis=1)),
+        tuple(int(x) for x in c.reshape(mu_max + 1, n).sum(axis=1)),
+        np.concatenate(([0], np.cumsum(t + np.maximum(c, 1)))),
+        verts,
+        tuple(kept),
+        graph.rank[verts, np.array(after, dtype=np.int32)],
+    )
 
 
 class TestComponentStats:
@@ -290,12 +400,7 @@ class TestComponentStats:
         assert graph._walks is grown
         assert walk_memo(graph, 5) is grown and walked == list(range(13))
         monkeypatch.undo()
-        fresh = walk_memo(component_from_points(positions, edges), 12)
-        for name, got, want in zip(fresh._fields, grown, fresh):
-            if isinstance(want, np.ndarray):
-                assert got.dtype == want.dtype and np.array_equal(got, want), name
-            else:
-                assert got == want, name
+        _assert_same_memo(grown, walk_memo(component_from_points(positions, edges), 12))
 
     def test_memo_arrays_are_read_only(self):
         graphs = build_training_graph(_blob_dataset(), GraphConfig(epsilon=1.0, kappa=2))
@@ -443,6 +548,30 @@ class TestInsertionOverlay:
         with pytest.raises(ValueError):
             InsertionTrial(8, [graph], [InsertionView(0, ((0, 1.0),))])
 
+    @pytest.mark.parametrize("vid", [3, 2.5, -2, 18, "4"],
+                             ids=["odd", "fraction", "before", "past", "string"])
+    def test_link_to_a_missing_vertex_rejected(self, vid):
+        # ids are 0, 2, .., 16: a link to 3, 2.5 or -2 used to bind the
+        # vertex at its bisect position, one to 18 ended in IndexError and
+        # one to "4" in TypeError
+        graph = self._lattice()
+        views = [InsertionView(0, ((0, 1.0), (vid, 1.0)))]
+        with pytest.raises(ValueError, match=re.escape(
+                f"test instance 1 links to {vid!r} in class 0, which has no such vertex")):
+            InsertionTrial(1, [graph], views)
+
+    def test_views_must_match_the_class_graphs_one_to_one(self):
+        graphs = build_training_graph(_blob_dataset(), GraphConfig(epsilon=1.5, kappa=3))
+        views = insert_test(np.array([0.3, 0.2]), graphs)  # classes 1 and 2
+        cases = {
+            "has no view for class 2": views[:1],  # was a bare KeyError
+            "has a view for class 3, which has no graph": views + [InsertionView(3, ())],
+            "has two views for class 1": views + [views[0]],
+        }
+        for message, bad in cases.items():
+            with pytest.raises(ValueError, match=f"^test instance 99 {message}$"):
+                InsertionTrial(99, graphs, bad)
+
     @pytest.mark.parametrize("links", [((0, 1.0),), ()], ids=["linked", "unlinked"])
     @pytest.mark.parametrize("test_id", [None, "p"], ids=["bare-vector", "string"])
     def test_id_not_comparable_with_the_training_ids_rejected(self, test_id, links):
@@ -556,19 +685,13 @@ class TestSharedStateTable:
         # base walks resumed at their first move onto the test vertex n,
         # batched with n's own walk, equal full walks on the augmented rows
         rng = random.Random(8000 + seed)
-        points, pairs = _random_graph(rng, seed)
-        positions = {2 * v: p for v, p in points.items()}
-        edges = [(2 * a, 2 * b) for a, b in pairs]
+        positions, edges, test_id, point, links = _insertion_case(rng, seed)
         graph = component_from_points(positions, edges)
-        test_id = 2 * rng.randint(0, len(positions)) - 1
-        point = (rng.random(), rng.random())
-        linked = rng.sample(sorted(positions), rng.randint(1, min(len(positions), 5)))
-        links = tuple((v, math.dist(point, positions[v])) for v in linked)
         _, rows, _ = InsertionTrial(test_id, [graph], [InsertionView(0, links)])._aug[0]
         n = len(graph.ids)
         ids = graph.ids + [test_id]  # index n is the test vertex
         full_positions = {**positions, test_id: point}
-        adj = oracle_neighbors(full_positions, edges + [(test_id, v) for v in linked])
+        adj = oracle_neighbors(full_positions, edges + [(test_id, v) for v, _ in links])
         memo = walk_memo(graph, 8)
         for mu in range(1, 9):
             prefixes = {}
@@ -590,23 +713,23 @@ class TestSharedStateTable:
 
     @pytest.mark.parametrize("seed", range(24))
     def test_resumes_exactly_the_first_deflections(self, seed, monkeypatch):
-        # one augmented_means call runs one batch per mu; each resumes every
-        # start whose base walk at that mu moves onto the test vertex n,
-        # from its first such move, and no other start; a brute-force scan
-        # of every base walk finds those moves
+        # one augmented_means call runs one batch per mu. A start whose base
+        # walk at that mu moves onto the test vertex n joins it, from its
+        # first such move, only when its last augmented walk no longer holds
+        # at mu; n's own walk joins on the same terms, last. A walk taken at
+        # mu holds up to one below its smallest revisit gap. A brute-force
+        # scan of every base walk finds the moves, and traces on the
+        # augmented rows give the gaps
         rng = random.Random(9000 + seed)
-        points, pairs = _random_graph(rng, seed)
-        positions = {2 * v: p for v, p in points.items()}
-        edges = [(2 * a, 2 * b) for a, b in pairs]
+        positions, edges, test_id, point, links = _insertion_case(rng, seed)
         graph = component_from_points(positions, edges)
         adj = oracle_neighbors(positions, edges)
-        test_id = 2 * rng.randint(0, len(positions)) - 1
-        point = (rng.random(), rng.random())
-        linked = rng.sample(sorted(positions), rng.randint(1, min(len(positions), 5)))
-        links = tuple((v, math.dist(point, positions[v])) for v in linked)
+        full_positions = {**positions, test_id: point}
+        full_adj = oracle_neighbors(full_positions, edges + [(test_id, v) for v, _ in links])
         trial = InsertionTrial(test_id, [graph], [InsertionView(0, links)])
         _, rows, _ = trial._aug[0]
         n = len(graph.ids)
+        ids = graph.ids + [test_id]
         walk_memo(graph, 8)  # the memo's own batches are not spied on
         batches = []
 
@@ -617,16 +740,51 @@ class TestSharedStateTable:
         monkeypatch.setattr("sensewalk.tourist._walk_indices", spy)
         trial.augmented_means(0, 8)
         assert [mu for mu, _ in batches] == list(range(9))
+        holds = [-1] * (n + 1)  # per start, n last: where its last augmented walk holds to
         for mu, batch in batches:
             want = []
             for start in graph.ids if mu else ():
                 t, c = oracle_walk(positions, adj, start, mu)
                 traj = [graph.ids.index(v) for v in _trace(graph, start, mu, t + 2 * c)]
                 k = _first_deflection(rows, traj, mu, n)
-                if k is not None:
+                if k is not None and holds[traj[0]] < mu:
                     want.append(tuple(traj[:k + 1]))
-            assert batch[-1] == (n,)
-            assert sorted(batch[:-1]) == want, mu
+            resumed = batch[:-1] if holds[n] < mu else batch
+            assert batch[len(resumed):] == ([(n,)] if holds[n] < mu else []), mu
+            assert sorted(resumed) == want, mu
+            for prefix in batch:
+                s = prefix[0]
+                t, c = oracle_walk(full_positions, full_adj, ids[s], mu)
+                gap = _smallest_gap(_trace_indices(rows, s, mu, t + 2 * c))
+                holds[s] = 8 if gap is None else min(gap - 1, 8)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_means_equal_rewalking_every_deflection(self, seed):
+        # the schedule without kept walks resumes every deflected start and
+        # walks n afresh at each mu; the means agree float for float, up to
+        # memories past the component's size
+        rng = random.Random(10000 + seed)
+        positions, edges, test_id, _, links = _insertion_case(rng, seed)
+        graph = component_from_points(positions, edges)
+        trial = InsertionTrial(test_id, [graph], [InsertionView(0, links)])
+        _, rows, _ = trial._aug[0]
+        n = len(graph.ids)
+        mu_max = n + 3
+        memo = walk_memo(graph, mu_max)
+        want = []
+        for mu in range(mu_max + 1):
+            total_t, total_c, prefixes = memo.total_t[mu], memo.total_c[mu], []
+            for t, c, verts, _ in _memo_rows(memo, mu) if mu else ():
+                k = _first_deflection(rows, verts, mu, n)
+                if k is not None:
+                    prefixes.append(verts[:k + 1])
+                    total_t -= t
+                    total_c -= c
+            for w_t, w_c, _ in _walk_indices(rows, prefixes + [(n,)], mu):
+                total_t += w_t
+                total_c += w_c
+            want.append((total_t / (n + 1), total_c / (n + 1)))
+        assert trial.augmented_means(0, mu_max) == want
 
     # Explicit joins. In the batch a later walk stops at the first state an
     # earlier walk entered; the asserted trajectories are worked by hand.
@@ -677,6 +835,20 @@ class TestSharedStateTable:
         got = _walk_indices(graph.rows, [(0,), (2,), (1,)], 1)
         assert got == [(0, 2, [0, 1, 0]), (1, 2, [2, 1, 0, 1]), (0, 2, [1, 0, 1])]
         assert got == [_walk_indices(graph.rows, [(s,)], 1)[0] for s in (0, 2, 1)]
+
+
+def _insertion_case(rng, seed):
+    """A ``_random_graph`` on even ids, an odd test id that sorts between
+    them, a random point and its links to up to five random vertices:
+    ``(positions, edges, test_id, point, links)``."""
+    points, pairs = _random_graph(rng, seed)
+    positions = {2 * v: p for v, p in points.items()}
+    edges = [(2 * a, 2 * b) for a, b in pairs]
+    test_id = 2 * rng.randint(0, len(positions)) - 1
+    point = (rng.random(), rng.random())
+    linked = rng.sample(sorted(positions), rng.randint(1, min(len(positions), 5)))
+    links = tuple((v, math.dist(point, positions[v])) for v in linked)
+    return positions, edges, test_id, point, links
 
 
 def _first_deflection(rows, traj, mu, n):

@@ -11,6 +11,7 @@ import numpy as np
 
 from sensewalk import component_stats, walk
 from sensewalk.attgraph import GraphConfig, build_training_graph
+from sensewalk.evaluate import walk_curve_rows
 from sensewalk.features import Dataset
 
 rng = np.random.default_rng(4)
@@ -46,11 +47,5 @@ both = Dataset(
 )
 lattice_graph, cloud_graph = build_training_graph(both, GraphConfig(epsilon=1.4, kappa=3))
 for name, graph in (("lattice", lattice_graph), ("cloud", cloud_graph)):
-    stats = component_stats(graph, 18)
-    final = stats[18]
-    onset = 18
-    for mu in range(18, -1, -1):
-        if stats[mu] != final:
-            break
-        onset = mu
-    print(f"{name}: steady state from mu={onset}, final <t>={final[0]:.2f}")
+    _, _, final_t, _, onset = walk_curve_rows([graph], 18)[-1]  # the row at mu = 18
+    print(f"{name}: steady state from mu={onset}, final <t>={final_t:.2f}")

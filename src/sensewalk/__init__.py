@@ -8,7 +8,6 @@ from .adjacency import (
     WordAdjacencyNetwork,
     build_network,
     node_topology,
-    read_edgelist,
     write_edgelist,
 )
 from .attgraph import (

@@ -23,6 +23,9 @@ Nodes are indexed in sorted order, so every sum runs in the same order and
 the table is identical across processes, whatever the string hash seed.
 The table is memoized on the network (compute, then assign: concurrent
 first calls compute equal tables), and later calls look up one row.
+
+``write_edgelist`` saves a network as sorted ``i<TAB>j<TAB>w`` lines; the
+package writes edge lists and reads none.
 """
 
 import itertools
@@ -260,18 +263,3 @@ def write_edgelist(network, path):
     lines.extend(f"{node}\t\t0" for node in isolated)  # keep edge-free nodes
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-
-def read_edgelist(path):
-    """Inverse of ``write_edgelist``; occurrence bookkeeping is not restored."""
-    weights = {}
-    nodes = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        a, b, w = line.split("\t")
-        if b == "":
-            nodes.add(a)
-            continue
-        weights[(a, b)] = int(w)
-        nodes.update((a, b))
-    return WordAdjacencyNetwork(weights, nodes, {})

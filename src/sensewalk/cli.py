@@ -39,10 +39,8 @@ _CONFIG_ALIASES = {"lambda": "lam", "in": "in_dir"}
 def parse_config_file(path):
     """``{dest: text}`` for the file's ``key = value`` lines."""
     values = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for _, line in corpus._content_lines(Path(path).read_text(encoding="utf-8")):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         if "=" not in line:
             raise ValueError(f"config line without '=': {line!r}")
         key, _, value = line.partition("=")

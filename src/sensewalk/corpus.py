@@ -7,6 +7,11 @@ lowercase content-word lemmas:
 
 All functions are pure and operate on immutable tokens, so documents can
 be processed in parallel with no shared state.
+
+The stopword list, lemma table, annotation TSV and the CLI's ``--config``
+files skip blank and ``#`` comment lines by one rule, ``_content_lines``.
+Annotations are parsed (``load_annotations``), then checked against the
+documents' content streams in a separate step (``validate_annotations``).
 """
 
 import re
@@ -108,26 +113,27 @@ def _read_resource(path, bundled, missing):
         raise missing(str(path or f"bundled {bundled}")) from exc
 
 
+def _content_lines(text):
+    """``(line number, line)`` for each line of ``text`` that is neither
+    blank nor a ``#`` comment; line numbers are 1-based, lines unstripped."""
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield line_no, line
+
+
 def load_stopwords(path=None):
-    """Load the stopword list (one lowercase word per line, ``#`` comments)."""
+    """Load the stopword list (one lowercase word per line)."""
     text = _read_resource(path, "stopwords.txt", MissingStopwordList)
-    words = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.add(line.lower())
-    return frozenset(words)
+    return frozenset(line.strip().lower() for _, line in _content_lines(text))
 
 
 def load_lemma_table(path=None):
     """Load the ``surface<TAB>lemma`` lookup table."""
     text = _read_resource(path, "lemmas.txt", MissingLemmaDictionary)
     table = {}
-    for i, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
+    for i, line in _content_lines(text):
+        parts = line.strip().split("\t")
         if len(parts) != 2:
             raise ValueError(f"lemma table line {i}: expected 2 tab-separated fields")
         table[parts[0].strip().lower()] = parts[1].strip().lower()
@@ -252,22 +258,17 @@ def load_documents(directory, stopwords=None, lemma_table=None):
     return docs
 
 
-def load_annotations(path, documents=None, sense_inventory=AMBIGUOUS_SENSES):
+def load_annotations(path):
     """Parse a TSV of ``document_id  position  word  sense_id`` rows.
 
-    ``#``-prefixed lines are comments. When ``documents`` is given, each
-    position must resolve to a content token whose lemma equals the
-    annotated word. ``sense_inventory`` bounds sense ids for words it
-    lists; words outside the inventory are accepted with any positive id.
+    Sense ids are bounded for the words of ``AMBIGUOUS_SENSES``; words
+    outside it are accepted with any positive id. Positions are checked
+    against the documents in a separate step, by ``validate_annotations``.
     """
     annotations = []
     seen = set()
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = line.rstrip("\n").split("\t")
+    for line_no, line in _content_lines(Path(path).read_text(encoding="utf-8")):
+        parts = line.split("\t")
         if len(parts) != 4:
             raise ParseError(f"expected 4 tab-separated fields, got {len(parts)}", line_no)
         doc_id, pos_s, word, sense_s = (p.strip() for p in parts)
@@ -281,28 +282,33 @@ def load_annotations(path, documents=None, sense_inventory=AMBIGUOUS_SENSES):
         if sense_id < 1:
             raise ParseError(f"sense_id must be >= 1, got {sense_id}", line_no)
         word = word.lower()
-        if sense_inventory and word in sense_inventory and sense_id > sense_inventory[word]:
+        if word in AMBIGUOUS_SENSES and sense_id > AMBIGUOUS_SENSES[word]:
             raise ParseError(
                 f"sense_id {sense_id} out of range for '{word}' "
-                f"({sense_inventory[word]} senses)",
+                f"({AMBIGUOUS_SENSES[word]} senses)",
                 line_no,
             )
         if (doc_id, position) in seen:
             raise ParseError(f"duplicate annotation for ({doc_id}, {position})", line_no)
         seen.add((doc_id, position))
         annotations.append(SenseAnnotation(doc_id, position, word, sense_id))
-    if documents is not None:
-        validate_annotations(annotations, {d: doc.content_lemmas() for d, doc in documents.items()})
     return annotations
+
+
+def document_stream(token_streams, document_id):
+    """The content lemmas of ``document_id`` in ``token_streams``; an
+    unknown document is a ``PositionMismatch``."""
+    lemmas = token_streams.get(document_id)
+    if lemmas is None:
+        raise PositionMismatch(f"unknown document '{document_id}'")
+    return lemmas
 
 
 def validate_annotations(annotations, token_streams):
     """Check that every annotation points at a matching content token of
     ``token_streams`` (document id -> content lemmas)."""
     for ann in annotations:
-        lemmas = token_streams.get(ann.document_id)
-        if lemmas is None:
-            raise PositionMismatch(f"unknown document '{ann.document_id}'")
+        lemmas = document_stream(token_streams, ann.document_id)
         if not 0 <= ann.position < len(lemmas):
             raise PositionMismatch(
                 f"position {ann.position} outside the content stream of "

@@ -19,12 +19,11 @@ then every word's folds. A bare ``cv_sweep`` opens its own. To keep a run in
 one process, pin it to one CPU (``taskset -c 0 ...``).
 """
 
-import csv
 import itertools
 import json
 import logging
 import os
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -51,6 +50,7 @@ from .features import (
     sorted_values,
     standardize,
     topological_features,
+    write_csv,
 )
 from .tourist import AllViewsEmpty, component_stats, normalize
 
@@ -236,10 +236,12 @@ class _RunPool:
     ``ProcessPoolExecutor`` of ``_fold_workers(n_folds)`` ``fork``
     processes, forked at the first task, so they inherit every module the
     run has loaded by then (``scipy.sparse`` for the topology pass); at one
-    worker there is none, and tasks run in this process. A dead worker fails
-    the run with ``BrokenProcessPool``. Leaving the ``with`` block shuts the
-    executor down, cancelling the tasks not yet queued for a worker if it
-    raised, and waits for the workers: no worker outlives the run."""
+    worker there is none, and tasks run in this process. ``map`` keeps at
+    most one chunk of tasks per worker in flight and hands out no more once
+    one has failed, so a fold error waits only for the chunks already
+    running. A dead worker fails the run with ``BrokenProcessPool``.
+    Leaving the ``with`` block shuts the executor down and waits for the
+    workers: no worker outlives the run."""
 
     def __init__(self, n_folds):
         self.workers = _fold_workers(n_folds)
@@ -253,17 +255,41 @@ class _RunPool:
 
     def map(self, func, tasks, chunksize=1):
         """``func(*task)`` for each of ``tasks``, in chunks of ``chunksize``; the
-        results in task order, and the first task in that order that raises, raises."""
+        results in task order, and the first task in that order that raises, raises.
+        The first chunk for each worker is handed out before this returns."""
         if self._executor is None:
             return itertools.starmap(func, tasks)
-        return self._executor.map(func, *zip(*tasks), chunksize=chunksize)
+        tasks = list(tasks)
+        chunks = (tasks[i:i + chunksize] for i in range(0, len(tasks), chunksize))
+        futures = deque(self._executor.submit(_starmap, func, chunk)
+                        for chunk in itertools.islice(chunks, self.workers))
+        return itertools.chain.from_iterable(self._in_order(futures, func, chunks))
+
+    def _in_order(self, futures, func, chunks):
+        """Each chunk's results, ``futures`` first; a chunk is handed out as one
+        in flight ends, while none handed out has failed."""
+        from concurrent.futures import FIRST_COMPLETED, wait
+
+        while futures:
+            wait([f for f in futures if not f.done()], return_when=FIRST_COMPLETED)
+            while futures and futures[0].done():
+                yield futures.popleft().result()
+            if not any(f.done() and f.exception() is not None for f in futures):
+                free = self.workers - sum(not f.done() for f in futures)
+                futures.extend(self._executor.submit(_starmap, func, chunk)
+                               for chunk in itertools.islice(chunks, free))
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, traceback):
         if self._executor is not None:
-            self._executor.shutdown(cancel_futures=exc_type is not None)
+            self._executor.shutdown()
+
+
+def _starmap(func, chunk):
+    """One chunk of ``_RunPool.map``'s tasks, run in a worker."""
+    return [func(*task) for task in chunk]
 
 
 def _fold_datasets(dataset, train_idx, test_idx):
@@ -421,13 +447,9 @@ def _sweep(dataset, low_levels, lambda_grid, config, fold_plan, word, paradigm, 
 
 def write_report_csv(reports, path):
     """Rows of ``word,paradigm,algorithm,lambda,accuracy,p_value``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["word", "paradigm", "algorithm", "lambda", "accuracy", "p_value"])
-        for report in reports:
-            for lam, acc, p in report.rows:
-                writer.writerow([report.word, report.paradigm, report.low_level,
-                                 f"{lam:.2f}", repr(acc), repr(p)])
+    write_csv(path, ["word", "paradigm", "algorithm", "lambda", "accuracy", "p_value"],
+              ([report.word, report.paradigm, report.low_level, f"{lam:.2f}", repr(acc), repr(p)]
+               for report in reports for lam, acc, p in report.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -519,11 +541,8 @@ def walk_curve_rows(class_graphs, mu_max):
 
 
 def write_walk_curves(rows, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "mu", "mean_transient", "mean_cycle", "steady_state_mu"])
-        for class_id, mu, t, c, steady in rows:
-            writer.writerow([class_id, mu, repr(t), repr(c), steady])
+    write_csv(path, ["class", "mu", "mean_transient", "mean_cycle", "steady_state_mu"],
+              ([class_id, mu, repr(t), repr(c), steady] for class_id, mu, t, c, steady in rows))
 
 
 # ---------------------------------------------------------------------------

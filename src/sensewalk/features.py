@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjacency import NodeTopology, _topology
+from .corpus import document_stream
 
 
 # Within ±2^480 nothing derived overflows: differences are at most 2^481 and
@@ -185,11 +186,9 @@ class Dataset:
 
     def to_csv(self, path):
         """Header of feature names plus trailing ``label`` column."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(self.feature_names) + ["label"])
-            for row, label in zip(self.X, self.labels):
-                writer.writerow([repr(float(v)) for v in row] + [label if label is not None else ""])
+        write_csv(path, list(self.feature_names) + ["label"],
+                  ([repr(float(v)) for v in row] + [label if label is not None else ""]
+                   for row, label in zip(self.X, self.labels)))
 
     @classmethod
     def from_csv(cls, path):
@@ -214,6 +213,14 @@ class Dataset:
         return cls(range(len(X)), np.array(X, dtype=float), labels, names)
 
 
+def write_csv(path, header, rows):
+    """Write ``header`` and then ``rows`` as one UTF-8 CSV file."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def window_lemmas(stream, position, window):
     """The ``window`` content lemmas nearest to ``position`` in the stream.
 
@@ -234,7 +241,8 @@ def semantic_vocabulary(token_streams, annotations, window):
     """Sorted union of lemmas appearing in any annotation window."""
     vocab = set()
     for ann in annotations:
-        vocab.update(window_lemmas(token_streams[ann.document_id], ann.position, window))
+        vocab.update(window_lemmas(document_stream(token_streams, ann.document_id),
+                                   ann.position, window))
     return sorted(vocab)
 
 
@@ -245,7 +253,7 @@ def semantic_features(token_streams, annotations, window=5, vocabulary=None):
     lemmas outside it are dropped; otherwise the vocabulary is the sorted
     union over all windows seen here, as ``semantic_vocabulary`` gives.
     """
-    windows = [window_lemmas(token_streams[a.document_id], a.position, window)
+    windows = [window_lemmas(document_stream(token_streams, a.document_id), a.position, window)
                for a in annotations]
     if vocabulary is None:
         vocabulary = sorted(set().union(*windows))
@@ -294,6 +302,9 @@ def standardize(dataset, stats=None):
     refused with the entry's name, input value and z-score.
     """
     mean, std = feature_stats(dataset) if stats is None else stats
+    if np.shape(mean) != (dataset.dim,) or np.shape(std) != (dataset.dim,):
+        raise ValueError(f"standardization needs one mean and one deviation per feature "
+                         f"({dataset.dim}), got lengths {np.size(mean)} and {np.size(std)}")
     safe = np.where(std > 0, std, 1.0)
     Z = (dataset.X - mean) / safe
     Z[:, std == 0] = 0.0

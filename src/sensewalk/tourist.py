@@ -96,8 +96,8 @@ import numpy as np
 from .features import as_int
 
 
-class VertexNotInComponent(Exception):
-    pass
+class VertexNotInComponent(ValueError):
+    """A walk's start is no vertex id of the component."""
 
 
 class AllViewsEmpty(Exception):
@@ -206,7 +206,10 @@ def _holds_to(t, c, traj, mu, mu_max):
 def walk(graph, start, mu):
     """One tourist walk from vertex id ``start`` with memory length ``mu``."""
     mu = as_int(mu, "mu", 0)
-    k = bisect_left(graph.ids, start)
+    try:
+        k = bisect_left(graph.ids, start)
+    except TypeError:  # an id that does not order with the vertex ids
+        k = len(graph.ids)
     if k == len(graph.ids) or graph.ids[k] != start:
         raise VertexNotInComponent(repr(start))
     t, c, traj = _walk_indices(graph.rows, [(k,)], mu)[0]

@@ -56,7 +56,9 @@ def test_build_net_matches_bigram_oracle(corpus_dir, tmp_path):
     # occurrence nodes substituted
     from sensewalk import corpus as corpus_mod
     docs = corpus_mod.load_documents(root)
-    annotations = corpus_mod.load_annotations(ann, documents=docs)
+    annotations = corpus_mod.load_annotations(ann)
+    corpus_mod.validate_annotations(
+        annotations, {doc_id: doc.content_lemmas() for doc_id, doc in docs.items()})
     ann_by_pos = {(a.document_id, a.position): a for a in annotations}
     counter = {}
     occurrence = Counter()
@@ -251,7 +253,8 @@ def test_evaluate_montecarlo_p_on_a_corpus(corpus_dir, capsys):
                  "--folds", "3", "--seed", "5", "--p-method", "montecarlo"]) == 0
     docs = corpus.load_documents(root)
     streams = {doc_id: doc.content_lemmas() for doc_id, doc in docs.items()}
-    annotations = corpus.load_annotations(ann, documents=docs)
+    annotations = corpus.load_annotations(ann)
+    corpus.validate_annotations(annotations, streams)
     [(word, dataset)] = sensewalk.word_datasets(streams, annotations)
     plan = sensewalk.make_fold_plan(dataset.labels, 3, 5)
     acc = sensewalk.cv_sweep(dataset, ("knn",), (0.0,), fold_plan=plan)["knn"].accuracy_at(0.0)
@@ -270,8 +273,9 @@ def test_dump_of_a_one_word_corpus_fits_every_occurrence(corpus_dir, tmp_path):
                  "--dump-graphs", str(graphs)]) == 0
     docs = corpus.load_documents(root)
     streams = {doc_id: doc.content_lemmas() for doc_id, doc in docs.items()}
-    z = sensewalk.standardize(sensewalk.semantic_features(
-        streams, corpus.load_annotations(ann, documents=docs), 5))
+    annotations = corpus.load_annotations(ann)
+    corpus.validate_annotations(annotations, streams)
+    z = sensewalk.standardize(sensewalk.semantic_features(streams, annotations, 5))
     assert model.read_text(encoding="utf-8") == \
         classify.tree_to_text(classify.c45_train(z), z.feature_names) + "\n"
     sensewalk.write_class_graphs(sensewalk.build_training_graph(z, GraphConfig()), want)

@@ -16,6 +16,7 @@ from sensewalk.corpus import (
     preprocess_text,
     remove_stopwords,
     tokenize,
+    validate_annotations,
 )
 
 # Drummond's "In the middle of the road" (Bishop's translation), the
@@ -209,26 +210,28 @@ class TestAnnotations:
             load_annotations(path)
         assert err.value.line_no == 2
 
+    @staticmethod
+    def _validated(path):
+        anns = load_annotations(path)
+        validate_annotations(anns, {"poem": preprocess_document("poem", POEM).content_lemmas()})
+        return anns
+
     def test_position_validated_against_documents(self, tmp_path):
-        docs = {"poem": preprocess_document("poem", POEM)}
         good = self._write(tmp_path, "poem\t2\tstone\t1\n")
-        anns = load_annotations(good, documents=docs)
+        anns = self._validated(good)
         assert anns[0].word == "stone"
 
     def test_position_mismatch_wrong_lemma(self, tmp_path):
-        docs = {"poem": preprocess_document("poem", POEM)}
         bad = self._write(tmp_path, "poem\t0\tstone\t1\n")  # position 0 is 'middle'
         with pytest.raises(PositionMismatch):
-            load_annotations(bad, documents=docs)
+            self._validated(bad)
 
     def test_position_mismatch_out_of_range(self, tmp_path):
-        docs = {"poem": preprocess_document("poem", POEM)}
         bad = self._write(tmp_path, "poem\t99\tstone\t1\n")
         with pytest.raises(PositionMismatch):
-            load_annotations(bad, documents=docs)
+            self._validated(bad)
 
     def test_unknown_document(self, tmp_path):
-        docs = {"poem": preprocess_document("poem", POEM)}
         bad = self._write(tmp_path, "other\t0\tstone\t1\n")
         with pytest.raises(PositionMismatch):
-            load_annotations(bad, documents=docs)
+            self._validated(bad)

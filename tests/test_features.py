@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sensewalk.adjacency import build_network, node_topology
-from sensewalk.corpus import SenseAnnotation
+from sensewalk.corpus import PositionMismatch, SenseAnnotation
 from sensewalk.evaluate import make_synthetic_corpus
 from sensewalk.features import (
     Dataset,
@@ -89,6 +89,14 @@ class TestWindow:
         with pytest.raises(ValueError, match=message):
             semantic_features(streams, annotations, 2)
         with pytest.raises(ValueError, match=message):
+            semantic_vocabulary(streams, annotations, 2)
+
+    def test_unknown_document_refused_by_name(self):
+        streams = {"d": ["a", "b", "c"]}
+        annotations = [SenseAnnotation("e", 0, "a", 1)]
+        with pytest.raises(PositionMismatch, match="^unknown document 'e'$"):
+            semantic_features(streams, annotations, 2)
+        with pytest.raises(PositionMismatch, match="^unknown document 'e'$"):
             semantic_vocabulary(streams, annotations, 2)
 
     def test_both_edges_of_the_stream_accepted(self):
@@ -253,6 +261,19 @@ class TestStandardize:
         stats = feature_stats(train)
         z = standardize(test, stats)
         assert z.X[0, 0] == pytest.approx(3.0)  # (4 - 1) / 1
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_stats_of_the_wrong_length_refused_by_name(self, length):
+        # length 1 failed in numpy's boolean indexing, length 3 in an
+        # unnamed broadcast
+        ds = Dataset([0, 1], np.array([[0.0, 1.0], [2.0, 5.0]]), [1, 2], ["f", "g"])
+        stats = (np.zeros(length), np.ones(length))
+        message = (f"^standardization needs one mean and one deviation per feature \\(2\\), "
+                   f"got lengths {length} and {length}$")
+        with pytest.raises(ValueError, match=message):
+            standardize(ds, stats)
+        with pytest.raises(ValueError, match="got lengths 2 and 3$"):
+            standardize(ds, (np.zeros(2), np.ones(3)))
 
     def test_requires_two_instances(self):
         ds = Dataset([0], np.array([[1.0]]), [1], ["f"])

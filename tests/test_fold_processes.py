@@ -436,6 +436,53 @@ def test_a_dead_fold_worker_fails_the_sweep_instead_of_hanging_it():
     assert done.returncode == 0, done.stderr
     assert done.stdout == "BrokenProcessPool True\n[]\n"
 
+FAIL_FAST_PROBE = """
+import multiprocessing, os, time
+import numpy as np
+from sensewalk import evaluate
+from sensewalk.features import Dataset
+
+rng = np.random.default_rng(4)
+X = np.vstack([rng.normal(0.0, 0.6, (10, 2)), rng.normal(8.0, 0.6, (10, 2))])
+dataset = Dataset(range(20), X, [1] * 10 + [2] * 10, ["x", "y"])
+plan = evaluate.make_fold_plan(dataset.labels, 6)
+score_fold = evaluate._score_fold
+
+def fold_1_fails_first(dataset, low_levels, config, train_idx, test_idx, need_high):
+    if test_idx == plan.folds[1][1]:
+        time.sleep(0.3)
+        raise ValueError("fold 1 failed")
+    time.sleep(1.0)
+    return score_fold(dataset, low_levels, config, train_idx, test_idx, need_high)
+
+evaluate._fold_workers = lambda n_folds: 2
+evaluate._score_fold = fold_1_fails_first
+started = time.monotonic()
+try:
+    evaluate.cv_sweep(dataset, ("knn",), (0.0, 0.5), fold_plan=plan)
+except ValueError as exc:
+    print(exc, round(time.monotonic() - started, 2))
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:  # no child left, not even one to reap
+    print(multiprocessing.active_children())
+"""
+
+
+def test_a_fold_error_ends_the_sweep_without_waiting_for_the_queued_folds():
+    # two workers take folds 0 and 1; fold 1 fails at 0.3 s, fold 0 ends at
+    # 1 s, and no later fold is handed out: the four queued folds of 1 s
+    # each would keep the call past 2 s
+    src = str(Path(sensewalk.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", FAIL_FAST_PROBE], capture_output=True,
+                          text=True, env={"PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    first, *rest = done.stdout.splitlines()
+    message, seconds = first.rsplit(" ", 1)
+    assert (message, rest) == ("fold 1 failed", ["[]"])
+    assert float(seconds) < 1.5
+
+
 def test_import_loads_no_multiprocessing():
     src = str(Path(sensewalk.__file__).resolve().parents[1])
     code = ("import sys, sensewalk\n"

@@ -97,6 +97,13 @@ class TestWalkBasics:
         with pytest.raises(VertexNotInComponent):
             walk(comp, 99, 1)
 
+    @pytest.mark.parametrize("start", ["x", None])
+    def test_start_that_does_not_order_with_the_ids(self, start):
+        comp = graph_from_edges({0: (0.0,), 1: (1.0,)}, [(0, 1, 1.0)])
+        with pytest.raises(VertexNotInComponent, match=repr(start)) as raised:
+            walk(comp, start, 1)
+        assert isinstance(raised.value, ValueError)
+
     def test_negative_mu(self):
         comp = graph_from_edges({0: (0.0,)}, [])
         with pytest.raises(ValueError):

@@ -31,9 +31,10 @@ package writes edge lists and reads none.
 import itertools
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
+
+from .corpus import _write_lines
 
 _SOURCE_BLOCK = 16  # BFS sources per block: columns of the n x block dist/sigma arrays
 
@@ -261,5 +262,5 @@ def write_edgelist(network, path):
         network.nodes - {a for a, _ in network.weights} - {b for _, b in network.weights}
     )
     lines.extend(f"{node}\t\t0" for node in isolated)  # keep edge-free nodes
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import _write_lines
 from .features import as_int, as_real, sorted_values, test_vectors
 
 
@@ -311,5 +312,4 @@ def write_class_graphs(class_graphs, path):
     for graph in class_graphs:
         for a, b, d in graph.edges():
             lines.append(f"{graph.class_id}\t{a}\t{b}\t{float(d)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attgraph import _BLOCK_FLOATS, euclidean
-from .features import as_int, as_real, sorted_values, test_vectors
+from .features import _run_starts, as_int, as_real, sorted_values, test_vectors
 from .tourist import InsertionTrial, normalize
 
 log = logging.getLogger(__name__)
@@ -60,12 +60,8 @@ class MembershipVector:
     scores: dict
 
     def argmax(self):
-        # deterministic: ties go to the smallest class id
-        best = None
-        for class_id in sorted(self.scores):
-            if best is None or self.scores[class_id] > self.scores[best]:
-                best = class_id
-        return best
+        # deterministic: ties go to the smallest class id, the first maximum
+        return max(sorted(self.scores), key=self.scores.__getitem__, default=None)
 
     @classmethod
     def normalized(cls, raw):
@@ -164,10 +160,6 @@ class BayesModel:
     bandwidths: dict  # class -> per-feature bandwidth array
     feature_names: tuple
 
-    @property
-    def n_features(self):
-        return next(iter(self.bandwidths.values())).shape[0]
-
 
 def _silverman(values):
     n = len(values)
@@ -209,12 +201,13 @@ def bayes_train(train_dataset):
     classes stay well-defined.
     """
     classes = tuple(_training_classes(train_dataset))
+    priors = normalize({c: len(train_dataset.class_rows[c]) for c in classes})
     log_priors, kernels, bandwidths = {}, {}, {}
     for c in classes:
         V = train_dataset.X[train_dataset.class_rows[c]]
         bandwidths[c] = np.maximum(_silverman(V), _BANDWIDTH_FLOOR)
         kernels[c] = _kernel_table(V, bandwidths[c])
-        log_priors[c] = math.log(len(V) / len(train_dataset))
+        log_priors[c] = math.log(priors[c])
     return BayesModel(classes, log_priors, kernels, bandwidths, tuple(train_dataset.feature_names))
 
 
@@ -248,7 +241,7 @@ def _bayes_rows(model, X):
 
 def bayes_predict(model, x):
     """Posterior memberships of one test vector."""
-    return _bayes_rows(model, test_vectors(x, model.n_features)[None, :])[0]
+    return _bayes_rows(model, test_vectors(x, len(model.feature_names))[None, :])[0]
 
 
 def bayes_bandwidths_csv(model):
@@ -381,16 +374,11 @@ def _level_splits(bins, elem_codes, sizes, counts, n_features):
             lt, rt = np.ascontiguousarray(lt[:, cols]), np.ascontiguousarray(rt[:, cols])
         cond[sel] = (nlg / mg) * _entropies_by_row(lt, nlg) + (nrg / mg) * _entropies_by_row(rt, nrg)
     # each node's first least conditional entropy
-    opens_node = np.empty(len(at), dtype=bool)
-    opens_node[0] = True
-    np.not_equal(node[1:], node[:-1], out=opens_node[1:])
+    opens_node = _run_starts(node)
     least = np.empty(K)
     least[node[opens_node]] = np.minimum.reduceat(cond, np.flatnonzero(opens_node))
     hit = np.flatnonzero(cond == least[node])
-    first = np.empty(len(hit), dtype=bool)
-    first[0] = True
-    np.not_equal(node[hit[1:]], node[hit[:-1]], out=first[1:])
-    chosen = hit[first]
+    chosen = hit[_run_starts(node[hit])]
     above = run_next[at[chosen]]  # the element just above each chosen boundary
     return node[chosen], bins[above - 1], bins[above]
 
@@ -530,10 +518,6 @@ def combine_walk_variations(variations, priors, config):
     return MembershipVector.normalized(totals)
 
 
-def class_priors(class_graphs):
-    return normalize({g.class_id: g.vertex_count for g in class_graphs})
-
-
 def high_level_predict(test_instance, class_graphs, config, views):
     """Membership from insertion-induced walk variations across mu.
 
@@ -544,7 +528,8 @@ def high_level_predict(test_instance, class_graphs, config, views):
     """
     trial = InsertionTrial(getattr(test_instance, "id", None), class_graphs, views)
     variations = trial.variation_curves(config.mu_critical)
-    return combine_walk_variations(variations, class_priors(class_graphs), config)
+    priors = normalize({g.class_id: g.vertex_count for g in class_graphs})
+    return combine_walk_variations(variations, priors, config)
 
 
 def hybrid_predict(low, high, lam):

@@ -101,6 +101,11 @@ def _load_corpus(args, annotated=False, one_word=None):
     streams = {doc_id: doc.content_lemmas() for doc_id, doc in documents.items()}
     annotations = []
     if args.annotations:
+        # the annotation TSV would read this document's rows as comments
+        hidden = next((doc_id for doc_id in documents if doc_id.lstrip().startswith("#")), None)
+        if hidden is not None:
+            raise ValueError(f"document {hidden!r} begins with '#', so its annotation rows "
+                             "would read as comments; rename its file")
         annotations = corpus.load_annotations(args.annotations)
         corpus.validate_annotations(annotations, streams)
     if annotated and not annotations:
@@ -145,7 +150,7 @@ def cmd_preprocess(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for doc_id, lemmas in streams.items():
-        (out_dir / f"{doc_id}.lemmas").write_text(" ".join(lemmas) + "\n", encoding="utf-8")
+        corpus._write_lines(out_dir / f"{doc_id}.lemmas", [" ".join(lemmas)])
     total = sum(len(s) for s in streams.values())
     print(f"{len(documents)} document(s), {total} content lemmas -> {out_dir}")
     if annotations:
@@ -202,7 +207,7 @@ def _dump_models(args, dataset, config):
             text = bayes_bandwidths_csv(bayes_train(z))
         else:
             text = "k-nearest neighbors keeps no fitted parameters beyond the training set\n"
-        Path(args.dump_model).write_text(text if text.endswith("\n") else text + "\n", "utf-8")
+        corpus._write_lines(args.dump_model, text.removesuffix("\n").split("\n"))
         print(f"model dump -> {args.dump_model}")
     if args.dump_graphs:
         graphs = build_training_graph(z, config.graph)
@@ -251,10 +256,8 @@ def cmd_toy(args):
         print(f"first structured prediction at lambda={report.flip_lambda:.2f} "
               f"(monotone after: {report.monotone_after_flip})")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("lambda,predicted_class,structured_membership\n")
-            for lam, label, members in report.rows:
-                fh.write(f"{lam:.2f},{label},{members!r}\n")
+        corpus._write_lines(args.out, ["lambda,predicted_class,structured_membership"] + [
+            f"{lam:.2f},{label},{members!r}" for lam, label, members in report.rows])
         print(f"rows -> {args.out}")
     return 0
 

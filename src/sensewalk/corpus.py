@@ -10,6 +10,8 @@ be processed in parallel with no shared state.
 
 The stopword list, lemma table, annotation TSV and the CLI's ``--config``
 files skip blank and ``#`` comment lines by one rule, ``_content_lines``.
+Every line file the package writes, the CSVs aside, goes through one
+writer beside it, ``_write_lines``.
 Annotations are parsed (``load_annotations``), then checked against the
 documents' content streams in a separate step (``validate_annotations``).
 """
@@ -120,6 +122,12 @@ def _content_lines(text):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             yield line_no, line
+
+
+def _write_lines(path, lines):
+    """Write ``lines`` to ``path`` as UTF-8 text, each ending in a newline;
+    no lines at all is one newline."""
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_stopwords(path=None):

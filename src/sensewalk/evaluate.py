@@ -38,7 +38,10 @@ from .classify import (
     knn_predict,
     train_low_level,
 )
-from .corpus import SenseAnnotation, preprocess_document, validate_annotations
+from .corpus import (
+    SenseAnnotation, load_lemma_table, load_stopwords, preprocess_document,
+    validate_annotations,
+)
 from .features import (
     Dataset,
     Instance,
@@ -340,14 +343,14 @@ def _accuracies(records, low_level, lambdas):
     column = {c: j for j, c in enumerate(classes)}
     low = np.array([[r.lows[low_level].scores.get(c, 0.0) for c in classes] for r in records])
     linked = [i for i, r in enumerate(records) if r.high is not None]
-    high = np.array([[records[i].high.scores.get(c, 0.0) for c in classes] for i in linked])
+    high = np.array([[records[i].high.scores.get(c, 0.0) for c in classes]
+                     for i in linked]).reshape(len(linked), len(classes))
     low_linked = low[linked]
     truth = np.array([column.get(r.true, -1) for r in records])
     accuracies = []
     for lam in lambdas:
         blend = low.copy()
-        if linked:
-            blend[linked] = (1.0 - lam) * low_linked + lam * high
+        blend[linked] = (1.0 - lam) * low_linked + lam * high
         accuracies.append(int(np.count_nonzero(blend.argmax(axis=1) == truth)) / len(records))
     return accuracies
 
@@ -603,8 +606,10 @@ def make_synthetic_corpus(word="crane", n_per_sense=110, n_docs=6, seed=7, noise
 
     documents = {}
     annotations = []
+    stopwords, lemma_table = load_stopwords(), load_lemma_table()
     for doc_id in sorted(doc_text):
-        documents[doc_id] = preprocess_document(doc_id, " ".join(doc_text[doc_id]))
+        documents[doc_id] = preprocess_document(doc_id, " ".join(doc_text[doc_id]),
+                                                stopwords, lemma_table)
         lemmas = documents[doc_id].content_lemmas()
         occurrence_positions = [i for i, lemma in enumerate(lemmas) if lemma == word]
         senses = doc_senses[doc_id]

@@ -72,6 +72,13 @@ def as_int(value, name, least=None):
     return value
 
 
+def _run_starts(keys):
+    """Where each run of equal consecutive ``keys`` begins, as a boolean mask."""
+    starts = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return starts
+
+
 def as_real(value, name, low, high=None):
     """``value`` when it is a real number (numpy floats and bools are) above
     ``low``, or in [low, high] when ``high`` is given; NaN is in no range."""
@@ -138,8 +145,6 @@ class Dataset:
     def __init__(self, ids, X, labels, feature_names):
         self.ids = list(ids)
         self.X = np.asarray(X, dtype=float)
-        if self.X.ndim == 1:
-            self.X = self.X.reshape(len(self.ids), -1)
         self.labels = list(labels)
         self.feature_names = list(feature_names)
         if len(self.ids) != len(self.labels) or len(self.ids) != self.X.shape[0]:
@@ -238,12 +243,9 @@ def window_lemmas(stream, position, window):
 
 
 def semantic_vocabulary(token_streams, annotations, window):
-    """Sorted union of lemmas appearing in any annotation window."""
-    vocab = set()
-    for ann in annotations:
-        vocab.update(window_lemmas(document_stream(token_streams, ann.document_id),
-                                   ann.position, window))
-    return sorted(vocab)
+    """Sorted union of lemmas appearing in any annotation window: the
+    feature names ``semantic_features`` gives with no vocabulary."""
+    return semantic_features(token_streams, annotations, window).feature_names
 
 
 def semantic_features(token_streams, annotations, window=5, vocabulary=None):
@@ -251,7 +253,7 @@ def semantic_features(token_streams, annotations, window=5, vocabulary=None):
 
     When ``vocabulary`` is given (e.g. fitted on a training fold), window
     lemmas outside it are dropped; otherwise the vocabulary is the sorted
-    union over all windows seen here, as ``semantic_vocabulary`` gives.
+    union over all windows seen here.
     """
     windows = [window_lemmas(document_stream(token_streams, a.document_id), a.position, window)
                for a in annotations]

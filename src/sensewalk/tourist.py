@@ -16,7 +16,9 @@ whose every neighbor is forbidden halts: cycle 0, transient = steps taken.
 Walks run directly on :attr:`ClassGraph.rows <sensewalk.attgraph.ClassGraph>`:
 row ``k`` lists vertex ``k``'s neighbors sorted by (distance, index), and
 indices follow id order, so the first admissible entry is the step the
-movement rule takes.
+movement rule takes. One bisection of the sorted ids, ``_vertex_index``,
+finds the index of a walk's start and of each vertex a test instance
+links to; an id that does not order with the vertex ids is no vertex.
 
 One loop, :func:`_walk_indices`, runs a batch of walks on the same rows
 at one mu, each on from a prefix of states (a fresh walk is the prefix
@@ -93,7 +95,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .features import as_int
+from .features import _run_starts, as_int
 
 
 class VertexNotInComponent(ValueError):
@@ -203,14 +205,21 @@ def _holds_to(t, c, traj, mu, mu_max):
     return top
 
 
+def _vertex_index(ids, vid):
+    """The index of ``vid`` among the sorted vertex ``ids``, or None when it
+    is no vertex id (an id that does not order with them is none)."""
+    try:
+        k = bisect_left(ids, vid)
+    except TypeError:
+        return None
+    return k if k < len(ids) and ids[k] == vid else None
+
+
 def walk(graph, start, mu):
     """One tourist walk from vertex id ``start`` with memory length ``mu``."""
     mu = as_int(mu, "mu", 0)
-    try:
-        k = bisect_left(graph.ids, start)
-    except TypeError:  # an id that does not order with the vertex ids
-        k = len(graph.ids)
-    if k == len(graph.ids) or graph.ids[k] != start:
+    k = _vertex_index(graph.ids, start)
+    if k is None:
         raise VertexNotInComponent(repr(start))
     t, c, traj = _walk_indices(graph.rows, [(k,)], mu)[0]
     return WalkResult(t, c, tuple(graph.ids[i] for i in traj[: _period_end(t, c)]))
@@ -257,9 +266,7 @@ def _build_memo(graph, mu_max):
             flat, lens = blocks[-1]
             row = np.repeat(np.arange(n), lens)
             hits = np.flatnonzero((flat[mu:] == flat[:-mu]) & (row[mu:] == row[:-mu])) + mu
-            first = np.ones(len(hits), dtype=bool)  # a row's hits are adjacent and ascending
-            first[1:] = row[hits[1:]] != row[hits[:-1]]
-            hits = hits[first]
+            hits = hits[_run_starts(row[hits])]  # a row's hits are adjacent and ascending
             redo = row[hits].tolist()
             cuts = (hits - (np.cumsum(lens) - lens)[redo]).tolist()
             prefixes = [seqs[s][:j] for s, j in zip(redo, cuts)]
@@ -379,11 +386,8 @@ class InsertionTrial:
             own = []
             floor = np.full(n + 1, np.iinfo(np.int64).max)  # p_u at each touched u
             for vid, dist in view.links:
-                try:
-                    i = bisect_left(graph.ids, vid)
-                except TypeError:  # an id that does not order with the vertex ids
-                    i = n
-                if i == n or graph.ids[i] != vid:
+                i = _vertex_index(graph.ids, vid)
+                if i is None:
                     raise ValueError(f"test instance {test_id!r} links to {vid!r} in class "
                                      f"{graph.class_id!r}, which has no such vertex")
                 row = list(rows[i])
@@ -404,8 +408,7 @@ class InsertionTrial:
         stop = memo.offsets[(mu_max + 1) * n]  # the entries of rows at mu <= mu_max
         hits = np.flatnonzero(memo.picks[:stop] >= floor[memo.verts[:stop]])
         hit_rows = np.searchsorted(memo.offsets, hits, side="right") - 1
-        first = np.ones(len(hits), dtype=bool)  # a row's hits are adjacent and ascending
-        first[1:] = hit_rows[1:] != hit_rows[:-1]
+        first = _run_starts(hit_rows)  # a row's hits are adjacent and ascending
         deflected = hit_rows[first]
         begins = memo.offsets[deflected].tolist()
         ends = (hits[first] + 1).tolist()

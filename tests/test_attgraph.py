@@ -713,3 +713,10 @@ def test_graph_dump_format(tmp_path):
     for line in lines:
         class_id, a, b, d = line.split("\t")
         assert float(d) > 0
+    assert path.read_bytes() == b"1\t0\t1\t0.2\n2\t2\t3\t0.20000000000000018\n"
+
+
+def test_graph_dump_of_no_graphs_is_one_newline(tmp_path):
+    path = tmp_path / "graphs.tsv"
+    write_class_graphs([], path)
+    assert path.read_bytes() == b"\n"

@@ -11,6 +11,7 @@ import pytest
 import sensewalk
 from sensewalk import adjacency, classify, corpus, evaluate
 from sensewalk.attgraph import ClassTooSmall, GraphConfig
+from sensewalk.classify import LOW_LEVEL_NAMES
 from sensewalk.cli import main, parse_config_file
 from sensewalk.evaluate import InsufficientClassSize, make_synthetic_corpus
 from sensewalk.features import Dataset, MissingNode
@@ -40,6 +41,16 @@ def test_preprocess(corpus_dir, tmp_path, capsys):
     text = files[0].read_text()
     assert "crane" in text.split()
     assert "annotations validated" in capsys.readouterr().out
+
+
+def test_preprocess_writes_one_line_of_lemmas_per_document(tmp_path):
+    root = tmp_path / "docs"
+    root.mkdir()
+    (root / "lake.txt").write_text("The cranes lifted the steel beams. A crane nests by the lake.",
+                                   encoding="utf-8")
+    out = tmp_path / "lemmas"
+    assert main(["preprocess", "--in", str(root), "--out", str(out)]) == 0
+    assert (out / "lake.lemmas").read_bytes() == b"crane lift steel beam crane nest lake\n"
 
 
 def test_build_net_matches_bigram_oracle(corpus_dir, tmp_path):
@@ -362,6 +373,9 @@ def test_toy_command(tmp_path, capsys):
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["lambda", "predicted_class", "structured_membership"]
     assert len(rows) == 22
+    data = out.read_bytes()
+    assert data.count(b"\n") == 22 and data.endswith(b"\n") and b"\r" not in data
+    assert data.startswith(b"lambda,predicted_class,structured_membership\n0.00,2,")
 
 
 def run_module(*args):
@@ -726,6 +740,23 @@ def test_mismatched_annotation_is_refused_before_any_output(corpus_dir, tmp_path
     assert not out.exists()
 
 
+def test_document_id_read_as_a_comment_is_refused_with_annotations(corpus_dir, tmp_path, capsys):
+    # the rows of a document "#a" would be skipped as comments without a word
+    root, ann = corpus_dir
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    for path in root.glob("*.txt"):
+        (docs / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    (docs / "#a.txt").write_text("A crane lifted steel.", encoding="utf-8")
+    out = tmp_path / "features.csv"
+    assert main(["extract", "--in", str(docs), "--annotations", str(ann), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("sensewalk: error: document '#a' begins with '#', so its "
+                                       "annotation rows would read as comments; rename its file\n")
+    assert not out.exists()
+    assert main(["preprocess", "--in", str(docs), "--out", str(tmp_path / "lemmas")]) == 0
+    assert (tmp_path / "lemmas" / "#a.lemmas").read_bytes() == b"crane lift steel\n"
+
+
 def test_semantic_sweep_is_identical_across_hash_seeds(corpus_dir, tmp_path):
     # string hashing changes set order from one process to the next
     root, ann = corpus_dir
@@ -782,17 +813,21 @@ def test_evaluate_montecarlo_p_on_features(overlap_csv, tmp_path, capsys):
     assert float(row["accuracy"]) == acc and float(row["p_value"]) == p
 
 
-@pytest.mark.parametrize("low_level", ["bayes", "knn"])
-def test_evaluate_dumps_bayes_and_knn_models(overlap_csv, tmp_path, capsys, low_level):
+@pytest.mark.parametrize("low_level", LOW_LEVEL_NAMES)
+def test_evaluate_dumps_each_model_ending_in_one_newline(overlap_csv, tmp_path, capsys,
+                                                         low_level):
     model = tmp_path / "model.txt"
     assert main(["evaluate", "--features", str(overlap_csv), "--low-level", low_level,
                  "--lambda", "0.0", "--folds", "3", "--dump-model", str(model)]) == 0
-    if low_level == "bayes":
-        z = sensewalk.standardize(Dataset.from_csv(overlap_csv))
-        want = classify.bayes_bandwidths_csv(sensewalk.bayes_train(z))
-    else:
-        want = "k-nearest neighbors keeps no fitted parameters beyond the training set\n"
-    assert model.read_text(encoding="utf-8") == want
+    z = sensewalk.standardize(Dataset.from_csv(overlap_csv))
+    want = {
+        "knn": "k-nearest neighbors keeps no fitted parameters beyond the training set\n",
+        "bayes": classify.bayes_bandwidths_csv(classify.bayes_train(z)),
+        "c45": classify.tree_to_text(classify.c45_train(z), z.feature_names) + "\n",
+    }[low_level]
+    data = model.read_bytes()
+    assert data == want.encode("utf-8")
+    assert data.endswith(b"\n") and not data.endswith(b"\n\n")
     assert f"model dump -> {model}" in capsys.readouterr().out
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sensewalk
-from sensewalk import adjacency, evaluate, features, tourist
+from sensewalk import adjacency, corpus, evaluate, features, tourist
 from sensewalk.attgraph import GraphConfig, build_training_graph
 from sensewalk.classify import (
     HighLevelConfig,
@@ -244,6 +244,21 @@ def test_every_numeric_config_field_refuses_a_string(config):
 def test_synthetic_corpus_refuses_bad_arguments_by_name(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make_synthetic_corpus(**{"n_per_sense": 2, **kwargs})
+
+
+def test_synthetic_corpus_reads_each_bundled_table_once(monkeypatch):
+    # each document used to parse the stopword list and the lemma table again
+    read = corpus._read_resource
+    reads = []
+
+    def counted(path, bundled, missing):
+        reads.append(bundled)
+        return read(path, bundled, missing)
+
+    monkeypatch.setattr(corpus, "_read_resource", counted)
+    docs, _ = make_synthetic_corpus(n_per_sense=6, n_docs=6)
+    assert len(docs) == 6
+    assert sorted(reads) == ["lemmas.txt", "stopwords.txt"]
 
 
 def reference_make_fold_plan(labels, n_folds=10, seed=0):

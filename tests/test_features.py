@@ -405,6 +405,11 @@ class TestClassIndex:
         with pytest.raises(ValueError, match=r"id \('d', 1\) appears more than once"):
             Dataset([("d", 0), ("d", 1), ("d", 1)], np.zeros((3, 1)), [1, 1, 1], ["x"])
 
+    def test_one_dimensional_features_fail_the_shape_check(self):
+        with pytest.raises(ValueError, match=r"one value per feature name \(1\), "
+                                             r"got an array of shape \(3,\)$"):
+            Dataset(range(3), [0.0, 1.0, 2.0], [1, 1, 2], ["x"])
+
     def test_subset_and_standardize_rebuild_the_index(self):
         ds = Dataset(range(5), np.arange(5.0)[:, None], [2, 1, 2, None, 1], ["x"])
         assert ds.subset([4, 2, 3]).class_rows == {1: [0], 2: [1]}
